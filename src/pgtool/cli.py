@@ -129,7 +129,7 @@ def _cmd_segre(args) -> int:
 
 def _cmd_suite(args) -> int:
     target = args.id if args.id else "all"
-    results = run_suite(target, threads=args.threads)
+    results = run_suite(target)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.suite} [{res.anchor}] ({res.seconds:.2f}s)")
@@ -208,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id")
     p.add_argument("--all", action="store_true")
     p.add_argument("--json", help="write the comparable report body to this file")
-    p.add_argument("--threads", type=int)
     p.set_defaults(fn=_cmd_suite)
 
     return parser

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .arcs import PlaneArc, is_arc, tangent_meet, unisecants_at
+from .arcs import PlaneArc, is_arc, tangent_meet
 from .errors import (
     BetaUnavailable,
     DimensionMismatch,
@@ -50,11 +50,11 @@ from .projective import (
     ProjectiveSpace,
     SemilinearMap,
     Subspace,
-    frame_coordinates,
     is_frame,
+    scale_frame,
     standard_frame,
 )
-from .quadrics import closure_points, is_closed
+from .quadrics import closure_points
 from .veronese import delta, monomial_pairs, veronese_for
 
 EXHAUSTIVE_CAP = 15
@@ -134,15 +134,18 @@ def point_map_to_dict(pm: PointMap) -> dict:
 
 
 def point_map_from_dict(data: dict) -> PointMap:
-    field = field_from_descriptor(data["field"])
-    source = ProjectiveSpace(field, int(data["n"]))
-    target = ProjectiveSpace(field, int(data["n_prime"]))
-    table = {}
-    for src, tgt in data["pairs"]:
-        key = source.normalize(src)
-        if key in table:
-            raise InvalidPointMap(f"duplicate source point {key}")
-        table[key] = target.normalize(tgt)
+    try:
+        field = field_from_descriptor(data["field"])
+        source = ProjectiveSpace(field, int(data["n"]))
+        target = ProjectiveSpace(field, int(data["n_prime"]))
+        table = {}
+        for src, tgt in data["pairs"]:
+            key = source.normalize(src)
+            if key in table:
+                raise InvalidPointMap(f"duplicate source point {key}")
+            table[key] = target.normalize(tgt)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidPointMap(f"malformed map data: {exc!r}") from exc
     return PointMap(source, target, table)
 
 
@@ -210,9 +213,7 @@ def is_quadratic_embedding(
     source, target = nu.source, nu.target
     src_pts = source.points()
     npts = len(src_pts)
-    images = [nu.table[p] for p in src_pts]
-    tfield = target.field
-    span_ok = linalg.rank(tfield, images) == target.n + 1
+    span_ok = linalg.rank(target.field, nu.image()) == target.n + 1
 
     if mode == "exhaustive":
         if npts > EXHAUSTIVE_CAP:
@@ -239,67 +240,73 @@ def is_quadratic_embedding(
         raise ModeInfeasible(f"unknown mode {mode!r}")
 
     for idx in subsets:
-        subset = frozenset(src_pts[i] for i in idx)
-        clos = closure_points(source, subset)
-        pivots, rrows = linalg.rref(tfield, [images[i] for i in idx])
-        pre = frozenset(
-            src_pts[i]
-            for i in range(npts)
-            if linalg.in_rowspace(tfield, pivots, rrows, images[i])
-        )
-        if clos != pre:
-            return EmbeddingReport(False, mode, subset, span_ok)
+        subset = [src_pts[i] for i in idx]
+        if closure_points(source, subset) != span_preimage(nu, subset):
+            return EmbeddingReport(False, mode, frozenset(subset), span_ok)
     return EmbeddingReport(span_ok, mode, None, span_ok)
+
+
+def span_preimage(nu: PointMap, pts) -> frozenset:
+    """Source points whose images lie in the span of the images of `pts`.
+
+    `pts` must be normalized source points.
+    """
+    field = nu.target.field
+    pivots, rrows = linalg.rref(field, [nu.table[p] for p in pts])
+    return frozenset(
+        x for x, y in nu.table.items() if linalg.in_rowspace(field, pivots, rrows, y)
+    )
 
 
 def check_closure_image(nu: PointMap, subset) -> bool:
     """Image of the closure equals span of the image cut with the image set,
-    and the span preimage is closed on the source side."""
-    source, target = nu.source, nu.target
-    pts = [source.normalize(p) for p in subset]
-    clos_image = {nu.table[x] for x in closure_points(source, pts)}
-    pivots, rrows = linalg.rref(target.field, [nu.table[p] for p in pts])
-    in_span = lambda y: linalg.in_rowspace(target.field, pivots, rrows, y)
-    span_cut_image = {y for y in nu.image() if in_span(y)}
-    preimage = {x for x in source.points() if in_span(nu.table[x])}
-    return clos_image == span_cut_image and is_closed(source, preimage)
+    and the span preimage is closed on the source side.
+
+    As nu is injective, the first condition says that the closure equals
+    the span preimage, and a closure is always closed, so that one
+    comparison decides both.
+    """
+    pts = [nu.source.normalize(p) for p in subset]
+    return closure_points(nu.source, pts) == span_preimage(nu, pts)
 
 
 # -- regularity ----------------------------------------------------------------
 
 
-def _line_image_arc(nu: PointMap, line: Subspace) -> PlaneArc | None:
+def _line_image_is_arc(nu: PointMap, line: Subspace) -> bool:
     imgs = [nu.table[x] for x in line.points()]
     plane = nu.target.span(imgs)
-    if plane.dim != 2:
-        return None
-    if not is_arc(nu.target, imgs, plane):
-        return None
-    return PlaneArc(plane, frozenset(imgs))
+    return plane.dim == 2 and is_arc(nu.target, imgs, plane)
 
 
 def is_regular_at(nu: PointMap, point, line: Subspace) -> bool:
-    """Unique unisecant through the image of `point` inside the image plane."""
+    """Unique unisecant through the image of `point` inside the image plane.
+
+    By the tangent count in `is_regular`, this holds exactly when the
+    line image is a plane arc and the target field is the source field.
+    """
     point = nu.source.normalize(point)
     if line.dim != 1:
         raise NotALine("regularity is tested against a line")
     if not line.contains(point):
         raise NotIncident(f"{point} does not lie on the line")
-    arc = _line_image_arc(nu, line)
-    if arc is None:
-        return False
-    return len(unisecants_at(arc, nu.table[point])) == 1
+    return nu.source.field == nu.target.field and _line_image_is_arc(nu, line)
 
 
 def is_regular(nu: PointMap) -> bool:
-    for line in nu.source.lines():
-        arc = _line_image_arc(nu, line)
-        if arc is None:
-            return False
-        for x in line.points():
-            if len(unisecants_at(arc, nu.table[x])) != 1:
-                return False
-    return True
+    """Every line image is a plane arc with a unique unisecant at each point.
+
+    Tangent count: nu is injective, so a line image is q+1 distinct
+    points.  Once they form an arc in a plane over GF(q'), each lies on
+    q secants, one to every other image point, which leaves q'-q+1
+    unisecants among the q'+1 lines through it in the plane.  That is 1
+    exactly when the target field equals the source field; a target over
+    a larger field is allowed, and then no image point has a unique
+    unisecant.  So the unisecants need not be enumerated.
+    """
+    if nu.source.field != nu.target.field:
+        return False
+    return all(_line_image_is_arc(nu, line) for line in nu.source.lines())
 
 
 # -- the affine restriction and its extension ---------------------------------
@@ -371,33 +378,23 @@ class AffineExtension:
         return self.map.alpha
 
 
-def _fit_semilinear(space: ProjectiveSpace, coords_of: dict) -> SemilinearMap:
-    """Fit matrix and Frobenius exponent to a full point-image table.
+def _probe_exponent(space: ProjectiveSpace, scaled, images: dict) -> int | None:
+    """Frobenius exponent that the probe points (1, t, 0, ..., 0) reveal.
 
-    ``coords_of`` assigns each source point an (n+1)-coordinate image.
-    Raises NotACollineation whenever the table is not semilinear.
+    Each probe image is solved against the scaled frame columns; a
+    semilinear map with exponent m gives coordinates proportional to
+    (1, t^(p^m), 0, ..., 0).  Returns None when some probe image has no
+    nonzero leading coordinate or no exponent matches every ratio.
     """
     field = space.field
-    frame = standard_frame(space)
-    units, ones = frame[:-1], frame[-1]
-    cols = [coords_of[u] for u in units]
-    scales = linalg.solve_columns(field, cols, coords_of[ones])
-    if scales is None or not all(scales):
-        raise NotACollineation("frame images do not determine a coordinate system")
-    mul = field.mul
-    matrix = tuple(
-        tuple(mul(scales[c], cols[c][r]) for c in range(len(cols)))
-        for r in range(len(cols[0]))
-    )
-    scaled = [tuple(mul(scales[c], x) for x in cols[c]) for c in range(len(cols))]
     ratios = {}
     for t in field.elements():
         probe = space.normalize((1, t) + (0,) * (space.n - 1))
-        sol = linalg.solve_columns(field, scaled, coords_of[probe])
+        sol = linalg.solve_columns(field, scaled, images[probe])
         if sol is None or not sol[0]:
-            raise NotACollineation("probe point is not reachable in the frame basis")
+            return None
         ratios[t] = field.div(sol[1], sol[0])
-    alpha = next(
+    return next(
         (
             m
             for m in field.automorphism_exponents()
@@ -405,10 +402,22 @@ def _fit_semilinear(space: ProjectiveSpace, coords_of: dict) -> SemilinearMap:
         ),
         None,
     )
+
+
+def _fit_semilinear(space: ProjectiveSpace, coords_of: dict) -> SemilinearMap:
+    """Fit matrix and Frobenius exponent to a full point-image table.
+
+    ``coords_of`` assigns each source point an (n+1)-coordinate image.
+    Raises NotACollineation whenever the table is not semilinear.
+    """
+    scaled = scale_frame(space.field, [coords_of[u] for u in standard_frame(space)])
+    if scaled is None:
+        raise NotACollineation("frame images do not determine a coordinate system")
+    alpha = _probe_exponent(space, scaled, coords_of)
     if alpha is None:
-        raise NotACollineation("coordinate ratios match no field automorphism")
+        raise NotACollineation("probe coordinates match no field automorphism")
     try:
-        fitted = SemilinearMap(space, matrix, alpha)
+        fitted = SemilinearMap(space, linalg.transpose(scaled), alpha)
     except SingularMatrix as exc:
         raise NotACollineation("fitted matrix is singular") from exc
     for x in space.points():
@@ -552,20 +561,13 @@ def build_Q_frame(nu: PointMap, source_frame=None) -> FrameData:
 
 def recover_automorphism(nu: PointMap, frame_data: FrameData) -> int:
     """Frobenius exponent read off frame coordinates of probe images."""
-    source, target = nu.source, nu.target
-    field = source.field
-    ordered = frame_data.ordered_points()
-    ratios = {}
-    for t in field.elements():
-        probe = source.normalize((1, t) + (0,) * (source.n - 1))
-        y = frame_coordinates(target, ordered, nu.table[probe])
-        if not y[0]:
-            raise NoAutomorphismMatch("probe image has vanishing leading coordinate")
-        ratios[t] = field.div(y[1], y[0])
-    for m in field.automorphism_exponents():
-        if all(ratios[t] == field.frobenius(t, m) for t in field.elements()):
-            return m
-    raise NoAutomorphismMatch("coordinate ratios match no Frobenius power")
+    scaled = scale_frame(nu.target.field, frame_data.ordered_points())
+    if scaled is None:
+        raise NotAFrame("frame data does not form a target frame")
+    alpha = _probe_exponent(nu.source, scaled, nu.table)
+    if alpha is None:
+        raise NoAutomorphismMatch("probe coordinates match no Frobenius power")
+    return alpha
 
 
 @dataclass
@@ -594,7 +596,6 @@ def reconstruct_kappa(nu: PointMap) -> Reconstruction:
         raise DimensionMismatch(
             f"target dimension {target.n} differs from expected {delta(source.n) - 1}"
         )
-    field = source.field
     try:
         frame_data = build_Q_frame(nu)
         alpha = recover_automorphism(nu, frame_data)
@@ -605,18 +606,11 @@ def reconstruct_kappa(nu: PointMap) -> Reconstruction:
         NoAutomorphismMatch,
     ) as exc:
         raise NotRegular(str(exc)) from exc
-    ordered = frame_data.ordered_points()
-    cols, e_rep = ordered[:-1], ordered[-1]
-    scales = linalg.solve_columns(field, cols, e_rep)
-    if scales is None or not all(scales):
+    scaled = scale_frame(target.field, frame_data.ordered_points())
+    if scaled is None:
         raise NotRegular("frame scaling system is singular")
-    mul = field.mul
-    matrix = tuple(
-        tuple(mul(scales[c], cols[c][r]) for c in range(len(cols)))
-        for r in range(len(cols[0]))
-    )
     try:
-        kappa = SemilinearMap(target, matrix, alpha)
+        kappa = SemilinearMap(target, linalg.transpose(scaled), alpha)
     except SingularMatrix as exc:
         raise NotRegular("frame matrix is singular") from exc
     ver = veronese_for(source)

@@ -292,6 +292,22 @@ def is_frame(space: ProjectiveSpace, points) -> bool:
     return all(left_null[0])
 
 
+def scale_frame(field: GaloisField, frame_points) -> list[tuple[int, ...]] | None:
+    """Representatives of the first n+1 frame points, scaled to sum to the last.
+
+    The scaled vectors are the columns of the matrix that sends the
+    standard frame to the given one.  Returns None when the scaling
+    system is singular, which for n+2 points of PG(n) happens exactly
+    when they do not form a frame.
+    """
+    cols, unit = frame_points[:-1], frame_points[-1]
+    scales = linalg.solve_columns(field, cols, unit)
+    if scales is None or not all(scales):
+        return None
+    mul = field.mul
+    return [tuple(mul(s, x) for x in col) for s, col in zip(scales, cols)]
+
+
 def frame_coordinates(space: ProjectiveSpace, frame_points, point) -> tuple[int, ...]:
     """Coordinates of a point in the system where the frame is standard.
 
@@ -302,12 +318,9 @@ def frame_coordinates(space: ProjectiveSpace, frame_points, point) -> tuple[int,
     pts = [space.normalize(p) for p in frame_points]
     if not is_frame(space, pts):
         raise NotAFrame("the given points do not form a frame")
-    basis, unit = pts[:-1], pts[-1]
-    scales = linalg.solve_columns(space.field, basis, unit)
-    if scales is None or not all(scales):
+    scaled = scale_frame(space.field, pts)
+    if scaled is None:
         raise SingularSystem("frame scaling system is singular")
-    mul = space.field.mul
-    scaled = [tuple(mul(s, x) for x in col) for s, col in zip(scales, basis)]
     coords = linalg.solve_columns(space.field, scaled, space.normalize(point))
     if coords is None:
         raise SingularSystem("point cannot be expressed in the frame basis")

@@ -9,9 +9,7 @@ order, so the report body is reproducible bit for bit.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -24,6 +22,7 @@ from .embeddings import (
     is_quadratic_embedding,
     random_complement,
     reconstruct_kappa,
+    span_preimage,
 )
 from .errors import PgtoolError, UnknownSuite
 from .generate import (
@@ -371,14 +370,7 @@ def _suite_negative_controls():
             continue
         # independently re-check the witness subset
         subset = sorted(report.violated_set)
-        clos = closure_points(nu.source, subset)
-        pivots, rrows = linalg.rref(nu.target.field, [nu.table[x] for x in subset])
-        pre = frozenset(
-            x
-            for x in nu.source.points()
-            if linalg.in_rowspace(nu.target.field, pivots, rrows, nu.table[x])
-        )
-        if clos == pre:
+        if closure_points(nu.source, subset) == span_preimage(nu, subset):
             witnesses.append({"seed": s, "error": "reported witness does not violate"})
     return params, not witnesses, witnesses
 
@@ -434,7 +426,7 @@ def _run_one(suite_id: str) -> SuiteResult:
     )
 
 
-def run_suite(suite_id: str = "all", threads: int | None = None) -> list[SuiteResult]:
+def run_suite(suite_id: str = "all") -> list[SuiteResult]:
     """Run one suite or all of them; results come back in registry order."""
     if suite_id in ("all", None):
         ids = SUITE_ORDER
@@ -442,11 +434,4 @@ def run_suite(suite_id: str = "all", threads: int | None = None) -> list[SuiteRe
         ids = [suite_id]
     else:
         raise UnknownSuite(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_ORDER)}")
-    if threads is None:
-        threads = int(os.environ.get("PGTOOL_THREADS", "1") or "1")
-    if threads > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_one, ids))
-    else:
-        results = [_run_one(i) for i in ids]
-    return sorted(results, key=lambda r: SUITE_ORDER.index(r.suite))
+    return [_run_one(i) for i in ids]

@@ -5,13 +5,16 @@ from __future__ import annotations
 import pytest
 
 from pgtool import (
+    PlaneArc,
     PointMap,
     SplitMix64,
+    broken_map,
     build_iota,
     build_Q_frame,
     check_closure_image,
     closure_points,
     extend_beta,
+    is_arc,
     is_quadratic_embedding,
     is_regular,
     is_regular_at,
@@ -23,6 +26,7 @@ from pgtool import (
     reconstruct_kappa,
     recover_automorphism,
     space_for,
+    unisecants_at,
     veronese_for,
     veronese_kappa_map,
     veronese_point_map,
@@ -179,6 +183,9 @@ def test_check_closure_image():
         size = rng.randbelow(len(pts4) + 1)
         subset = [pts4[i] for i in rng.sample_indices(len(pts4), size)]
         assert check_closure_image(nu4, subset)
+    broken = broken_map(2, 3, 0)
+    witness = is_quadratic_embedding(broken).violated_set
+    assert not check_closure_image(broken, witness)
 
 
 # -- regularity -------------------------------------------------------------
@@ -207,6 +214,47 @@ def test_one_pair_regularity_propagates():
         point = line.points()[0]
         if is_regular_at(nu, point, line):
             assert is_regular(nu)
+
+
+def _regular_by_unisecants(nu):
+    """Literal oracle: every line image is a plane arc, and each of its
+    points has exactly one unisecant in that plane."""
+    for line in nu.source.lines():
+        imgs = [nu.table[x] for x in line.points()]
+        plane = nu.target.span(imgs)
+        if plane.dim != 2 or not is_arc(nu.target, imgs, plane):
+            return False
+        arc = PlaneArc(plane, frozenset(imgs))
+        if any(len(unisecants_at(arc, y)) != 1 for y in imgs):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_is_regular_matches_unisecant_oracle(n, q):
+    maps = [veronese_kappa_map(n, q, s)[0] for s in range(2)]
+    maps += [broken_map(n, q, s) for s in range(2)]
+    verdicts = [is_regular(nu) for nu in maps]
+    assert verdicts == [_regular_by_unisecants(nu) for nu in maps]
+    assert verdicts[:2] == [True, True]
+
+
+def test_is_regular_false_over_larger_target_field():
+    src = space_for(2, 2)
+    tgt4 = space_for(5, 4)
+    # the linear map from test_point_map_field_compatibility: line images
+    # are collinear, so no line image is an arc
+    linear = PointMap(src, tgt4, {p: p + (0, 0, 0) for p in src.points()})
+    # the Veronese table read over GF(4): every line image is an arc, but
+    # each of its points lies on 4+1-2 = 3 unisecants of the GF(4) plane
+    ver = veronese_point_map(2, 2)
+    wide = PointMap(src, tgt4, ver.table)
+    for nu in (linear, wide):
+        assert is_regular(nu) is False
+        assert _regular_by_unisecants(nu) is False
+    line = src.span([(1, 0, 0), (0, 1, 0)])
+    assert not is_regular_at(wide, (1, 0, 0), line)
+    assert is_regular_at(ver, (1, 0, 0), line)
 
 
 def test_is_regular_at_errors():

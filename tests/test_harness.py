@@ -188,6 +188,23 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"field": {"p": 2, "k": 1, "modulus": [0, 1]}, "n": 2, "pairs": []}',
+        '{"field": {"p": 2, "k": 1, "modulus": [0, 1]}, "n": 2, "n_prime": 5,'
+        ' "pairs": [[[0, 0, 1]]]}',
+        "[]",
+    ],
+    ids=["missing-key", "short-pair", "top-level-list"],
+)
+def test_cli_malformed_map_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", "--map", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_segre(capsys):
     assert main(["segre", "--q", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
