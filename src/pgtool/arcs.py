@@ -84,9 +84,15 @@ def unisecants_at(arc: PlaneArc, point) -> list[Subspace]:
     return out
 
 
-def _plane_coords(arc: PlaneArc) -> list[tuple[int, int, int]]:
-    """Arc points in coordinates against the plane's reduced basis."""
-    return [arc.plane.coords_of(p) for p in sorted(arc.points)]
+def _plane_coords(arc: PlaneArc) -> dict[tuple, tuple[int, int, int]]:
+    """Arc points, in sorted order, mapped to coordinates against the
+    plane's reduced basis.
+
+    A vector of a reduced-basis row space is the combination of the rows
+    with its own pivot entries, and PlaneArc has checked membership.
+    """
+    pivots = arc.plane.pivots
+    return {p: tuple(p[c] for c in pivots) for p in sorted(arc.points)}
 
 
 def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
@@ -103,7 +109,7 @@ def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
         return False, None
     if not is_arc(space, arc.points, arc.plane):
         return False, None
-    coords = _plane_coords(arc)
+    coords = list(_plane_coords(arc).values())
     pairs = monomial_pairs(2)
     rows = [tuple(field.mul(c[i], c[j]) for i, j in pairs) for c in coords]
     basis = linalg.nullspace(field, rows, 6)
@@ -133,24 +139,57 @@ def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
     return False, None
 
 
+def _tangent_line(field, coords: dict, point) -> tuple[int, int, int]:
+    """Dual coordinates of the unique unisecant at an arc point.
+
+    Works in the plane's basis coordinates.  With u, v spanning the
+    lines through the point, the pencil line u - t v (t in GF(q)) or v
+    (t = None) passes through another arc point Y exactly when
+    t = (u.Y)/(v.Y), resp. v.Y = 0; the unisecants are the pencil lines
+    that no such Y picks.  ``coords`` maps every arc point to its plane
+    coordinates.
+    """
+    if point not in coords:
+        raise PointNotOnArc(f"{point} is not on the arc")
+    u, v = linalg.nullspace(field, (coords[point],), 3)
+    add, mul, div = field.add, field.mul, field.div
+
+    def dot(a, b):
+        return add(add(mul(a[0], b[0]), mul(a[1], b[1])), mul(a[2], b[2]))
+
+    secants = set()
+    for y, c in coords.items():
+        if y != point:
+            dv = dot(v, c)
+            secants.add(div(dot(u, c), dv) if dv else None)
+    free = [t for t in (*field.elements(), None) if t not in secants]
+    if len(free) != 1:
+        raise NoUniqueUnisecant(f"{len(free)} unisecants at {point}")
+    t = free[0]
+    if t is None:
+        return v
+    return tuple(field.sub(a, mul(t, b)) for a, b in zip(u, v))
+
+
 def tangent_meet(arc: PlaneArc, p1, p2) -> tuple[int, ...]:
-    """Intersection point of the unisecants at two distinct arc points."""
+    """Intersection point of the unisecants at two distinct arc points.
+
+    Each unisecant is found as the one line of the pencil that no secant
+    uses (see `_tangent_line`), which gives the same line as
+    `unisecants_at` without spanning the pencil.
+    """
     space = arc.plane.space
     p1, p2 = space.normalize(p1), space.normalize(p2)
     if p1 == p2:
         raise PointNotOnArc("tangent_meet needs two distinct arc points")
-    tangents = []
-    for p in (p1, p2):
-        lines = unisecants_at(arc, p)
-        if len(lines) != 1:
-            raise NoUniqueUnisecant(f"{len(lines)} unisecants at {p}")
-        tangents.append(lines[0])
-    meet = space.meet(tangents[0], tangents[1])
-    if meet.dim != 0:
+    coords = _plane_coords(arc)
+    tangents = [_tangent_line(space.field, coords, p) for p in (p1, p2)]
+    meet = linalg.nullspace(space.field, tangents, 3)
+    if len(meet) != 1:
         raise ParallelLinesImpossible(
-            f"tangent intersection has dimension {meet.dim}"
+            f"tangent intersection has dimension {len(meet) - 1}"
         )
-    return space.normalize(meet.rows[0])
+    return arc.plane.point_from_coords(meet[0])
 
 
 def lemma_h6_set(sigma: SemilinearMap, p0) -> frozenset:

@@ -86,6 +86,7 @@ def _cmd_verify(args) -> int:
     report = is_quadratic_embedding(nu, mode=args.mode, seed=args.seed, trials=args.trials)
     body = {
         "mode": report.mode,
+        "path": report.path,
         "is_embedding": report.is_embedding,
         "span_condition": report.span_condition,
         "violated_set": sorted(list(p) for p in report.violated_set)

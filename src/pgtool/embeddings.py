@@ -29,6 +29,7 @@ from .errors import (
     FrameCheckFailed,
     ImageNotAPoint,
     InvalidPointMap,
+    InvalidSemilinearMap,
     LinesNotConcurrent,
     ModeInfeasible,
     NoAutomorphismMatch,
@@ -54,7 +55,7 @@ from .projective import (
     scale_frame,
     standard_frame,
 )
-from .quadrics import closure_points
+from .quadrics import _context_for, closure_points
 from .veronese import delta, monomial_pairs, veronese_for
 
 EXHAUSTIVE_CAP = 15
@@ -170,7 +171,19 @@ def save_semilinear(kappa: SemilinearMap, path) -> None:
 def load_semilinear(space: ProjectiveSpace, path) -> SemilinearMap:
     with open(path) as fh:
         data = json.load(fh)
-    return SemilinearMap(space, tuple(map(tuple, data["matrix"])), data["alpha_exponent"])
+    try:
+        matrix, alpha = data["matrix"], data["alpha_exponent"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidSemilinearMap(f"malformed collineation data: {exc!r}") from exc
+    q = space.field.q
+    if not isinstance(matrix, list) or not all(
+        isinstance(row, list) and all(type(x) is int and 0 <= x < q for x in row)
+        for row in matrix
+    ):
+        raise InvalidSemilinearMap(f"matrix must be a list of rows of codes in [0, {q})")
+    if type(alpha) is not int:
+        raise InvalidSemilinearMap(f"alpha_exponent must be an integer, got {alpha!r}")
+    return SemilinearMap(space, tuple(map(tuple, matrix)), alpha)
 
 
 # -- the verifier -------------------------------------------------------------
@@ -183,13 +196,17 @@ class EmbeddingReport:
     ``violated_set`` is the first subset whose closure differs from the
     span preimage; it is None when every checked subset agrees.  A map
     can fail on the span condition alone, in which case no witness
-    subset exists and ``span_condition`` carries the reason.
+    subset exists and ``span_condition`` carries the reason.  ``path``
+    says what decided: ``"certificate"`` when a reconstructed
+    collineation certified the table (reduced mode only), ``"scan"``
+    when subsets were checked.
     """
 
     is_embedding: bool
     mode: str
     violated_set: frozenset | None
     span_condition: bool
+    path: str
 
 
 def _subset_iter(npts: int, max_size: int):
@@ -203,23 +220,39 @@ def is_quadratic_embedding(
     """Check the closure-transfer identity subset by subset.
 
     Modes: ``exhaustive`` scans every subset of the source (at most
-    EXHAUSTIVE_CAP points); ``reduced`` scans subsets of size up to
-    n'+1, which suffices because any subset contains a spanning subset
-    of that size with the same image span, and the closure operator is
-    monotone and idempotent; ``sampled`` draws ``trials`` seeded random
-    subsets.  Subsets are scanned in deterministic size-then-lex order,
-    so the reported witness is reproducible.
+    EXHAUSTIVE_CAP points) and is the literal oracle; ``reduced`` scans
+    subsets of size up to n'+1, which suffices because any subset
+    contains a spanning subset of that size with the same image span,
+    and the closure operator is monotone and idempotent; ``sampled``
+    draws ``trials`` seeded random subsets.  Subsets are scanned in
+    deterministic size-then-lex order, so the reported witness is
+    reproducible.
+
+    ``reduced`` mode first asks `reconstruct_kappa` for a certificate
+    nu = kappa rho, with kappa a collineation of the target.  A
+    collineation preserves spans, so for every subset M the span
+    preimage of nu(M) is {x : kappa rho(x) in span kappa rho(M)} =
+    {x : rho(x) in span rho(M)} = clos M, and nu(P) = kappa(rho(P))
+    spans the target because rho(P) does.  A certified table is
+    therefore accepted without a scan.  When reconstruction fails, the
+    scan decides, so a rejected table gets the same witness as from the
+    scan alone, and REDUCED_CAP binds only that scan.
     """
     source, target = nu.source, nu.target
     src_pts = source.points()
     npts = len(src_pts)
-    span_ok = linalg.rank(target.field, nu.image()) == target.n + 1
 
     if mode == "exhaustive":
         if npts > EXHAUSTIVE_CAP:
             raise ModeInfeasible(f"{npts} points exceed exhaustive cap {EXHAUSTIVE_CAP}")
         subsets = _subset_iter(npts, npts)
     elif mode == "reduced":
+        try:
+            reconstruct_kappa(nu)
+        except (NotRegular, VerificationFailed, ForeignTarget, DimensionMismatch):
+            pass
+        else:
+            return EmbeddingReport(True, mode, None, True, "certificate")
         max_size = min(npts, target.n + 1)
         total = sum(math.comb(npts, s) for s in range(max_size + 1))
         if total > REDUCED_CAP:
@@ -239,11 +272,34 @@ def is_quadratic_embedding(
     else:
         raise ModeInfeasible(f"unknown mode {mode!r}")
 
+    field = target.field
+    images = nu.image()
+    span_ok = linalg.rank(field, images) == target.n + 1
+    closure = _context_for(source)
     for idx in subsets:
-        subset = [src_pts[i] for i in idx]
-        if closure_points(source, subset) != span_preimage(nu, subset):
-            return EmbeddingReport(False, mode, frozenset(subset), span_ok)
-    return EmbeddingReport(span_ok, mode, None, span_ok)
+        mask = 0
+        for i in idx:
+            mask |= 1 << i
+        if closure.closure_mask(mask) != _span_preimage_mask(field, images, idx):
+            witness = frozenset(src_pts[i] for i in idx)
+            return EmbeddingReport(False, mode, witness, span_ok, "scan")
+    return EmbeddingReport(span_ok, mode, None, span_ok, "scan")
+
+
+def _span_preimage_mask(field, images: list, idx) -> int:
+    """Bitmask of the positions i whose images[i] lies in the span of the
+    images at the positions in `idx`."""
+    rows = [images[i] for i in idx]
+    pivots, rrows = linalg.rref(field, rows)
+    if rows and len(pivots) == len(rows[0]):
+        return (1 << len(images)) - 1
+    mask = 0
+    for i in idx:
+        mask |= 1 << i
+    for i, y in enumerate(images):
+        if not mask >> i & 1 and linalg.in_rowspace(field, pivots, rrows, y):
+            mask |= 1 << i
+    return mask
 
 
 def span_preimage(nu: PointMap, pts) -> frozenset:
@@ -251,11 +307,12 @@ def span_preimage(nu: PointMap, pts) -> frozenset:
 
     `pts` must be normalized source points.
     """
-    field = nu.target.field
-    pivots, rrows = linalg.rref(field, [nu.table[p] for p in pts])
-    return frozenset(
-        x for x, y in nu.table.items() if linalg.in_rowspace(field, pivots, rrows, y)
+    source = nu.source
+    src_pts = source.points()
+    mask = _span_preimage_mask(
+        nu.target.field, nu.image(), [source.point_index(p) for p in pts]
     )
+    return frozenset(p for i, p in enumerate(src_pts) if mask >> i & 1)
 
 
 def check_closure_image(nu: PointMap, subset) -> bool:

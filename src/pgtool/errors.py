@@ -117,6 +117,10 @@ class InvalidPointMap(UsageError):
     """Malformed map table: duplicate sources or a non-injective table."""
 
 
+class InvalidSemilinearMap(UsageError):
+    """Malformed collineation file: missing or mistyped matrix or exponent."""
+
+
 class NotIncident(UsageError):
     pass
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .errors import (
@@ -128,13 +128,23 @@ class ProjectiveSpace:
         return out
 
     def lines(self) -> list["Subspace"]:
-        """All 1-dimensional subspaces."""
-        seen = {}
-        pts = self.points()
-        for p, q in combinations(pts, 2):
-            line = self.span((p, q))
-            seen.setdefault(line.rows, line)
-        return [seen[k] for k in sorted(seen)]
+        """All 1-dimensional subspaces, sorted by their reduced bases.
+
+        Each line is built once from its reduced basis: pivot columns
+        c1 < c2, the first row free after c1 except at c2, the second
+        row free after c2.
+        """
+        n1 = self.n + 1
+        elems = self.field.elements()
+        bases = []
+        for c1, c2 in combinations(range(n1), 2):
+            k = c2 - c1 - 1
+            for a in product(elems, repeat=n1 - c1 - 2):
+                row1 = (0,) * c1 + (1,) + a[:k] + (0,) + a[k:]
+                for b in product(elems, repeat=n1 - c2 - 1):
+                    bases.append(((row1, (0,) * c2 + (1,) + b), (c1, c2)))
+        bases.sort()
+        return [Subspace(self, pivots, rows) for rows, pivots in bases]
 
     def lines_through(self, point, inside: "Subspace | None" = None) -> list["Subspace"]:
         """The pencil of lines through a point within a subspace."""

@@ -24,6 +24,7 @@ from pgtool import (
 )
 from pgtool import linalg
 from pgtool.errors import (
+    NoUniqueUnisecant,
     PointNotOnArc,
     PointOutsidePlane,
     SigmaFixesLine,
@@ -142,6 +143,38 @@ def test_tangent_meet_on_veronese_line_image():
         arc = PlaneArc(ver.target.span(imgs), frozenset(imgs))
         meet = tangent_meet(arc, ver.apply((1, 0, 0)), ver.apply((0, 1, 0)))
         assert meet == (0, 1, 0, 0, 0, 0)
+
+
+def _meet_of_unisecants(arc, p1, p2):
+    """Literal oracle: meet of the enumerated unisecants at two arc points."""
+    space = arc.plane.space
+    (t1,), (t2,) = unisecants_at(arc, p1), unisecants_at(arc, p2)
+    return space.normalize(space.meet(t1, t2).rows[0])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_tangent_meet_matches_unisecant_oracle(q):
+    space = space_for(2, q)
+    arcs = [plane_arc(space, _conic_points(space))]
+    ver = veronese_for(space)
+    for line in space.lines()[:: max(1, len(space.lines()) // 4)]:
+        imgs = [ver.apply(x) for x in line.points()]
+        arcs.append(PlaneArc(ver.target.span(imgs), frozenset(imgs)))
+    for arc in arcs:
+        pts = sorted(arc.points)
+        for p1, p2 in [(pts[0], p) for p in pts[1:]] + [(pts[-1], pts[1])]:
+            assert tangent_meet(arc, p1, p2) == _meet_of_unisecants(arc, p1, p2)
+
+
+def test_tangent_meet_rejects_non_arc():
+    space = space_for(2, 3)
+    # three collinear points on z = 0 plus (0, 0, 1): from (1, 0, 0) the
+    # other three points lie on two of its four lines, leaving two unisecants
+    pts = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    arc = plane_arc(space, pts)
+    assert len(unisecants_at(arc, (1, 0, 0))) == 2
+    with pytest.raises(NoUniqueUnisecant):
+        tangent_meet(arc, (1, 0, 0), (0, 0, 1))
 
 
 def test_tangent_concurrence_even_characteristic():

@@ -139,6 +139,18 @@ def test_verifier_span_condition_only_failure():
     assert report.violated_set is None
 
 
+def _assert_reduced_matches_exhaustive(nu):
+    a = is_quadratic_embedding(nu, mode="exhaustive")
+    b = is_quadratic_embedding(nu, mode="reduced")
+    assert (a.is_embedding, a.violated_set, a.span_condition) == (
+        b.is_embedding,
+        b.violated_set,
+        b.span_condition,
+    )
+    assert a.path == "scan"
+    return b
+
+
 def test_reduced_agrees_with_exhaustive_on_random_maps():
     cases = [(2, 2, 5, 2), (1, 3, 2, 3)]  # (n, q, n', q')
     for n, q, np_, qp in cases:
@@ -151,9 +163,22 @@ def test_reduced_agrees_with_exhaustive_on_random_maps():
             perm = [tgt_pts[i] for i in idxs]
             rng.shuffle(perm)
             nu = PointMap(src, tgt, dict(zip(src.points(), perm)))
-            a = is_quadratic_embedding(nu, mode="exhaustive")
-            b = is_quadratic_embedding(nu, mode="reduced")
-            assert a.is_embedding == b.is_embedding
+            _assert_reduced_matches_exhaustive(nu)
+
+
+@pytest.mark.parametrize("n, q, seeds", [(2, 2, 2), (2, 3, 2), (3, 2, 1)])
+def test_certificate_path_agrees_with_exhaustive_scan(n, q, seeds):
+    for s in range(seeds):
+        nu, _ = veronese_kappa_map(n, q, s)
+        assert _assert_reduced_matches_exhaustive(nu).path == "certificate"
+        report = _assert_reduced_matches_exhaustive(broken_map(n, q, s))
+        assert report.path == "scan" and not report.is_embedding
+
+
+def test_certificate_path_on_frame_injections():
+    for seed in range(5):
+        report = _assert_reduced_matches_exhaustive(frame_injection_map(seed))
+        assert report.is_embedding and report.path == "certificate"
 
 
 def test_sampled_mode_deterministic():
@@ -480,17 +505,13 @@ def test_reconstruct_rejects_line_source():
 
 
 def test_generated_embeddings_verify_and_are_regular():
-    # reduced mode where the subset count stays small; seeded sampling for
-    # the larger fields, where even the reduced scan is out of reach
-    for q in (2, 3):
+    # reduced mode certifies these tables, so even q = 9, where the reduced
+    # scan alone would exceed REDUCED_CAP, is decided without sampling
+    for q in (2, 3, 4, 5, 9):
         for seed in range(3):
             nu, _ = veronese_kappa_map(2, q, seed)
-            assert is_quadratic_embedding(nu, mode="reduced").is_embedding
-    for q in (4, 5, 9):
-        for seed in range(3):
-            nu, _ = veronese_kappa_map(2, q, seed)
-            report = is_quadratic_embedding(nu, mode="sampled", seed=seed, trials=60)
-            assert report.is_embedding
+            report = is_quadratic_embedding(nu, mode="reduced")
+            assert report.is_embedding and report.path == "certificate"
     for seed in range(3):
         nu, _ = veronese_kappa_map(2, 9, seed)
         assert is_regular(nu)

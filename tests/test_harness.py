@@ -14,6 +14,7 @@ from pgtool import (
     is_frame,
     load_point_map,
     save_point_map,
+    space_for,
     veronese_kappa_map,
     veronese_point_map,
 )
@@ -97,6 +98,25 @@ def test_semilinear_file_roundtrip(tmp_path):
     assert loaded.alpha == rec.kappa.alpha
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"alpha_exponent": 0},
+        {"matrix": 7, "alpha_exponent": 0},
+        {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "alpha_exponent": "1"},
+    ],
+    ids=["missing-matrix", "non-list-matrix", "non-integer-alpha"],
+)
+def test_semilinear_file_malformed_is_usage_error(tmp_path, data):
+    from pgtool.embeddings import load_semilinear
+    from pgtool.errors import InvalidSemilinearMap
+
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidSemilinearMap):
+        load_semilinear(space_for(2, 3), path)
+
+
 def test_map_file_rejects_duplicate_source(tmp_path):
     pm = veronese_point_map(2, 2)
     data = json.loads(json.dumps(_map_dict(pm)))
@@ -176,8 +196,28 @@ def test_cli_verify_rejects_broken(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--map", str(map_path)]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["is_embedding"] is False
+    assert report["is_embedding"] is False and report["path"] == "scan"
     assert report["violated_set"]
+
+
+def test_cli_verify_certifies_large_map(tmp_path, capsys):
+    map_path = tmp_path / "nu.json"
+    assert main(["gen", "--kind", "veronese-kappa", "--n", "2", "--q", "9",
+                 "--seed", "1", "--out", str(map_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--map", str(map_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["path"] == "certificate" and report["is_embedding"] is True
+
+
+def test_cli_verify_broken_large_map_exceeds_scan_cap(tmp_path, capsys):
+    # the certificate fails, and the fallback scan is over REDUCED_CAP
+    map_path = tmp_path / "broken.json"
+    assert main(["gen", "--kind", "broken", "--n", "2", "--q", "9",
+                 "--seed", "1", "--out", str(map_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--map", str(map_path)]) == 2
+    assert "reduced cap" in capsys.readouterr().err
 
 
 def test_cli_usage_errors(capsys):

@@ -168,6 +168,23 @@ def test_lines_through_and_line_points():
         s23.lines_through((0, 0, 1), line)
 
 
+def _lines_by_pairwise_span(space):
+    """Oracle: span every point pair, dedupe by reduced basis, sort."""
+    seen = {}
+    for p, q in combinations(space.points(), 2):
+        line = space.span((p, q))
+        seen.setdefault(line.rows, line)
+    return [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_lines_match_pairwise_span_oracle(n, q):
+    space = space_for(n, q)
+    lines = space.lines()
+    assert lines == _lines_by_pairwise_span(space)
+    assert all(line.dim == 1 for line in lines)
+
+
 def test_pencil_size_in_solid():
     space = space_for(3, 3)
     pencil = space.lines_through((1, 0, 0, 0))
