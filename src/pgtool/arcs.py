@@ -52,17 +52,28 @@ def plane_arc(space: ProjectiveSpace, points) -> PlaneArc:
     return PlaneArc(plane, frozenset(pts))
 
 
-def collinear(space: ProjectiveSpace, a, b, c) -> bool:
-    return linalg.rank(space.field, [space.normalize(p) for p in (a, b, c)]) <= 2
-
-
 def is_arc(space: ProjectiveSpace, points, plane: Subspace) -> bool:
-    """True iff no 3 of the points are collinear (all inside the plane)."""
-    pts = [space.normalize(p) for p in set(map(tuple, points))]
+    """True iff no 3 of the points are collinear (all inside the plane).
+
+    Seen from a point P, every other point lies on exactly one line of
+    the pencil at P (see `_pencil`), and a later point Z is on the line
+    P Y exactly when it gets the same pencil parameter as Y.  A collinear
+    triple is seen that way from its first point, so the points form an
+    arc iff from each point the later ones get distinct parameters:
+    O(m^2) field operations in plane coordinates, no elimination.
+    """
+    pts = {space.normalize(p) for p in points}
     for p in pts:
         if not plane.contains(p):
             raise PointOutsidePlane(f"{p} is outside the plane")
-    return all(not collinear(space, a, b, c) for a, b, c in combinations(pts, 3))
+    if plane.dim != 2:
+        raise DimensionMismatch(f"carrier has dim {plane.dim}, expected 2")
+    coords = list(_plane_coords(plane, pts).values())
+    for i, c in enumerate(coords):
+        ts = _pencil(space.field, c, coords[i + 1 :])[2]
+        if len(set(ts)) != len(ts):
+            return False
+    return True
 
 
 def is_oval(space: ProjectiveSpace, points, plane: Subspace) -> bool:
@@ -84,15 +95,14 @@ def unisecants_at(arc: PlaneArc, point) -> list[Subspace]:
     return out
 
 
-def _plane_coords(arc: PlaneArc) -> dict[tuple, tuple[int, int, int]]:
-    """Arc points, in sorted order, mapped to coordinates against the
-    plane's reduced basis.
+def _plane_coords(plane: Subspace, points) -> dict[tuple, tuple[int, int, int]]:
+    """Points of the plane, in sorted order, mapped to coordinates against
+    the plane's reduced basis.
 
     A vector of a reduced-basis row space is the combination of the rows
-    with its own pivot entries, and PlaneArc has checked membership.
+    with its own pivot entries; callers have checked membership.
     """
-    pivots = arc.plane.pivots
-    return {p: tuple(p[c] for c in pivots) for p in sorted(arc.points)}
+    return {p: tuple(p[c] for c in plane.pivots) for p in sorted(points)}
 
 
 def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
@@ -109,7 +119,7 @@ def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
         return False, None
     if not is_arc(space, arc.points, arc.plane):
         return False, None
-    coords = list(_plane_coords(arc).values())
+    coords = list(_plane_coords(arc.plane, arc.points).values())
     pairs = monomial_pairs(2)
     rows = [tuple(field.mul(c[i], c[j]) for i, j in pairs) for c in coords]
     basis = linalg.nullspace(field, rows, 6)
@@ -139,36 +149,47 @@ def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
     return False, None
 
 
-def _tangent_line(field, coords: dict, point) -> tuple[int, int, int]:
-    """Dual coordinates of the unique unisecant at an arc point.
+def _pencil(field, point, others) -> tuple[tuple, tuple, list]:
+    """The pencil at a point and the line of it that each other point is on.
 
     Works in the plane's basis coordinates.  With u, v spanning the
-    lines through the point, the pencil line u - t v (t in GF(q)) or v
-    (t = None) passes through another arc point Y exactly when
-    t = (u.Y)/(v.Y), resp. v.Y = 0; the unisecants are the pencil lines
-    that no such Y picks.  ``coords`` maps every arc point to its plane
-    coordinates.
+    dual vectors through `point`, the pencil lines are u - t v (t in
+    GF(q)) and v (t = None).  Another point Y lies on the one with
+    t = (u.Y)/(v.Y), or on v when v.Y = 0; u.Y and v.Y vanish together
+    only at `point` itself.  Returns u, v and the t of each of `others`.
     """
-    if point not in coords:
-        raise PointNotOnArc(f"{point} is not on the arc")
-    u, v = linalg.nullspace(field, (coords[point],), 3)
+    u, v = linalg.nullspace(field, (point,), 3)
     add, mul, div = field.add, field.mul, field.div
 
     def dot(a, b):
         return add(add(mul(a[0], b[0]), mul(a[1], b[1])), mul(a[2], b[2]))
 
-    secants = set()
-    for y, c in coords.items():
-        if y != point:
-            dv = dot(v, c)
-            secants.add(div(dot(u, c), dv) if dv else None)
+    ts = []
+    for c in others:
+        dv = dot(v, c)
+        ts.append(div(dot(u, c), dv) if dv else None)
+    return u, v, ts
+
+
+def _tangent_line(field, coords: dict, point) -> tuple[int, int, int]:
+    """Dual coordinates of the unique unisecant at an arc point.
+
+    The unisecants are the pencil lines (see `_pencil`) that no other
+    arc point picks.  ``coords`` maps every arc point to its plane
+    coordinates.
+    """
+    if point not in coords:
+        raise PointNotOnArc(f"{point} is not on the arc")
+    others = [c for y, c in coords.items() if y != point]
+    u, v, ts = _pencil(field, coords[point], others)
+    secants = set(ts)
     free = [t for t in (*field.elements(), None) if t not in secants]
     if len(free) != 1:
         raise NoUniqueUnisecant(f"{len(free)} unisecants at {point}")
     t = free[0]
     if t is None:
         return v
-    return tuple(field.sub(a, mul(t, b)) for a, b in zip(u, v))
+    return tuple(field.sub(a, field.mul(t, b)) for a, b in zip(u, v))
 
 
 def tangent_meet(arc: PlaneArc, p1, p2) -> tuple[int, ...]:
@@ -182,7 +203,7 @@ def tangent_meet(arc: PlaneArc, p1, p2) -> tuple[int, ...]:
     p1, p2 = space.normalize(p1), space.normalize(p2)
     if p1 == p2:
         raise PointNotOnArc("tangent_meet needs two distinct arc points")
-    coords = _plane_coords(arc)
+    coords = _plane_coords(arc.plane, arc.points)
     tangents = [_tangent_line(space.field, coords, p) for p in (p1, p2)]
     meet = linalg.nullspace(space.field, tangents, 3)
     if len(meet) != 1:

@@ -5,7 +5,8 @@ are the coefficients of a polynomial over GF(p), constant term first.
 Every field is built on a canonical modulus: the lexicographically
 smallest monic irreducible polynomial of degree k over GF(p), where
 moduli are compared as ascending-coefficient tuples.  This makes field
-descriptors reproducible bit for bit across runs and machines.
+descriptors reproducible bit for bit across runs and machines.  Orders
+go up to ``SIZE_CAP``, and every operation is a dense-table lookup.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .errors import (
     ZeroInverse,
 )
 
-SIZE_CAP = 1 << 20
-_TABLE_CAP = 256  # dense op tables are built for fields up to this order
+SIZE_CAP = 256  # every field is served by dense op tables up to this order
 
 
 def is_prime(n: int) -> bool:
@@ -109,73 +109,61 @@ class GaloisField:
         self.modulus = canonical_modulus(p, k)
         self._install_ops()
 
-    # -- construction of the arithmetic closures ------------------------
+    # -- construction of the arithmetic tables ---------------------------
 
     def _install_ops(self):
+        """Dense operation tables, one construction for every field.
+
+        Addition is digitwise mod p.  The nonzero elements form a cyclic
+        group: with exp[i] = g^i for a primitive element g, products,
+        inverses and Frobenius images are exponent arithmetic mod q - 1.
+        """
         p, k, q = self.p, self.k, self.q
-        if k == 1:
-            add = lambda a, b: (a + b) % p
-            sub = lambda a, b: (a - b) % p
-            neg = lambda a: (-a) % p
-            mul = lambda a, b: (a * b) % p
-        else:
-            decode = self._decode
-            encode = self._encode
-            modulus = list(self.modulus)
+        weights = [p**i for i in range(k)]
+        digits = [[a // w % p for w in weights] for a in range(q)]
+        add_t = [
+            [sum((x + y) % p * w for x, y, w in zip(da, db, weights)) for db in digits]
+            for da in digits
+        ]
+        neg_t = [row.index(0) for row in add_t]
+        modulus = list(self.modulus)
 
-            def add(a, b):
-                da, db = decode(a), decode(b)
-                if len(da) < len(db):
-                    da, db = db, da
-                out = list(da)
-                for i, x in enumerate(db):
-                    out[i] = (out[i] + x) % p
-                return encode(out)
+        def poly_mul(a, b):
+            c = _poly_rem(_poly_mul(digits[a], digits[b], p), modulus, p)
+            return sum(x * w for x, w in zip(c, weights))
 
-            def sub(a, b):
-                da, db = decode(a), decode(b)
-                out = list(da) + [0] * (len(db) - len(da))
-                for i, x in enumerate(db):
-                    out[i] = (out[i] - x) % p
-                return encode(out)
+        order = q - 1
+        for g in range(1, q):  # the first element whose powers reach all q - 1
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = poly_mul(x, g)
+            if len(exp) == order:
+                break
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        mul_t = [[0] * q for _ in range(q)]
+        for i, a in enumerate(exp):
+            row = mul_t[a]
+            for j, b in enumerate(exp):
+                row[b] = exp[(i + j) % order]
+        inv_t = [0] + [exp[-log[a] % order] for a in range(1, q)]
+        frob_t = [
+            [0] + [exp[log[a] * p**m % order] for a in range(1, q)] for m in range(k)
+        ]
+        self.add = lambda a, b: add_t[a][b]
+        self.sub = lambda a, b: add_t[a][neg_t[b]]
+        self.neg = lambda a: neg_t[a]
+        self.mul = lambda a, b: mul_t[a][b]
 
-            def neg(a):
-                return encode([(-x) % p for x in self._decode(a)])
+        def inv(a):
+            if a == 0:
+                raise ZeroInverse("0 has no multiplicative inverse")
+            return inv_t[a]
 
-            def mul(a, b):
-                return encode(_poly_rem(_poly_mul(decode(a), decode(b), p), modulus, p))
-
-        if q <= _TABLE_CAP:
-            rng = range(q)
-            add_t = [[add(a, b) for b in rng] for a in rng]
-            mul_t = [[mul(a, b) for b in rng] for a in rng]
-            neg_t = [neg(a) for a in rng]
-            self.add = lambda a, b: add_t[a][b]
-            self.sub = lambda a, b: add_t[a][neg_t[b]]
-            self.neg = lambda a: neg_t[a]
-            self.mul = lambda a, b: mul_t[a][b]
-            inv_t = [0] * q
-            for a in range(1, q):
-                inv_t[a] = self._pow_with(mul, a, q - 2)
-
-            def inv(a):
-                if a == 0:
-                    raise ZeroInverse("0 has no multiplicative inverse")
-                return inv_t[a]
-
-            self.inv = inv
-            frob_t = [[self._pow_with(mul, a, p**m) for a in rng] for m in range(k)]
-            self.frobenius = lambda a, m=1: frob_t[m % k][a]
-        else:
-            self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
-
-            def inv(a):
-                if a == 0:
-                    raise ZeroInverse("0 has no multiplicative inverse")
-                return self._pow_with(mul, a, q - 2)
-
-            self.inv = inv
-            self.frobenius = lambda a, m=1: self._pow_with(mul, a, p ** (m % k))
+        self.inv = inv
+        self.frobenius = lambda a, m=1: frob_t[m % k][a]
 
     @staticmethod
     def _pow_with(mul, a: int, e: int) -> int:
@@ -187,20 +175,6 @@ class GaloisField:
             if e:
                 a = mul(a, a)
         return r
-
-    def _decode(self, code: int) -> list[int]:
-        p = self.p
-        out = []
-        while code:
-            code, d = divmod(code, p)
-            out.append(d)
-        return out
-
-    def _encode(self, digits: list[int]) -> int:
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return code
 
     # -- public API ------------------------------------------------------
 

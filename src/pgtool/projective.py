@@ -147,7 +147,15 @@ class ProjectiveSpace:
         return [Subspace(self, pivots, rows) for rows, pivots in bases]
 
     def lines_through(self, point, inside: "Subspace | None" = None) -> list["Subspace"]:
-        """The pencil of lines through a point within a subspace."""
+        """The pencil of lines through a point within a subspace, sorted by
+        their reduced bases.
+
+        With j the point's leading column (where it has entry 1), each
+        line of the pencil meets the section {x in inside : x[j] = 0} in
+        exactly one point: the line is not inside that hyperplane, since
+        the point is not.  So spanning the point with each point of the
+        section gives every line once, with one elimination per line.
+        """
         point = self.normalize(point)
         if inside is None:
             inside = self.full_subspace()
@@ -156,13 +164,9 @@ class ProjectiveSpace:
             raise PointNotInSubspace(f"{point} not in the given subspace")
         if inside.dim < 1:
             raise DimensionMismatch("pencil needs a subspace of dimension >= 1")
-        seen = {}
-        for q in inside.points():
-            if q == point:
-                continue
-            line = self.span((point, q))
-            seen.setdefault(line.rows, line)
-        return [seen[k] for k in sorted(seen)]
+        j = point.index(1)
+        pencil = [self.span((point, x)) for x in inside.points() if not x[j]]
+        return sorted(pencil, key=lambda line: line.rows)
 
     def line_points(self, line: "Subspace") -> list[tuple[int, ...]]:
         self._check_sub(line)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import linalg
-from .arcs import PlaneArc, is_regular_conic, lemma_h6_set, segre_scan
+from .arcs import PlaneArc, is_arc, is_regular_conic, lemma_h6_set, segre_scan
 from .embeddings import (
     build_iota,
     build_Q_frame,
@@ -258,27 +258,22 @@ def _admissible_sigma(space, rng, alpha):
         return sigma, p0
 
 
-def _has_collinear_triple(space, pts):
-    return any(
-        linalg.rank(space.field, [a, b, c]) <= 2 for a, b, c in combinations(pts, 3)
-    )
-
-
 def _suite_lemma_h6():
     params = {"fields": [4, 9], "per_direction": 50, "seed": 116}
     witnesses = []
     for q in params["fields"]:
         space = space_for(2, q)
+        plane = space.full_subspace()
         rng = SplitMix64(params["seed"] + q)
         for i in range(params["per_direction"]):
             sigma, p0 = _admissible_sigma(space, rng, alpha=0)
             pts = sorted(lemma_h6_set(sigma, p0))
-            if _has_collinear_triple(space, pts):
+            if not is_arc(space, pts, plane):
                 witnesses.append({"q": q, "case": f"projective:{i}", "set": _pts(pts)})
         for i in range(params["per_direction"]):
             sigma, p0 = _admissible_sigma(space, rng, alpha=1)
             pts = sorted(lemma_h6_set(sigma, p0))
-            if not _has_collinear_triple(space, pts):
+            if is_arc(space, pts, plane):
                 witnesses.append({"q": q, "case": f"twisted:{i}", "set": _pts(pts)})
     return params, not witnesses, witnesses
 

@@ -10,6 +10,7 @@ from pgtool import (
     PlaneArc,
     SemilinearMap,
     SplitMix64,
+    broken_map,
     is_arc,
     is_oval,
     is_regular_conic,
@@ -21,9 +22,11 @@ from pgtool import (
     tangent_meet,
     unisecants_at,
     veronese_for,
+    veronese_kappa_map,
 )
 from pgtool import linalg
 from pgtool.errors import (
+    DimensionMismatch,
     NoUniqueUnisecant,
     PointNotOnArc,
     PointOutsidePlane,
@@ -48,8 +51,13 @@ def test_is_arc_examples():
     assert is_arc(space, triangle, plane)
     assert is_oval(space, _conic_points(space), plane)
     assert not is_arc(space, [(0, 1, 0), (0, 0, 1), (0, 1, 1)], plane)
+    # two representatives of one point are one point
+    assert is_arc(space, [(1, 0, 0), (2, 0, 0), (0, 1, 0)], plane)
+    line = space.span([(1, 0, 0), (0, 1, 0)])
     with pytest.raises(PointOutsidePlane):
-        is_arc(space, triangle, space.span([(1, 0, 0), (0, 1, 0)]))
+        is_arc(space, triangle, line)
+    with pytest.raises(DimensionMismatch):
+        is_arc(space, [(1, 0, 0), (0, 1, 0)], line)
 
 
 def test_unisecants_on_conic_pg23():
@@ -227,6 +235,44 @@ def _has_collinear_triple(space, pts):
     return any(
         linalg.rank(space.field, list(t)) <= 2 for t in combinations(sorted(pts), 3)
     )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_is_arc_matches_triple_oracle_on_random_subsets(q):
+    space = space_for(2, q)
+    plane = space.full_subspace()
+    pts = space.points()
+    rng = SplitMix64(100 + q)
+    verdicts = set()
+    for _ in range(100):
+        size = 3 + rng.randbelow(q + 1)
+        subset = [pts[i] for i in rng.sample_indices(len(pts), size)]
+        got = is_arc(space, subset, plane)
+        assert got == (not _has_collinear_triple(space, subset))
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_is_arc_matches_triple_oracle_in_line_image_planes(q):
+    # carrier planes of line images in PG(5, q), and random point sets in them
+    rng = SplitMix64(200 + q)
+    pivots, verdicts = set(), set()
+    for nu in (veronese_kappa_map(2, q, q)[0], broken_map(2, q, q)):
+        for line in nu.source.lines():
+            imgs = [nu.table[x] for x in line.points()]
+            plane = nu.target.span(imgs)
+            if plane.dim != 2:
+                continue
+            pivots.add(plane.pivots)
+            plane_pts = plane.points()
+            sampled = [plane_pts[i] for i in rng.sample_indices(len(plane_pts), 4)]
+            for pts in (imgs, sampled):
+                got = is_arc(nu.target, pts, plane)
+                assert got == (not _has_collinear_triple(nu.target, pts))
+                verdicts.add(got)
+    assert pivots - {(0, 1, 2)}
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("q", [4, 9])

@@ -6,7 +6,15 @@ from itertools import product
 
 import pytest
 
-from pgtool import create_field, automorphisms, apply_automorphism, element_ops, prime_power
+from pgtool import (
+    SplitMix64,
+    apply_automorphism,
+    automorphisms,
+    create_field,
+    element_ops,
+    prime_power,
+)
+from pgtool.cli import main
 from pgtool.errors import (
     DegreeZero,
     FieldMismatch,
@@ -96,6 +104,16 @@ def test_create_field_errors():
         create_field(3, 0)
     with pytest.raises(SizeCapExceeded):
         create_field(2, 21)
+    # every field is tabled, so orders stop at the table cap of 256
+    with pytest.raises(SizeCapExceeded):
+        create_field(257, 1)
+    with pytest.raises(SizeCapExceeded):
+        create_field(2, 9)
+
+
+def test_cli_field_over_cap_is_usage_error(capsys):
+    assert main(["field", "--p", "2", "--k", "9"]) == 2
+    assert "exceeds cap 256" in capsys.readouterr().err
 
 
 def test_inverse_errors():
@@ -140,6 +158,27 @@ def test_field_axioms_exhaustive(q):
                 assert add(add(a, b), c) == add(a, add(b, c))
                 assert mul(mul(a, b), c) == mul(a, mul(b, c))
                 assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+
+@pytest.mark.parametrize("q", [128, 243, 251, 256])
+def test_field_axioms_sampled_near_cap(q):
+    f = create_field(*prime_power(q))
+    add, mul, inv, frob = f.add, f.mul, f.inv, f.frobenius
+    rng = SplitMix64(q)
+    for _ in range(2000):
+        a, b, c = (rng.randbelow(q) for _ in range(3))
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, f.neg(a)) == 0 and f.sub(add(a, b), b) == a
+        if a:
+            assert mul(a, inv(a)) == 1
+        for m in f.automorphism_exponents():
+            assert frob(mul(a, b), m) == mul(frob(a, m), frob(b, m))
+            assert frob(add(a, b), m) == add(frob(a, m), frob(b, m))
+    # Frobenius by p is x -> x^p, and is the identity exactly on the prime field
+    assert [a for a in f.elements() if frob(a, 1) == a] == list(range(f.p))
+    assert all(frob(a, 1) == f.pow(a, f.p) for a in f.elements())
 
 
 def test_automorphism_counts_and_examples():

@@ -58,7 +58,7 @@ def test_point_counts(n, q, count):
 
 
 def test_point_enum_cap():
-    space = ProjectiveSpace(create_field(2, 10), 2)  # (1024^3-1)/1023 > 10^6
+    space = ProjectiveSpace(create_field(2, 4), 5)  # (16^6-1)/15 = 1118481 > 10^6
     with pytest.raises(SizeCapExceeded):
         space.points()
 
@@ -183,6 +183,46 @@ def test_lines_match_pairwise_span_oracle(n, q):
     lines = space.lines()
     assert lines == _lines_by_pairwise_span(space)
     assert all(line.dim == 1 for line in lines)
+
+
+def _pencil_by_span_and_dedupe(space, point, inside):
+    """Oracle: span the point with every other point of the subspace,
+    dedupe by reduced basis, sort."""
+    seen = {}
+    for x in inside.points():
+        if x != space.normalize(point):
+            line = space.span((point, x))
+            seen.setdefault(line.rows, line)
+    return [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize(
+    "n, q, rows",
+    [
+        (2, 3, None),
+        (2, 4, None),
+        (3, 2, None),
+        (3, 3, None),
+        # a plane of PG(3,3) whose points lead in columns 0, 1 and 2
+        (3, 3, [(1, 2, 0, 1), (0, 1, 1, 0), (0, 0, 1, 2)]),
+        # the plane x0 = 0 of PG(3,3): no point leads in column 0
+        (3, 3, [(0, 1, 0, 2), (0, 0, 1, 1), (0, 0, 0, 1)]),
+        # a solid of PG(4,2)
+        (4, 2, [(1, 1, 0, 0, 1), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 1, 0, 1)]),
+    ],
+)
+def test_lines_through_matches_span_and_dedupe_oracle(n, q, rows):
+    space = space_for(n, q)
+    inside = space.span(rows) if rows else None
+    sub = inside or space.full_subspace()
+    assert sub.dim == (n if rows is None else len(rows) - 1)
+    leads = set()
+    for point in sub.points():
+        leads.add(point.index(1))
+        pencil = space.lines_through(point, inside)
+        assert pencil == _pencil_by_span_and_dedupe(space, point, sub)
+        assert all(line.dim == 1 and line.contains(point) for line in pencil)
+    assert leads - {0}  # points leading in a column other than 0 were tested
 
 
 def test_pencil_size_in_solid():
