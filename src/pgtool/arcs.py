@@ -157,8 +157,17 @@ def _pencil(field, point, others) -> tuple[tuple, tuple, list]:
     GF(q)) and v (t = None).  Another point Y lies on the one with
     t = (u.Y)/(v.Y), or on v when v.Y = 0; u.Y and v.Y vanish together
     only at `point` itself.  Returns u, v and the t of each of `others`.
+
+    `point` is normalized (plane coordinates of a normalized point are),
+    so with j its leading column, u and v are e_f - point[f] e_j for the
+    two columns f != j: the canonical basis `linalg.nullspace` returns.
     """
-    u, v = linalg.nullspace(field, (point,), 3)
+    j = point.index(1)
+    u, v = (
+        tuple(1 if k == f else field.neg(point[f]) if k == j else 0 for k in range(3))
+        for f in range(3)
+        if f != j
+    )
     add, mul, div = field.add, field.mul, field.div
 
     def dot(a, b):
@@ -258,54 +267,83 @@ class SegreReport:
         }
 
 
-def segre_scan(q: int) -> SegreReport:
-    """Exhaustive oval census of PG(2, q): every (q+1)-subset is scanned.
+SEGRE_QS = (2, 3, 4, 5, 7, 8, 9)
+TRIANGLE = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    Feasible for q up to 5 (C(31, 6) subsets); each oval found is tested
-    for being the exact zero set of a plane quadratic form.
+
+def segre_scan(q: int) -> SegreReport:
+    """Oval census of PG(2, q) from the ovals through the triangle T.
+
+    T is the fundamental triangle (1,0,0), (0,1,0), (0,0,1).  An oval
+    through T meets each side of T in its two vertices only, so its
+    other q-2 points have all coordinates nonzero; a depth-first search
+    over those (q-1)^2 points, in point-index order and pruned by
+    one-line bitmasks, finds every oval through T.  Each is tested for
+    being the exact zero set of a plane quadratic form.
+
+    PGL(3, q) is transitive on ordered triangles and maps ovals to ovals
+    and conics to conics.  Counting pairs (oval, ordered triangle inside
+    it) both ways gives
+
+        N * (q+1) q (q-1) = N_T * (q^2+q+1)(q^2+q) q^2,
+
+    where N_T is the number of ovals through T, and the same for conics.
+    ``non_conic_ovals`` lists the non-conic ovals through T, sorted;
+    every non-conic oval is projectively equivalent to one of them, so
+    the list is empty exactly when every oval is a conic.  Capped at the
+    prime powers q <= 9.
     """
-    if q not in (2, 3, 4, 5):
-        raise SizeCapExceeded(f"scan is capped at q in {{2,3,4,5}}, got {q}")
+    if q not in SEGRE_QS:
+        raise SizeCapExceeded(f"census is capped at q in {set(SEGRE_QS)}, got {q}")
     space = ProjectiveSpace(create_field(*prime_power(q)), 2)
     pts = space.points()
-    npts = len(pts)
-    # line_rest[a][b]: points of the line through a and b, minus a and b
-    line_rest = [[0] * npts for _ in range(npts)]
-    for i, j in combinations(range(npts), 2):
-        mask = 0
-        for p in space.span((pts[i], pts[j])).points():
-            mask |= 1 << space.point_index(p)
-        mask &= ~(1 << i) & ~(1 << j)
-        line_rest[i][j] = mask
-        line_rest[j][i] = mask
-    bit = [1 << i for i in range(npts)]
+    # join[a][b]: bitmask of the line through points a and b
+    join = [[0] * len(pts) for _ in pts]
+    for line in space.lines():
+        members = [space.point_index(p) for p in line.points()]
+        mask = sum(1 << i for i in members)
+        for a, b in combinations(members, 2):
+            join[a][b] = join[b][a] = mask
+    a, b, c = (space.point_index(p) for p in TRIANGLE)
+    off_sides = ((1 << len(pts)) - 1) & ~(join[a][b] | join[a][c] | join[b][c])
     size = q + 1
-    ovals = []
-    for combo in combinations(range(npts), size):
-        mask = 0
-        for i in combo:
-            mask |= bit[i]
-        good = True
-        for ai in range(size - 1):
-            rest_a = line_rest[combo[ai]]
-            for bi in range(ai + 1, size):
-                if rest_a[combo[bi]] & mask:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            ovals.append(combo)
+    through_t = []
+
+    def extend(chosen, avail):
+        # avail: points after the last chosen one on no secant of `chosen`
+        if len(chosen) == size:
+            through_t.append(chosen)
+            return
+        while avail.bit_count() >= size - len(chosen):
+            low = avail & -avail
+            avail ^= low
+            new = low.bit_length() - 1
+            rest = avail
+            for x in chosen:
+                rest &= ~join[new][x]
+            extend(chosen + (new,), rest)
+
+    extend((a, b, c), off_sides)
     plane = space.full_subspace()
+    # T's vertices precede every point off its sides in point order, so
+    # the sorted ovals come out of the search in sorted order
     non_conic = []
-    for combo in ovals:
-        arc = PlaneArc(plane, frozenset(pts[i] for i in combo))
-        ok, _ = is_regular_conic(arc)
-        if not ok:
-            non_conic.append(tuple(pts[i] for i in combo))
+    for oval in through_t:
+        points = sorted(pts[i] for i in oval)
+        if not is_regular_conic(PlaneArc(plane, frozenset(points)))[0]:
+            non_conic.append(tuple(points))
+    triangles = (q * q + q + 1) * (q * q + q) * q * q
+    per_oval = (q + 1) * q * (q - 1)
+
+    def census(n_t):
+        total, rest = divmod(n_t * triangles, per_oval)
+        if rest:
+            raise RuntimeError(f"{n_t} sets through T do not scale to a census")
+        return total
+
     return SegreReport(
         q=q,
-        ovals=len(ovals),
-        conics=len(ovals) - len(non_conic),
+        ovals=census(len(through_t)),
+        conics=census(len(through_t) - len(non_conic)),
         non_conic_ovals=tuple(non_conic),
     )

@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_reconstruct)
 
-    p = sub.add_parser("segre", help="exhaustive oval census of PG(2,q)")
+    p = sub.add_parser("segre", help="oval census of PG(2,q) for prime powers q <= 9")
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(fn=_cmd_segre)
 

@@ -25,6 +25,7 @@ from pgtool import (
     veronese_kappa_map,
 )
 from pgtool import linalg
+from pgtool.arcs import _pencil
 from pgtool.errors import (
     DimensionMismatch,
     NoUniqueUnisecant,
@@ -321,11 +322,87 @@ def test_segre_scan_small():
     r3 = segre_scan(3)
     assert (r3.ovals, r3.conics, r3.non_conic_ovals) == (234, 234, ())
     with pytest.raises(SizeCapExceeded):
-        segre_scan(7)
+        segre_scan(11)
 
 
 def test_oval_counts_match_conic_formula():
-    # nondegenerate conic count q^5 - q^2 is classical; the scan must agree
-    for q in (2, 3, 4):
+    # nondegenerate conic count q^5 - q^2 is classical; the census must agree
+    for q in (2, 3, 4, 5, 7, 9):
         report = segre_scan(q)
-        assert report.ovals == q**5 - q**2
+        assert report.ovals == report.conics == q**5 - q**2
+        assert report.non_conic_ovals == ()
+
+
+def _exhaustive_oval_census(q):
+    """Literal oracle: scan every (q+1)-subset of PG(2, q) for ovals.
+
+    Returns the oval and conic counts and the non-conic ovals through the
+    fundamental triangle, each sorted, in sorted order.
+    """
+    space = space_for(2, q)
+    pts = space.points()
+    npts = len(pts)
+    # line_rest[a][b]: points of the line through a and b, minus a and b
+    line_rest = [[0] * npts for _ in range(npts)]
+    for i, j in combinations(range(npts), 2):
+        mask = 0
+        for p in space.span((pts[i], pts[j])).points():
+            mask |= 1 << space.point_index(p)
+        line_rest[i][j] = line_rest[j][i] = mask & ~(1 << i) & ~(1 << j)
+    ovals = []
+    for combo in combinations(range(npts), q + 1):
+        mask = 0
+        for i in combo:
+            mask |= 1 << i
+        good = True
+        for ai, a in enumerate(combo):
+            rest_a = line_rest[a]
+            for b in combo[ai + 1 :]:
+                if rest_a[b] & mask:
+                    good = False
+                    break
+            if not good:
+                break
+        if good:
+            ovals.append(tuple(pts[i] for i in combo))
+    plane = space.full_subspace()
+    non_conic = [
+        o for o in ovals if not is_regular_conic(PlaneArc(plane, frozenset(o)))[0]
+    ]
+    triangle = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    through_t = sorted(o for o in non_conic if triangle <= set(o))
+    return len(ovals), len(ovals) - len(non_conic), tuple(through_t)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_segre_scan_matches_exhaustive_oracle(q):
+    report = segre_scan(q)
+    got = (report.ovals, report.conics, report.non_conic_ovals)
+    assert got == _exhaustive_oval_census(q)
+
+
+def test_segre_scan_finds_non_conic_ovals_at_q8():
+    # each regular hyperoval of PG(2, 8) holds one conic and nine pointed
+    # conics, so there are ten ovals per conic
+    q = 8
+    report = segre_scan(q)
+    assert report.conics == q**5 - q**2 == 32704
+    assert report.ovals == 10 * report.conics
+    assert len(report.non_conic_ovals) == 441
+    assert list(report.non_conic_ovals) == sorted(report.non_conic_ovals)
+    space = space_for(2, q)
+    plane = space.full_subspace()
+    for oval in report.non_conic_ovals:
+        assert list(oval) == sorted(oval)
+        assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= set(oval)
+        assert is_oval(space, oval, plane)
+        assert not is_regular_conic(plane_arc(space, oval))[0]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pencil_basis_matches_nullspace(q):
+    # the closed-form pencil basis is the canonical basis nullspace returns
+    space = space_for(2, q)
+    for p in space.points():
+        u, v, _ = _pencil(space.field, p, [])
+        assert (u, v) == linalg.nullspace(space.field, (p,), 3)

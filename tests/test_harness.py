@@ -251,6 +251,13 @@ def test_cli_segre(capsys):
     assert out == {"q": 2, "ovals": 28, "conics": 28, "non_conic_ovals": []}
 
 
+def test_cli_segre_q8_reports_non_conic_ovals(capsys):
+    assert main(["segre", "--q", "8"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["ovals"], out["conics"]) == (327040, 32704)
+    assert len(out["non_conic_ovals"]) == 441
+
+
 def test_cli_suite_single(tmp_path, capsys):
     body_path = tmp_path / "report.json"
     assert main(["suite", "--id", "closure-transfer", "--json", str(body_path)]) == 0
