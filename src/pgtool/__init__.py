@@ -64,8 +64,6 @@ from .projective import (
     ProjectiveSpace,
     SemilinearMap,
     Subspace,
-    apply_semilinear,
-    enumerate_points,
     frame_coordinates,
     is_frame,
     standard_frame,
@@ -75,11 +73,9 @@ from .quadrics import (
     QuadraticForm,
     closure_points,
     closure_points_by_forms,
-    evaluate_form,
     is_closed,
     longest_closed_chain,
     quadratic_closure,
-    zero_set,
 )
 from .suites import BUDGETS, SUITE_ORDER, SuiteResult, run_suite
 from .veronese import VeroneseMap, delta, rho, rho_preimage, veronese_for

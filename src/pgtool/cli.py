@@ -83,7 +83,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     nu = load_point_map(args.map)
-    report = is_quadratic_embedding(nu, mode=args.mode, seed=args.seed, trials=args.trials)
+    report = is_quadratic_embedding(nu, mode=args.mode)
     body = {
         "mode": report.mode,
         "path": report.path,
@@ -187,9 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the closure-transfer identity")
     p.add_argument("--map", required=True)
-    p.add_argument("--mode", default="reduced", choices=["exhaustive", "reduced", "sampled"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--mode", default="reduced", choices=["exhaustive", "reduced"])
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("regular", help="test tangent-uniqueness on every line image")

@@ -14,8 +14,9 @@ point by point.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
+import types
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -42,6 +43,7 @@ from .errors import (
     NotRegular,
     NotTotal,
     ParallelLinesImpossible,
+    PgtoolError,
     SingularMatrix,
     VerificationFailed,
 )
@@ -63,7 +65,11 @@ REDUCED_CAP = 10**7
 
 
 class PointMap:
-    """Total injective-candidate map between point sets, given as a table."""
+    """Total injective-candidate map between point sets, given as a table.
+
+    The table is read-only, so `reconstruct_kappa` can keep its outcome
+    on the map.
+    """
 
     def __init__(self, source: ProjectiveSpace, target: ProjectiveSpace, table: dict):
         _check_field_compatible(source, target)
@@ -87,7 +93,8 @@ class PointMap:
                     f"not injective: {seen[img]} and {p} both map to {img}"
                 )
             seen[img] = p
-        self.table = {p: norm[p] for p in pts}
+        self.table = types.MappingProxyType({p: norm[p] for p in pts})
+        self._reconstruction = None  # set by reconstruct_kappa
 
     @classmethod
     def from_function(cls, source, target, fn) -> "PointMap":
@@ -137,8 +144,11 @@ def point_map_to_dict(pm: PointMap) -> dict:
 def point_map_from_dict(data: dict) -> PointMap:
     try:
         field = field_from_descriptor(data["field"])
-        source = ProjectiveSpace(field, int(data["n"]))
-        target = ProjectiveSpace(field, int(data["n_prime"]))
+        n, n_prime = data["n"], data["n_prime"]
+        if type(n) is not int or type(n_prime) is not int:
+            raise InvalidPointMap(f"n and n_prime must be integers, got {n!r} and {n_prime!r}")
+        source = ProjectiveSpace(field, n)
+        target = ProjectiveSpace(field, n_prime)
         table = {}
         for src, tgt in data["pairs"]:
             key = source.normalize(src)
@@ -209,43 +219,49 @@ class EmbeddingReport:
     path: str
 
 
-def _subset_iter(npts: int, max_size: int):
-    for size in range(max_size + 1):
-        yield from combinations(range(npts), size)
+def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingReport:
+    """Check the closure-transfer identity clos M = pre span nu(M).
 
+    Both modes report the first violating subset in size-then-lex order,
+    so the witness is reproducible and the same in either mode.
 
-def is_quadratic_embedding(
-    nu: PointMap, mode: str = "reduced", seed: int | None = None, trials: int | None = None
-) -> EmbeddingReport:
-    """Check the closure-transfer identity subset by subset.
+    ``exhaustive`` compares every subset of the source (at most
+    EXHAUSTIVE_CAP points), one at a time; it is the literal oracle.
 
-    Modes: ``exhaustive`` scans every subset of the source (at most
-    EXHAUSTIVE_CAP points) and is the literal oracle; ``reduced`` scans
-    subsets of size up to n'+1, which suffices because any subset
-    contains a spanning subset of that size with the same image span,
-    and the closure operator is monotone and idempotent; ``sampled``
-    draws ``trials`` seeded random subsets.  Subsets are scanned in
-    deterministic size-then-lex order, so the reported witness is
-    reproducible.
-
-    ``reduced`` mode first asks `reconstruct_kappa` for a certificate
+    ``reduced`` first asks `reconstruct_kappa` for a certificate
     nu = kappa rho, with kappa a collineation of the target.  A
     collineation preserves spans, so for every subset M the span
     preimage of nu(M) is {x : kappa rho(x) in span kappa rho(M)} =
     {x : rho(x) in span rho(M)} = clos M, and nu(P) = kappa(rho(P))
     spans the target because rho(P) does.  A certified table is
-    therefore accepted without a scan.  When reconstruction fails, the
-    scan decides, so a rejected table gets the same witness as from the
-    scan alone, and REDUCED_CAP binds only that scan.
+    therefore accepted without a scan.
+
+    Otherwise `_first_violation` scans only the subsets whose images
+    are linearly independent, and it finds the same witness.  Suppose M
+    violates and M0, a proper subset of M, has the same image span.  If
+    M0 did not violate, then M lies in pre span nu(M0) = clos M0, so
+    clos M0 is contained in clos M, which is contained in
+    clos clos M0 = clos M0 = pre span nu(M0) = pre span nu(M), and M
+    would not violate either.  So M0 violates and comes earlier: the
+    first violator has independent images, and when no independent
+    subset violates, no subset does.  REDUCED_CAP bounds the number of
+    subsets the scan compares; ModeInfeasible means it ran out before
+    a witness.
+
+    For n >= 2 over one field, a table the certificate rejects is not a
+    quadratic embedding, so there the scan only looks for a witness.
+    Two points are closed and three collinear points close to their
+    line, so every line image of a quadratic embedding is a plane
+    (q+1)-arc, which is regular by the tangent count in `is_regular`;
+    by the paper's main theorem a regular embedding is kappa rho, which
+    `reconstruct_kappa` certifies.
     """
     source, target = nu.source, nu.target
     src_pts = source.points()
     npts = len(src_pts)
-
     if mode == "exhaustive":
         if npts > EXHAUSTIVE_CAP:
             raise ModeInfeasible(f"{npts} points exceed exhaustive cap {EXHAUSTIVE_CAP}")
-        subsets = _subset_iter(npts, npts)
     elif mode == "reduced":
         try:
             reconstruct_kappa(nu)
@@ -253,37 +269,139 @@ def is_quadratic_embedding(
             pass
         else:
             return EmbeddingReport(True, mode, None, True, "certificate")
-        max_size = min(npts, target.n + 1)
-        total = sum(math.comb(npts, s) for s in range(max_size + 1))
-        if total > REDUCED_CAP:
-            raise ModeInfeasible(f"{total} subsets exceed reduced cap {REDUCED_CAP}")
-        subsets = _subset_iter(npts, max_size)
-    elif mode == "sampled":
-        if seed is None or trials is None:
-            raise ModeInfeasible("sampled mode needs seed and trials")
-        rng = SplitMix64(seed)
-
-        def _draws():
-            for _ in range(trials):
-                size = rng.randbelow(npts + 1)
-                yield tuple(rng.sample_indices(npts, size))
-
-        subsets = _draws()
     else:
         raise ModeInfeasible(f"unknown mode {mode!r}")
 
     field = target.field
     images = nu.image()
-    span_ok = linalg.rank(field, images) == target.n + 1
-    closure = _context_for(source)
-    for idx in subsets:
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
-        if closure.closure_mask(mask) != _span_preimage_mask(field, images, idx):
-            witness = frozenset(src_pts[i] for i in idx)
-            return EmbeddingReport(False, mode, witness, span_ok, "scan")
-    return EmbeddingReport(span_ok, mode, None, span_ok, "scan")
+    rank = linalg.rank(field, images)
+    span_ok = rank == target.n + 1
+    if mode == "exhaustive":
+        closure = _context_for(source)
+        witness = next(
+            (
+                idx
+                for size in range(npts + 1)
+                for idx in combinations(range(npts), size)
+                if closure.closure_mask(sum(1 << i for i in idx))
+                != _span_preimage_mask(field, images, idx)
+            ),
+            None,
+        )
+    else:
+        witness = _first_violation(nu, rank)
+    if witness is None:
+        return EmbeddingReport(span_ok, mode, None, span_ok, "scan")
+    return EmbeddingReport(
+        False, mode, frozenset(src_pts[i] for i in witness), span_ok, "scan"
+    )
+
+
+def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
+    """Indices of the first subset with independent images, in size-then-lex
+    order, whose closure differs from its span preimage, or None.
+
+    For each size, a depth-first walk visits the prefixes P in lex order
+    and keeps the residuals of all images modulo span nu(P) and of all
+    rows rho(x) modulo span rho(P), each extended by one elimination
+    step per point added to P.  Then y lies in span(nu(P), nu(c))
+    exactly when its residual is zero or a multiple of the nonzero
+    residual of nu(c), and likewise on the rho side.  Every prefix of
+    this size's round was compared in the round before and did not
+    violate, so its zero-residual points are the same on both sides
+    (pre span nu(P) = clos P), and P + {c} violates exactly when the
+    points whose image residual is a multiple of c's differ from those
+    whose rho residual is.  With the residuals grouped by normalized
+    value, each subset costs two dict lookups.  Prefixes and
+    candidates with a zero image residual are skipped with everything
+    below them (see `is_quadratic_embedding`).
+    """
+    ytables, rtables = _lookup_tables(nu.target.field), _lookup_tables(nu.source.field)
+    images = nu.image()
+    rho_rows = _context_for(nu.source).rho_rows
+    npts = len(images)
+    compared = 0
+
+    def walk(prefix: tuple, depth: int, yres: list, rres: list):
+        nonlocal compared
+        start = prefix[-1] + 1 if prefix else 0
+        if depth:
+            for p in range(start, npts - depth):
+                if yres[p] is None:
+                    continue
+                ny = _reduce_residuals(ytables, yres, p)
+                nr = _reduce_residuals(rtables, rres, p)
+                hit = walk(prefix + (p,), depth - 1, ny, nr)
+                if hit is not None:
+                    return hit
+            return None
+        ycls, rcls = _residual_classes(yres), _residual_classes(rres)
+        cands = [c for c in range(start, npts) if yres[c] is not None]
+        room = REDUCED_CAP - compared
+        for c in cands[:room]:
+            if ycls[yres[c]] != rcls[rres[c]]:
+                return prefix + (c,)
+        if len(cands) > room:
+            raise ModeInfeasible(f"no witness within the reduced cap of {REDUCED_CAP} subsets")
+        compared += len(cands)
+        return None
+
+    for size in range(1, max_size + 1):
+        hit = walk((), size - 1, list(images), list(rho_rows))
+        if hit is not None:
+            return hit
+    return None
+
+
+def _reduce_residuals(tables, res: list, p: int) -> list:
+    """Residuals modulo one more vector, res[p].
+
+    Entries are normalized vectors, or None for a zero residual; a None
+    pivot leaves every residual as it is.
+    """
+    v = res[p]
+    if v is None:
+        return res
+    sub_cols, mul_rows, inv = tables
+    j = v.index(1)  # the leading coordinate, as v is normalized
+    out, minus = list(res), {}
+    for i, w in enumerate(res):
+        if w is None or not w[j]:
+            continue
+        f = w[j]
+        cols = minus.get(f)
+        if cols is None:  # cols[k][a] = a - f * v[k]
+            mf = mul_rows[f]
+            cols = minus[f] = [sub_cols[mf[x]] for x in v]
+        w = tuple([c[a] for c, a in zip(cols, w)])
+        lead = next(filter(None, w), 0)
+        if not lead:
+            out[i] = None
+        elif lead == 1:
+            out[i] = w
+        else:
+            g = mul_rows[inv(lead)]
+            out[i] = tuple([g[a] for a in w])
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lookup_tables(field) -> tuple:
+    """Per-field tables for `_reduce_residuals`: sub_cols[b][a] = a - b,
+    mul_rows[f][a] = f * a, and the field inverse."""
+    q = field.q
+    sub_cols = tuple(tuple(field.sub(a, b) for a in range(q)) for b in range(q))
+    mul_rows = tuple(tuple(field.mul(f, a) for a in range(q)) for f in range(q))
+    return sub_cols, mul_rows, field.inv
+
+
+def _residual_classes(res: list) -> dict:
+    """Nonzero residual -> mask of the points with that residual."""
+    cls = {}
+    for i, w in enumerate(res):
+        if w is not None:
+            cls[w] = cls.get(w, 0) | 1 << i
+    return cls
 
 
 def _span_preimage_mask(field, images: list, idx) -> int:
@@ -627,7 +745,7 @@ def recover_automorphism(nu: PointMap, frame_data: FrameData) -> int:
     return alpha
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reconstruction:
     kappa: SemilinearMap
     alpha: int
@@ -642,8 +760,22 @@ def reconstruct_kappa(nu: PointMap) -> Reconstruction:
     then the matrix whose columns are the frame representatives scaled
     so that their sum represents the unit image.  The result is always
     certified pointwise; any mismatch raises VerificationFailed with
-    the first offending source point.
+    the first offending source point.  The outcome, a Reconstruction or
+    the error raised, is kept on nu, so each table is reconstructed once.
     """
+    outcome = nu._reconstruction
+    if outcome is None:
+        try:
+            outcome = nu._reconstruction = _reconstruct(nu)
+        except PgtoolError as exc:
+            nu._reconstruction = exc
+            raise
+    if isinstance(outcome, PgtoolError):
+        raise outcome.with_traceback(None)
+    return outcome
+
+
+def _reconstruct(nu: PointMap) -> Reconstruction:
     source, target = nu.source, nu.target
     if source.field != target.field:
         raise ForeignTarget("reconstruction needs one common field")

@@ -1,4 +1,4 @@
-"""Seeded randomness for fixtures and sampled verification.
+"""Seeded randomness for generators, fixtures and suites.
 
 SplitMix64 is the single PRNG used everywhere: 64-bit state, one
 additive constant, two xor-shift-multiply finalization steps.  It is

@@ -413,11 +413,3 @@ def _scale_matrix(field: GaloisField, matrix):
     lead = next(x for x in flat if x)
     f = field.inv(lead)
     return tuple(tuple(field.mul(f, x) for x in row) for row in matrix)
-
-
-def apply_semilinear(kappa: SemilinearMap, point) -> tuple[int, ...]:
-    return kappa.apply(point)
-
-
-def enumerate_points(space: ProjectiveSpace) -> list[tuple[int, ...]]:
-    return space.points()

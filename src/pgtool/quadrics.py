@@ -70,14 +70,6 @@ class QuadraticForm:
         return frozenset(p for p in self.space.points() if not self.evaluate(p))
 
 
-def evaluate_form(form: QuadraticForm, point) -> int:
-    return form.evaluate(point)
-
-
-def zero_set(form: QuadraticForm) -> frozenset[tuple[int, ...]]:
-    return form.zero_set()
-
-
 @dataclass(frozen=True)
 class ClosedSet:
     """A closed point set with the basis of forms vanishing on it.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from pgtool import (
@@ -31,7 +33,8 @@ from pgtool import (
     veronese_kappa_map,
     veronese_point_map,
 )
-from pgtool import linalg
+from pgtool import embeddings, linalg
+from pgtool.embeddings import _span_preimage_mask
 from pgtool.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -43,6 +46,7 @@ from pgtool.errors import (
     NotTotal,
     VerificationFailed,
 )
+from pgtool.quadrics import _context_for
 from pgtool.veronese import monomial_pairs
 
 
@@ -139,20 +143,56 @@ def test_verifier_span_condition_only_failure():
     assert report.violated_set is None
 
 
+def _verdict(report):
+    return report.is_embedding, report.violated_set, report.span_condition
+
+
 def _assert_reduced_matches_exhaustive(nu):
     a = is_quadratic_embedding(nu, mode="exhaustive")
     b = is_quadratic_embedding(nu, mode="reduced")
-    assert (a.is_embedding, a.violated_set, a.span_condition) == (
-        b.is_embedding,
-        b.violated_set,
-        b.span_condition,
-    )
+    assert _verdict(a) == _verdict(b)
     assert a.path == "scan"
+    if nu.source.n >= 2 and nu.source.field == nu.target.field:
+        # exhaustive accepts only tables that reconstruction certifies, so
+        # a table the certificate rejects is not an embedding
+        try:
+            reconstruct_kappa(nu)
+        except (NotRegular, VerificationFailed):
+            assert not a.is_embedding
     return b
 
 
+def _literal_reduced_scan(nu):
+    """The per-subset reduced scan, as a verdict: every subset of up to
+    n'+1 points in size-then-lex order, one closure and one span
+    preimage elimination each."""
+    source, target = nu.source, nu.target
+    field = target.field
+    images = nu.image()
+    span_ok = linalg.rank(field, images) == target.n + 1
+    closure = _context_for(source)
+    npts = len(images)
+    for size in range(min(npts, target.n + 1) + 1):
+        for idx in combinations(range(npts), size):
+            mask = sum(1 << i for i in idx)
+            if closure.closure_mask(mask) != _span_preimage_mask(field, images, idx):
+                return False, frozenset(source.points()[i] for i in idx), span_ok
+    return span_ok, None, span_ok
+
+
+@pytest.fixture
+def scan_only(monkeypatch):
+    """Reduced mode with no certificate, so the subset scan decides."""
+
+    def no_certificate(nu):
+        raise NotRegular("no certificate in this test")
+
+    monkeypatch.setattr(embeddings, "reconstruct_kappa", no_certificate)
+
+
 def test_reduced_agrees_with_exhaustive_on_random_maps():
-    cases = [(2, 2, 5, 2), (1, 3, 2, 3)]  # (n, q, n', q')
+    # (n, q, n', q'); into PG(1,8) every pair is a witness of full image rank
+    cases = [(2, 2, 5, 2), (1, 3, 2, 3), (2, 2, 1, 8)]
     for n, q, np_, qp in cases:
         src = space_for(n, q)
         tgt = space_for(np_, qp)
@@ -163,7 +203,8 @@ def test_reduced_agrees_with_exhaustive_on_random_maps():
             perm = [tgt_pts[i] for i in idxs]
             rng.shuffle(perm)
             nu = PointMap(src, tgt, dict(zip(src.points(), perm)))
-            _assert_reduced_matches_exhaustive(nu)
+            report = _assert_reduced_matches_exhaustive(nu)
+            assert _verdict(report) == _literal_reduced_scan(nu)
 
 
 @pytest.mark.parametrize("n, q, seeds", [(2, 2, 2), (2, 3, 2), (3, 2, 1)])
@@ -181,13 +222,57 @@ def test_certificate_path_on_frame_injections():
         assert report.is_embedding and report.path == "certificate"
 
 
-def test_sampled_mode_deterministic():
-    nu = veronese_point_map(2, 3)
-    a = is_quadratic_embedding(nu, mode="sampled", seed=11, trials=40)
-    b = is_quadratic_embedding(nu, mode="sampled", seed=11, trials=40)
-    assert a == b and a.is_embedding
+@pytest.mark.parametrize(
+    "n, q, seeds", [(2, 3, 2), (3, 2, 1), (2, 4, 2), (2, 5, 1), (2, 7, 1)]
+)
+def test_reduced_scan_matches_literal_scan_on_broken_maps(n, q, seeds):
+    for s in range(seeds):
+        nu = broken_map(n, q, s)
+        report = is_quadratic_embedding(nu)
+        assert report.path == "scan" and not report.is_embedding
+        assert _verdict(report) == _literal_reduced_scan(nu)
+
+
+def test_reduced_scan_matches_literal_scan_on_accepted_maps(scan_only):
+    # a full scan: no subset with independent images violates
+    maps = [frame_injection_map(seed) for seed in range(5)]
+    maps.append(veronese_kappa_map(2, 3, 0)[0])
+    for nu in maps:
+        report = is_quadratic_embedding(nu)
+        assert report.path == "scan" and report.is_embedding
+        assert _verdict(report) == _literal_reduced_scan(nu)
+
+
+def test_reduced_scan_cap_counts_compared_subsets(monkeypatch):
+    # the witness is the 143rd subset the scan compares; an up-front count
+    # would charge all 4096 subsets of up to six points
+    nu = broken_map(2, 3, 0)
+    witness = is_quadratic_embedding(nu).violated_set
+    monkeypatch.setattr(embeddings, "REDUCED_CAP", 142)
+    with pytest.raises(ModeInfeasible, match="reduced cap"):
+        is_quadratic_embedding(nu)
+    monkeypatch.setattr(embeddings, "REDUCED_CAP", 143)
+    assert is_quadratic_embedding(nu).violated_set == witness
+
+
+def test_reduced_scan_reads_closures_over_the_source_field(monkeypatch):
+    # the Veronese table of PG(2,4) read in PG(5,16) is a quadratic
+    # embedding, as ranks do not change under field extension; its
+    # closures must be computed over GF(4), and no subset may violate
+    big = space_for(5, 16)
+    f16 = big.field
+    omega = next(w for w in f16.elements() if f16.add(f16.mul(w, w), f16.add(w, 1)) == 0)
+    into16 = [0, 1, omega, f16.add(omega, 1)]  # the GF(4) codes 0, 1, x, x + 1
+    base = veronese_point_map(2, 4)
+    table = {x: tuple(into16[c] for c in y) for x, y in base.table.items()}
+    monkeypatch.setattr(embeddings, "REDUCED_CAP", 3000)
+    with pytest.raises(ModeInfeasible):  # the budget runs out before any witness
+        is_quadratic_embedding(PointMap(base.source, big, table))
+
+
+def test_unknown_mode():
     with pytest.raises(ModeInfeasible):
-        is_quadratic_embedding(nu, mode="sampled")
+        is_quadratic_embedding(veronese_point_map(2, 2), mode="sampled")
 
 
 def test_exhaustive_cap():
@@ -505,8 +590,8 @@ def test_reconstruct_rejects_line_source():
 
 
 def test_generated_embeddings_verify_and_are_regular():
-    # reduced mode certifies these tables, so even q = 9, where the reduced
-    # scan alone would exceed REDUCED_CAP, is decided without sampling
+    # reduced mode certifies these tables, so even q = 9, where a full
+    # scan would exceed REDUCED_CAP, is decided
     for q in (2, 3, 4, 5, 9):
         for seed in range(3):
             nu, _ = veronese_kappa_map(2, q, seed)

@@ -210,12 +210,28 @@ def test_cli_verify_certifies_large_map(tmp_path, capsys):
     assert report["path"] == "certificate" and report["is_embedding"] is True
 
 
-def test_cli_verify_broken_large_map_exceeds_scan_cap(tmp_path, capsys):
-    # the certificate fails, and the fallback scan is over REDUCED_CAP
+def test_cli_verify_broken_large_map_gets_witness(tmp_path, capsys):
+    # the certificate fails, and the scan stops at the witness that the
+    # per-subset scan (tests/test_embeddings.py::_literal_reduced_scan)
+    # reaches after 4419 subsets; C(91, 6) subsets would exceed REDUCED_CAP
     map_path = tmp_path / "broken.json"
     assert main(["gen", "--kind", "broken", "--n", "2", "--q", "9",
                  "--seed", "1", "--out", str(map_path)]) == 0
     capsys.readouterr()
+    assert main(["verify", "--map", str(map_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["path"] == "scan" and report["is_embedding"] is False
+    assert report["violated_set"] == [[0, 0, 1], [0, 1, 2], [1, 5, 3]]
+
+
+def test_cli_verify_scan_over_budget_is_usage_error(tmp_path, capsys, monkeypatch):
+    from pgtool import embeddings
+
+    map_path = tmp_path / "broken.json"
+    assert main(["gen", "--kind", "broken", "--n", "2", "--q", "9",
+                 "--seed", "1", "--out", str(map_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(embeddings, "REDUCED_CAP", 100)
     assert main(["verify", "--map", str(map_path)]) == 2
     assert "reduced cap" in capsys.readouterr().err
 
@@ -228,6 +244,11 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def _map_text(**override) -> str:
+    """A valid PG(2,3) map file with some fields replaced."""
+    return json.dumps({**_map_dict(veronese_point_map(2, 3)), **override})
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -235,8 +256,10 @@ def test_cli_usage_errors(capsys):
         '{"field": {"p": 2, "k": 1, "modulus": [0, 1]}, "n": 2, "n_prime": 5,'
         ' "pairs": [[[0, 0, 1]]]}',
         "[]",
+        _map_text(n=2.5),
+        _map_text(n_prime=5.9),
     ],
-    ids=["missing-key", "short-pair", "top-level-list"],
+    ids=["missing-key", "short-pair", "top-level-list", "float-n", "float-n-prime"],
 )
 def test_cli_malformed_map_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

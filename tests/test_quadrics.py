@@ -10,13 +10,11 @@ from pgtool import (
     QuadraticForm,
     closure_points,
     closure_points_by_forms,
-    evaluate_form,
     is_closed,
     longest_closed_chain,
     quadratic_closure,
     space_for,
     veronese_for,
-    zero_set,
 )
 from pgtool import linalg
 from pgtool.errors import DimensionMismatch, OracleSizeCap
@@ -44,10 +42,10 @@ def _closure_oracle(space, subset):
 def test_zero_set_repeated_hyperplane():
     space = space_for(2, 3)
     form = QuadraticForm(space, (1, 0, 0, 0, 0, 0))  # first coordinate squared
-    assert zero_set(form) == frozenset(
+    assert form.zero_set() == frozenset(
         p for p in space.points() if p[0] == 0
     )
-    assert len(zero_set(form)) == 4
+    assert len(form.zero_set()) == 4
 
 
 def test_zero_set_conic():
@@ -55,21 +53,21 @@ def test_zero_set_conic():
     # middle-coordinate square minus product of outer coordinates
     form = QuadraticForm(space, (0, 0, 2, 1, 0, 0))
     expected = {(1, 0, 0), (1, 1, 1), (1, 2, 1), (0, 0, 1)}
-    assert zero_set(form) == expected
+    assert form.zero_set() == expected
 
 
 def test_zero_set_empty_binary_form():
     space = space_for(1, 2)
     form = QuadraticForm(space, (1, 1, 1))
-    assert zero_set(form) == frozenset()
+    assert form.zero_set() == frozenset()
 
 
 def test_evaluate_projective_invariance():
     space = space_for(2, 3)
     form = QuadraticForm(space, (0, 0, 2, 1, 0, 0))
     # zero-ness agrees on any representative of the same point
-    assert evaluate_form(form, (2, 0, 0)) == evaluate_form(form, (1, 0, 0)) == 0
-    assert (evaluate_form(form, (1, 1, 0)) == 0) == (evaluate_form(form, (2, 2, 0)) == 0)
+    assert form.evaluate((2, 0, 0)) == form.evaluate((1, 0, 0)) == 0
+    assert (form.evaluate((1, 1, 0)) == 0) == (form.evaluate((2, 2, 0)) == 0)
 
 
 def test_form_canonical_scaling():
@@ -98,7 +96,7 @@ def test_empty_closure_against_disjoint_quadrics():
     space = space_for(2, 3)
     f1 = QuadraticForm(space, (1, 0, 0, 0, 0, 0))  # the line x0 = 0
     f2 = QuadraticForm(space, (0, 0, 0, 1, 0, 1))  # x1^2 + x2^2: only (1,0,0)
-    zs1, zs2 = zero_set(f1), zero_set(f2)
+    zs1, zs2 = f1.zero_set(), f2.zero_set()
     assert zs2 == frozenset({(1, 0, 0)})
     assert zs1 & zs2 == frozenset()
     assert closure_points(space, []) == frozenset()
@@ -111,7 +109,7 @@ def test_certificate_vanishes_on_closure():
     assert closed.certificate  # some quadric contains a line
     for form in closed.certificate:
         for p in closed.points:
-            assert evaluate_form(form, p) == 0
+            assert form.evaluate(p) == 0
 
 
 def test_whole_space_closure_has_empty_certificate():
