@@ -43,8 +43,6 @@ from .embeddings import (
 )
 from .fields import (
     GaloisField,
-    apply_automorphism,
-    automorphisms,
     create_field,
     element_ops,
     field_from_descriptor,
@@ -78,6 +76,6 @@ from .quadrics import (
     quadratic_closure,
 )
 from .suites import BUDGETS, SUITE_ORDER, SuiteResult, run_suite
-from .veronese import VeroneseMap, delta, rho, rho_preimage, veronese_for
+from .veronese import VeroneseMap, delta, veronese_for
 
 __version__ = "0.1.0"

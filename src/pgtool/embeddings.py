@@ -14,7 +14,6 @@ point by point.
 
 from __future__ import annotations
 
-import functools
 import json
 import types
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ from .errors import (
     ModeInfeasible,
     NoAutomorphismMatch,
     NotACollineation,
-    NotAFrame,
     NotComplementary,
     NotIncident,
     NotALine,
@@ -44,7 +42,6 @@ from .errors import (
     NotTotal,
     ParallelLinesImpossible,
     PgtoolError,
-    SingularMatrix,
     VerificationFailed,
 )
 from .fields import field_from_descriptor
@@ -53,7 +50,6 @@ from .projective import (
     ProjectiveSpace,
     SemilinearMap,
     Subspace,
-    is_frame,
     scale_frame,
     standard_frame,
 )
@@ -77,7 +73,10 @@ class PointMap:
         self.target = target
         norm = {}
         for key, val in table.items():
-            norm[source.normalize(key)] = target.normalize(val)
+            key = source.normalize(key)
+            if key in norm:
+                raise InvalidPointMap(f"two representatives of source point {key}")
+            norm[key] = target.normalize(val)
         pts = source.points()
         missing = [p for p in pts if p not in norm]
         if missing:
@@ -151,10 +150,10 @@ def point_map_from_dict(data: dict) -> PointMap:
         target = ProjectiveSpace(field, n_prime)
         table = {}
         for src, tgt in data["pairs"]:
-            key = source.normalize(src)
-            if key in table:
+            key = tuple(src)
+            if key in table:  # PointMap takes a dict, which cannot hold this repeat
                 raise InvalidPointMap(f"duplicate source point {key}")
-            table[key] = target.normalize(tgt)
+            table[key] = tuple(tgt)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPointMap(f"malformed map data: {exc!r}") from exc
     return PointMap(source, target, table)
@@ -284,7 +283,7 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
                 for size in range(npts + 1)
                 for idx in combinations(range(npts), size)
                 if closure.closure_mask(sum(1 << i for i in idx))
-                != _span_preimage_mask(field, images, idx)
+                != linalg.span_preimage_mask(field, images, idx)
             ),
             None,
         )
@@ -316,7 +315,7 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
     candidates with a zero image residual are skipped with everything
     below them (see `is_quadratic_embedding`).
     """
-    ytables, rtables = _lookup_tables(nu.target.field), _lookup_tables(nu.source.field)
+    yfield, rfield = nu.target.field, nu.source.field
     images = nu.image()
     rho_rows = _context_for(nu.source).rho_rows
     npts = len(images)
@@ -329,8 +328,8 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
             for p in range(start, npts - depth):
                 if yres[p] is None:
                     continue
-                ny = _reduce_residuals(ytables, yres, p)
-                nr = _reduce_residuals(rtables, rres, p)
+                ny = _reduce_residuals(yfield, yres, p)
+                nr = _reduce_residuals(rfield, rres, p)
                 hit = walk(prefix + (p,), depth - 1, ny, nr)
                 if hit is not None:
                     return hit
@@ -353,7 +352,7 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
     return None
 
 
-def _reduce_residuals(tables, res: list, p: int) -> list:
+def _reduce_residuals(field, res: list, p: int) -> list:
     """Residuals modulo one more vector, res[p].
 
     Entries are normalized vectors, or None for a zero residual; a None
@@ -362,7 +361,7 @@ def _reduce_residuals(tables, res: list, p: int) -> list:
     v = res[p]
     if v is None:
         return res
-    sub_cols, mul_rows, inv = tables
+    add_rows, neg, mul_rows = field.add_table, field.neg_table, field.mul_table
     j = v.index(1)  # the leading coordinate, as v is normalized
     out, minus = list(res), {}
     for i, w in enumerate(res):
@@ -370,9 +369,9 @@ def _reduce_residuals(tables, res: list, p: int) -> list:
             continue
         f = w[j]
         cols = minus.get(f)
-        if cols is None:  # cols[k][a] = a - f * v[k]
+        if cols is None:  # cols[k][a] = a - f * v[k], the add row of -(f * v[k])
             mf = mul_rows[f]
-            cols = minus[f] = [sub_cols[mf[x]] for x in v]
+            cols = minus[f] = [add_rows[neg[mf[x]]] for x in v]
         w = tuple([c[a] for c, a in zip(cols, w)])
         lead = next(filter(None, w), 0)
         if not lead:
@@ -380,19 +379,9 @@ def _reduce_residuals(tables, res: list, p: int) -> list:
         elif lead == 1:
             out[i] = w
         else:
-            g = mul_rows[inv(lead)]
+            g = mul_rows[field.inv(lead)]
             out[i] = tuple([g[a] for a in w])
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _lookup_tables(field) -> tuple:
-    """Per-field tables for `_reduce_residuals`: sub_cols[b][a] = a - b,
-    mul_rows[f][a] = f * a, and the field inverse."""
-    q = field.q
-    sub_cols = tuple(tuple(field.sub(a, b) for a in range(q)) for b in range(q))
-    mul_rows = tuple(tuple(field.mul(f, a) for a in range(q)) for f in range(q))
-    return sub_cols, mul_rows, field.inv
 
 
 def _residual_classes(res: list) -> dict:
@@ -404,22 +393,6 @@ def _residual_classes(res: list) -> dict:
     return cls
 
 
-def _span_preimage_mask(field, images: list, idx) -> int:
-    """Bitmask of the positions i whose images[i] lies in the span of the
-    images at the positions in `idx`."""
-    rows = [images[i] for i in idx]
-    pivots, rrows = linalg.rref(field, rows)
-    if rows and len(pivots) == len(rows[0]):
-        return (1 << len(images)) - 1
-    mask = 0
-    for i in idx:
-        mask |= 1 << i
-    for i, y in enumerate(images):
-        if not mask >> i & 1 and linalg.in_rowspace(field, pivots, rrows, y):
-            mask |= 1 << i
-    return mask
-
-
 def span_preimage(nu: PointMap, pts) -> frozenset:
     """Source points whose images lie in the span of the images of `pts`.
 
@@ -427,7 +400,7 @@ def span_preimage(nu: PointMap, pts) -> frozenset:
     """
     source = nu.source
     src_pts = source.points()
-    mask = _span_preimage_mask(
+    mask = linalg.span_preimage_mask(
         nu.target.field, nu.image(), [source.point_index(p) for p in pts]
     )
     return frozenset(p for i, p in enumerate(src_pts) if mask >> i & 1)
@@ -564,7 +537,7 @@ def _probe_exponent(space: ProjectiveSpace, scaled, images: dict) -> int | None:
     field = space.field
     ratios = {}
     for t in field.elements():
-        probe = space.normalize((1, t) + (0,) * (space.n - 1))
+        probe = (1, t) + (0,) * (space.n - 1)  # canonical: the leading entry is 1
         sol = linalg.solve_columns(field, scaled, images[probe])
         if sol is None or not sol[0]:
             return None
@@ -585,27 +558,23 @@ def _fit_semilinear(space: ProjectiveSpace, coords_of: dict) -> SemilinearMap:
     ``coords_of`` assigns each source point an (n+1)-coordinate image.
     Raises NotACollineation whenever the table is not semilinear.
     """
-    scaled = scale_frame(space.field, [coords_of[u] for u in standard_frame(space)])
+    scaled = scale_frame(space, [coords_of[u] for u in standard_frame(space)])
     if scaled is None:
         raise NotACollineation("frame images do not determine a coordinate system")
     alpha = _probe_exponent(space, scaled, coords_of)
     if alpha is None:
         raise NotACollineation("probe coordinates match no field automorphism")
-    try:
-        fitted = SemilinearMap(space, linalg.transpose(scaled), alpha)
-    except SingularMatrix as exc:
-        raise NotACollineation("fitted matrix is singular") from exc
+    fitted = SemilinearMap(space, linalg.transpose(scaled), alpha)  # scaled is a basis
+    # coords_of values are reduced-basis coordinates of normalized members,
+    # so their first nonzero entry is 1 and they compare as they are
     for x in space.points():
-        if fitted.apply(x) != space.normalize(coords_of[x]):
+        if fitted.apply(x) != coords_of[x]:
             raise NotACollineation(f"table is not semilinear at {x}")
     return fitted
 
 
 def extend_beta(
-    nu: PointMap,
-    hyperplane: Subspace,
-    complement: Subspace | None = None,
-    iota: dict | None = None,
+    nu: PointMap, hyperplane: Subspace, complement: Subspace | None = None
 ) -> AffineExtension:
     """Extend the affine restriction over the hyperplane.
 
@@ -622,8 +591,7 @@ def extend_beta(
         complement = default_complement(target, target.span(
             [nu.table[x] for x in hyperplane.points()]
         ))
-    if iota is None:
-        iota = build_iota(nu, hyperplane, complement)
+    iota = build_iota(nu, hyperplane, complement)
     table = dict(iota)
     for p in hyperplane.points():
         carrier = None
@@ -664,13 +632,11 @@ def nu_T(nu: PointMap, hyperplane: Subspace, beta: AffineExtension) -> dict:
     }
 
 
-def overnu(nu: PointMap, hyperplanes=None) -> dict:
+def overnu(nu: PointMap) -> dict:
     """Hyperplane-to-hyperplane map induced by the extensions."""
-    source, target = nu.source, nu.target
-    if hyperplanes is None:
-        hyperplanes = source.hyperplanes()
+    target = nu.target
     out = {}
-    for hp in hyperplanes:
+    for hp in nu.source.hyperplanes():
         try:
             beta = extend_beta(nu, hp)
         except (LinesNotConcurrent, NotACollineation, ImageNotAPoint) as exc:
@@ -686,19 +652,20 @@ def overnu(nu: PointMap, hyperplanes=None) -> dict:
 
 @dataclass
 class FrameData:
-    """Target frame assembled from image points and tangent intersections."""
+    """Target frame assembled from image points and tangent intersections.
 
-    source_frame: tuple
+    ``scaled`` holds representatives of the q_points, in monomial pair
+    order, scaled so that they sum to ``e_point`` (`scale_frame`).
+    """
+
     q_points: dict
     e_point: tuple
-
-    def ordered_points(self) -> list:
-        n = len(self.source_frame) - 2
-        return [self.q_points[pair] for pair in monomial_pairs(n)] + [self.e_point]
+    scaled: list
 
 
-def build_Q_frame(nu: PointMap, source_frame=None) -> FrameData:
-    """Frame of the target from a source frame under a regular embedding.
+def build_Q_frame(nu: PointMap) -> FrameData:
+    """Frame of the target from the standard source frame under a regular
+    embedding.
 
     Diagonal entries are images of the frame points, off-diagonal
     entries are tangent intersections on the image of the joining line,
@@ -707,11 +674,7 @@ def build_Q_frame(nu: PointMap, source_frame=None) -> FrameData:
     source, target = nu.source, nu.target
     if source.n < 2:
         raise DimensionMismatch("frame construction needs source dimension >= 2")
-    if source_frame is None:
-        source_frame = standard_frame(source)
-    source_frame = tuple(source.normalize(p) for p in source_frame)
-    if not is_frame(source, source_frame):
-        raise NotAFrame("source frame is not a frame")
+    source_frame = standard_frame(source)
     base_pts, unit = source_frame[:-1], source_frame[-1]
     q_points = {}
     for i in range(source.n + 1):
@@ -726,20 +689,17 @@ def build_Q_frame(nu: PointMap, source_frame=None) -> FrameData:
             )
         arc = PlaneArc(plane, frozenset(imgs))
         q_points[(i, j)] = tangent_meet(arc, nu.table[base_pts[i]], nu.table[base_pts[j]])
-    data = FrameData(
-        source_frame=source_frame, q_points=q_points, e_point=nu.table[unit]
-    )
-    if not is_frame(target, data.ordered_points()):
+    e_point = nu.table[unit]
+    ordered = [q_points[pair] for pair in monomial_pairs(source.n)] + [e_point]
+    scaled = scale_frame(target, ordered)
+    if scaled is None:
         raise FrameCheckFailed("assembled points do not form a target frame")
-    return data
+    return FrameData(q_points, e_point, scaled)
 
 
 def recover_automorphism(nu: PointMap, frame_data: FrameData) -> int:
     """Frobenius exponent read off frame coordinates of probe images."""
-    scaled = scale_frame(nu.target.field, frame_data.ordered_points())
-    if scaled is None:
-        raise NotAFrame("frame data does not form a target frame")
-    alpha = _probe_exponent(nu.source, scaled, nu.table)
+    alpha = _probe_exponent(nu.source, frame_data.scaled, nu.table)
     if alpha is None:
         raise NoAutomorphismMatch("probe coordinates match no Frobenius power")
     return alpha
@@ -795,13 +755,8 @@ def _reconstruct(nu: PointMap) -> Reconstruction:
         NoAutomorphismMatch,
     ) as exc:
         raise NotRegular(str(exc)) from exc
-    scaled = scale_frame(target.field, frame_data.ordered_points())
-    if scaled is None:
-        raise NotRegular("frame scaling system is singular")
-    try:
-        kappa = SemilinearMap(target, linalg.transpose(scaled), alpha)
-    except SingularMatrix as exc:
-        raise NotRegular("frame matrix is singular") from exc
+    # the scaled frame columns are a basis, so the matrix is invertible
+    kappa = SemilinearMap(target, linalg.transpose(frame_data.scaled), alpha)
     ver = veronese_for(source)
     checked = 0
     for x in source.points():

@@ -47,10 +47,6 @@ class NotAFrame(UsageError):
     pass
 
 
-class SingularSystem(PgtoolError):
-    pass
-
-
 class SingularMatrix(UsageError):
     pass
 

@@ -117,15 +117,18 @@ class GaloisField:
         Addition is digitwise mod p.  The nonzero elements form a cyclic
         group: with exp[i] = g^i for a primitive element g, products,
         inverses and Frobenius images are exponent arithmetic mod q - 1.
+        The addition, negation and multiplication tables are also kept,
+        read-only, as ``add_table``, ``neg_table`` and ``mul_table`` for
+        inner loops that index them directly.
         """
         p, k, q = self.p, self.k, self.q
         weights = [p**i for i in range(k)]
         digits = [[a // w % p for w in weights] for a in range(q)]
-        add_t = [
-            [sum((x + y) % p * w for x, y, w in zip(da, db, weights)) for db in digits]
+        add_t = tuple(
+            tuple(sum((x + y) % p * w for x, y, w in zip(da, db, weights)) for db in digits)
             for da in digits
-        ]
-        neg_t = [row.index(0) for row in add_t]
+        )
+        neg_t = tuple(row.index(0) for row in add_t)
         modulus = list(self.modulus)
 
         def poly_mul(a, b):
@@ -148,10 +151,12 @@ class GaloisField:
             row = mul_t[a]
             for j, b in enumerate(exp):
                 row[b] = exp[(i + j) % order]
+        mul_t = tuple(map(tuple, mul_t))
         inv_t = [0] + [exp[-log[a] % order] for a in range(1, q)]
         frob_t = [
             [0] + [exp[log[a] * p**m % order] for a in range(1, q)] for m in range(k)
         ]
+        self.add_table, self.neg_table, self.mul_table = add_t, neg_t, mul_t
         self.add = lambda a, b: add_t[a][b]
         self.sub = lambda a, b: add_t[a][neg_t[b]]
         self.neg = lambda a: neg_t[a]
@@ -242,15 +247,6 @@ def prime_power(q: int) -> tuple[int, int]:
                 raise NonPrimeP(f"{q} is not a prime power")
             return p, k
     raise NonPrimeP(f"{q} is not a prime power")
-
-
-def automorphisms(field: GaloisField) -> list[int]:
-    """All automorphism exponents of the field, identity first."""
-    return list(field.automorphism_exponents())
-
-
-def apply_automorphism(field: GaloisField, m: int, a: int) -> int:
-    return field.frobenius(a, m)
 
 
 def element_ops(field: GaloisField, kind: str, a: int, b: int | None = None) -> int:

@@ -80,6 +80,28 @@ def in_rowspace(field: GaloisField, pivots, rrows, vec) -> bool:
     return not any(residual(field, pivots, rrows, vec))
 
 
+def span_preimage_mask(field: GaloisField, rows, idx) -> int:
+    """Bitmask of the positions i whose rows[i] lies in the span of the
+    rows at the positions in `idx`.
+
+    This is the paper's identity clos M = rho^-1(span rho(M)) read on
+    indices: with the rows rho(x) of all source points it gives the
+    quadratic closure, and with the rows nu(x) of a candidate table the
+    span preimage that a quadratic embedding must match.
+    """
+    chosen = [rows[i] for i in idx]
+    pivots, rrows = rref(field, chosen)
+    if chosen and len(pivots) == len(chosen[0]):
+        return (1 << len(rows)) - 1
+    mask = 0
+    for i in idx:
+        mask |= 1 << i
+    for i, y in enumerate(rows):
+        if not mask >> i & 1 and in_rowspace(field, pivots, rrows, y):
+            mask |= 1 << i
+    return mask
+
+
 def nullspace(field: GaloisField, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of {v : M v = 0} for the matrix with the given rows."""
     pivots, rrows = rref(field, rows)

@@ -21,7 +21,6 @@ from .errors import (
     PointInBase,
     PointNotInSubspace,
     SingularMatrix,
-    SingularSystem,
     SizeCapExceeded,
     SpaceMismatch,
 )
@@ -292,33 +291,36 @@ def standard_frame(space: ProjectiveSpace) -> tuple[tuple[int, ...], ...]:
 
 
 def is_frame(space: ProjectiveSpace, points) -> bool:
-    """True iff the ordered list is dim+2 points, any dim+1 independent."""
-    pts = [space.normalize(p) for p in points]
-    if len(pts) != space.n + 2:
-        return False
-    if len(set(pts)) != len(pts):
-        return False
-    # With n+2 spanning points there is one dependency up to scalar; the
-    # points form a frame iff all its coefficients are nonzero.
-    left_null = linalg.nullspace(space.field, linalg.transpose(pts), len(pts))
-    if len(left_null) != 1:
-        return False
-    return all(left_null[0])
+    """True iff the ordered list is dim+2 points, any dim+1 independent.
+
+    That is exactly when `scale_frame` succeeds.  Write the last point
+    as u = s_0 c_0 + ... + s_n c_n.  Dependent c_i leave a free scale at
+    0 or no solution.  For independent c_i, s_i = 0 puts u in the span
+    of the other n, a dependent set of n+1 points; and when every s_i
+    is nonzero, s_i c_i = u - (the other terms), so dropping any c_i
+    for u keeps the span and any n+1 points are independent.  Repeated
+    points are cases of the first two: two equal c_i, or u equal to c_j
+    with every other scale 0.
+    """
+    return scale_frame(space, [space.normalize(p) for p in points]) is not None
 
 
-def scale_frame(field: GaloisField, frame_points) -> list[tuple[int, ...]] | None:
+def scale_frame(space: ProjectiveSpace, frame_points) -> list[tuple[int, ...]] | None:
     """Representatives of the first n+1 frame points, scaled to sum to the last.
 
     The scaled vectors are the columns of the matrix that sends the
-    standard frame to the given one.  Returns None when the scaling
-    system is singular, which for n+2 points of PG(n) happens exactly
-    when they do not form a frame.
+    standard frame to the given one, so they are a basis.  Returns None
+    when the points do not form a frame: when there are not n+2 of
+    them, or when the scaling system has no solution with every scale
+    nonzero.
     """
+    if len(frame_points) != space.n + 2:
+        return None
     cols, unit = frame_points[:-1], frame_points[-1]
-    scales = linalg.solve_columns(field, cols, unit)
+    scales = linalg.solve_columns(space.field, cols, unit)
     if scales is None or not all(scales):
         return None
-    mul = field.mul
+    mul = space.field.mul
     return [tuple(mul(s, x) for x in col) for s, col in zip(scales, cols)]
 
 
@@ -329,15 +331,11 @@ def frame_coordinates(space: ProjectiveSpace, frame_points, point) -> tuple[int,
     their sum represents the last one; the returned tuple solves the
     point against that basis, normalized like any other point.
     """
-    pts = [space.normalize(p) for p in frame_points]
-    if not is_frame(space, pts):
-        raise NotAFrame("the given points do not form a frame")
-    scaled = scale_frame(space.field, pts)
+    scaled = scale_frame(space, [space.normalize(p) for p in frame_points])
     if scaled is None:
-        raise SingularSystem("frame scaling system is singular")
+        raise NotAFrame("the given points do not form a frame")
+    # the scaled columns are a basis, so every point has coordinates
     coords = linalg.solve_columns(space.field, scaled, space.normalize(point))
-    if coords is None:
-        raise SingularSystem("point cannot be expressed in the frame basis")
     return space.normalize(coords)
 
 
@@ -361,10 +359,6 @@ class SemilinearMap:
             raise SingularMatrix("matrix is not invertible")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "alpha", self.alpha % self.space.field.k)
-
-    @property
-    def is_projective(self) -> bool:
-        return self.alpha == 0
 
     def apply(self, point) -> tuple[int, ...]:
         field = self.space.field

@@ -110,16 +110,8 @@ class _ClosureContext:
         cached = self._closure_memo.get(mask)
         if cached is not None:
             return cached
-        field = self.space.field
-        rows = [self.rho_rows[i] for i in range(len(self.points)) if mask >> i & 1]
-        pivots, rrows = linalg.rref(field, rows)
-        if rows and len(pivots) == len(rows[0]):
-            out = (1 << len(self.points)) - 1
-        else:
-            out = 0
-            for i, r in enumerate(self.rho_rows):
-                if mask >> i & 1 or linalg.in_rowspace(field, pivots, rrows, r):
-                    out |= 1 << i
+        idx = [i for i in range(len(self.points)) if mask >> i & 1]
+        out = linalg.span_preimage_mask(self.space.field, self.rho_rows, idx)
         self._closure_memo[mask] = out
         return out
 

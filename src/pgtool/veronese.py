@@ -40,7 +40,10 @@ class VeroneseMap:
     def apply(self, point) -> tuple[int, ...]:
         x = self.source.normalize(point)
         mul = self.source.field.mul
-        return self.target.normalize(tuple(mul(x[i], x[j]) for i, j in self.pairs))
+        # Already canonical: with x_l = 1 the leading entry of x, every
+        # monomial before (l, l) has a factor x_i = 0 with i < l, and
+        # x_l^2 = 1.
+        return tuple(mul(x[i], x[j]) for i, j in self.pairs)
 
     def image(self) -> list[tuple[int, ...]]:
         return [self.apply(p) for p in self.source.points()]
@@ -68,14 +71,6 @@ class VeroneseMap:
                 if mul(entry(a, b), yii) != mul(entry(a, i), entry(b, i)):
                     return None
         return self.source.normalize(x)
-
-
-def rho(space: ProjectiveSpace, point) -> tuple[int, ...]:
-    return veronese_for(space).apply(point)
-
-
-def rho_preimage(space: ProjectiveSpace, point) -> tuple[int, ...] | None:
-    return veronese_for(space).preimage(point)
 
 
 @functools.lru_cache(maxsize=None)

@@ -34,7 +34,6 @@ from pgtool import (
     veronese_point_map,
 )
 from pgtool import embeddings, linalg
-from pgtool.embeddings import _span_preimage_mask
 from pgtool.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -62,12 +61,17 @@ def test_point_map_rejects_partial_table():
 
 
 def test_point_map_rejects_non_injective():
-    nu = veronese_point_map(2, 2)
-    table = dict(nu.table)
-    keys = list(table)
-    table[keys[0]] = table[keys[1]]
-    with pytest.raises(InvalidPointMap):
-        PointMap(nu.source, nu.target, table)
+    nu2, nu3 = veronese_point_map(2, 2), veronese_point_map(2, 3)
+    keys = list(nu2.table)
+    fresh = next(y for y in nu3.target.points() if y not in set(nu3.table.values()))
+    bad = [
+        (nu2, {**nu2.table, keys[0]: nu2.table[keys[1]]}),
+        # (0, 0, 2) is a second representative of (0, 0, 1); GF(2) has none
+        (nu3, {**nu3.table, (0, 0, 2): fresh}),
+    ]
+    for nu, table in bad:
+        with pytest.raises(InvalidPointMap):
+            PointMap(nu.source, nu.target, table)
 
 
 def test_point_map_field_compatibility():
@@ -175,7 +179,7 @@ def _literal_reduced_scan(nu):
     for size in range(min(npts, target.n + 1) + 1):
         for idx in combinations(range(npts), size):
             mask = sum(1 << i for i in idx)
-            if closure.closure_mask(mask) != _span_preimage_mask(field, images, idx):
+            if closure.closure_mask(mask) != linalg.span_preimage_mask(field, images, idx):
                 return False, frozenset(source.points()[i] for i in idx), span_ok
     return span_ok, None, span_ok
 

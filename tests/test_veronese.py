@@ -40,6 +40,11 @@ def test_rho_well_defined_on_classes():
     ver = veronese_for(space_for(2, 3))
     # same point, different representative
     assert ver.apply((2, 1, 0)) == ver.apply((1, 2, 0))
+    # and the image is already the canonical representative
+    for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3)):
+        ver = veronese_for(space_for(n, q))
+        for x in ver.source.points():
+            assert ver.target.normalize(ver.apply(x)) == ver.apply(x)
 
 
 def test_preimage_examples():
