@@ -38,9 +38,10 @@ class PlaneArc:
     def __post_init__(self):
         if self.plane.dim != 2:
             raise DimensionMismatch(f"carrier has dim {self.plane.dim}, expected 2")
-        pts = frozenset(self.plane.space.normalize(p) for p in self.points)
-        for p in pts:
-            if not self.plane.contains(p):
+        space, pivots, rows = self.plane.space, self.plane.pivots, self.plane.rows
+        pts = frozenset(space.normalize(p) for p in self.points)
+        for p in pts:  # normalized already, so test membership directly
+            if not linalg.in_rowspace(space.field, pivots, rows, p):
                 raise PointOutsidePlane(f"{p} is outside the plane")
         object.__setattr__(self, "points", pts)
 
@@ -63,8 +64,8 @@ def is_arc(space: ProjectiveSpace, points, plane: Subspace) -> bool:
     O(m^2) field operations in plane coordinates, no elimination.
     """
     pts = {space.normalize(p) for p in points}
-    for p in pts:
-        if not plane.contains(p):
+    for p in pts:  # normalized already, so test membership directly
+        if not linalg.in_rowspace(space.field, plane.pivots, plane.rows, p):
             raise PointOutsidePlane(f"{p} is outside the plane")
     if plane.dim != 2:
         raise DimensionMismatch(f"carrier has dim {plane.dim}, expected 2")
@@ -109,17 +110,18 @@ def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether the arc is the full zero set of a plane quadratic form.
 
     Requires exactly q+1 points with no 3 collinear.  The witness is a
-    6-coefficient form over the plane's basis coordinates.  No separate
-    degeneracy test is needed: a form whose zero set is a (q+1)-arc can
-    be neither a line pair, a repeated line, nor a point.
+    6-coefficient form over the plane's basis coordinates.  A rank test
+    stands in for the arc test: q+1 common zeros of a nonzero ternary
+    form are either a conic, which is an arc, or a repeated line, so
+    among the sets that equal such a zero set "not collinear" and "arc"
+    agree; any other set fails the search below either way.
     """
-    space = arc.plane.space
-    field = space.field
+    field = arc.plane.space.field
     if len(arc.points) != field.q + 1:
         return False, None
-    if not is_arc(space, arc.points, arc.plane):
-        return False, None
     coords = list(_plane_coords(arc.plane, arc.points).values())
+    if linalg.rank(field, coords) != 3:
+        return False, None
     pairs = monomial_pairs(2)
     rows = [tuple(field.mul(c[i], c[j]) for i, j in pairs) for c in coords]
     basis = linalg.nullspace(field, rows, 6)
@@ -247,7 +249,7 @@ def lemma_h6_set(sigma: SemilinearMap, p0) -> frozenset:
             continue
         meet = space.meet(line, image)
         if meet.dim == 0:
-            out.add(space.normalize(meet.rows[0]))
+            out.add(meet.rows[0])  # a reduced row leads with its pivot 1
     return frozenset(out)
 
 

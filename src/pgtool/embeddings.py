@@ -42,6 +42,7 @@ from .errors import (
     NotTotal,
     ParallelLinesImpossible,
     PgtoolError,
+    UsageError,
     VerificationFailed,
 )
 from .fields import field_from_descriptor
@@ -181,18 +182,9 @@ def load_semilinear(space: ProjectiveSpace, path) -> SemilinearMap:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        matrix, alpha = data["matrix"], data["alpha_exponent"]
-    except (KeyError, TypeError) as exc:
+        return SemilinearMap(space, tuple(map(tuple, data["matrix"])), data["alpha_exponent"])
+    except (KeyError, TypeError, UsageError) as exc:
         raise InvalidSemilinearMap(f"malformed collineation data: {exc!r}") from exc
-    q = space.field.q
-    if not isinstance(matrix, list) or not all(
-        isinstance(row, list) and all(type(x) is int and 0 <= x < q for x in row)
-        for row in matrix
-    ):
-        raise InvalidSemilinearMap(f"matrix must be a list of rows of codes in [0, {q})")
-    if type(alpha) is not int:
-        raise InvalidSemilinearMap(f"alpha_exponent must be an integer, got {alpha!r}")
-    return SemilinearMap(space, tuple(map(tuple, matrix)), alpha)
 
 
 # -- the verifier -------------------------------------------------------------
@@ -372,15 +364,7 @@ def _reduce_residuals(field, res: list, p: int) -> list:
         if cols is None:  # cols[k][a] = a - f * v[k], the add row of -(f * v[k])
             mf = mul_rows[f]
             cols = minus[f] = [add_rows[neg[mf[x]]] for x in v]
-        w = tuple([c[a] for c, a in zip(cols, w)])
-        lead = next(filter(None, w), 0)
-        if not lead:
-            out[i] = None
-        elif lead == 1:
-            out[i] = w
-        else:
-            g = mul_rows[field.inv(lead)]
-            out[i] = tuple([g[a] for a in w])
+        out[i] = linalg.canonical(field, [c[a] for c, a in zip(cols, w)])
     return out
 
 
@@ -508,7 +492,7 @@ def build_iota(nu: PointMap, hyperplane: Subspace, complement: Subspace) -> dict
             raise ImageNotAPoint(
                 f"image of {a} cuts the complement in dimension {cut.dim}"
             )
-        out[a] = target.normalize(cut.rows[0])
+        out[a] = cut.rows[0]  # a reduced row leads with its pivot 1
     return out
 
 
@@ -612,7 +596,7 @@ def extend_beta(
             raise LinesNotConcurrent(
                 f"candidate lines at {p} do not meet in a single point"
             )
-        table[p] = target.normalize(carrier.rows[0])
+        table[p] = carrier.rows[0]  # a reduced row leads with its pivot 1
     coords_of = {x: complement.coords_of(y) for x, y in table.items()}
     fitted = _fit_semilinear(source, coords_of)
     return AffineExtension(

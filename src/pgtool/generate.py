@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from .embeddings import PointMap
-from .errors import ParamOutOfRange
-from .fields import GaloisField, create_field, prime_power
+from .errors import ParamOutOfRange, SingularMatrix
+from .fields import create_field, prime_power
 from .prng import SplitMix64
-from .projective import ProjectiveSpace, SemilinearMap, is_frame
+from .projective import ProjectiveSpace, SemilinearMap, standard_frame
 from .veronese import VeroneseMap, veronese_for
 
 
@@ -20,24 +20,19 @@ def random_point(space: ProjectiveSpace, rng: SplitMix64):
     return pts[rng.randbelow(len(pts))]
 
 
-def random_invertible_matrix(field: GaloisField, size: int, rng: SplitMix64):
-    from . import linalg
-
-    while True:
-        matrix = tuple(
-            tuple(rng.randbelow(field.q) for _ in range(size)) for _ in range(size)
-        )
-        if linalg.rank(field, matrix) == size:
-            return matrix
-
-
 def random_semilinear(
     space: ProjectiveSpace, rng: SplitMix64, alpha: int | None = None
 ) -> SemilinearMap:
+    """Random collineation; the matrix is redrawn until it is invertible."""
     if alpha is None:
         alpha = rng.randbelow(space.field.k)
-    matrix = random_invertible_matrix(space.field, space.n + 1, rng)
-    return SemilinearMap(space, matrix, alpha)
+    q, size = space.field.q, space.n + 1
+    while True:
+        matrix = tuple(tuple(rng.randbelow(q) for _ in range(size)) for _ in range(size))
+        try:
+            return SemilinearMap(space, matrix, alpha)
+        except SingularMatrix:
+            pass
 
 
 def veronese_point_map(n: int, q: int) -> PointMap:
@@ -60,16 +55,16 @@ def veronese_kappa_map(n: int, q: int, seed: int) -> tuple[PointMap, SemilinearM
 
 
 def frame_injection_map(seed: int) -> PointMap:
-    """Random injection of the 7-point plane onto a random frame (n=2, q=2)."""
+    """Random injection of the 7-point plane onto a random frame (n=2, q=2).
+
+    PGL(6, 2) acts regularly on ordered frames, so a random collineation
+    of the standard frame is a uniformly random ordered frame.
+    """
     ver = veronese_for(space_for(2, 2))
     source, target = ver.source, ver.target
     rng = SplitMix64(seed)
-    tgt_pts = target.points()
-    while True:
-        idxs = rng.sample_indices(len(tgt_pts), target.n + 2)
-        frame = [tgt_pts[i] for i in idxs]
-        if is_frame(target, frame):
-            break
+    kappa = random_semilinear(target, rng)
+    frame = [kappa.apply(p) for p in standard_frame(target)]
     rng.shuffle(frame)
     table = {src: frame[i] for i, src in enumerate(source.points())}
     return PointMap(source, target, table)

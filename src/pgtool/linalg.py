@@ -57,6 +57,21 @@ def rref(field: GaloisField, rows) -> tuple[tuple[int, ...], tuple[tuple[int, ..
     return tuple(pivots), tuple(tuple(row) for row in mat[:r])
 
 
+def canonical(field: GaloisField, vec) -> tuple[int, ...] | None:
+    """The multiple of vec whose first nonzero entry is 1, or None for 0.
+
+    Trusts its input to be field codes and checks nothing; input from
+    outside goes through `ProjectiveSpace.normalize`.
+    """
+    lead = next(filter(None, vec), 0)
+    if not lead:
+        return None
+    if lead == 1:
+        return tuple(vec)
+    g = field.mul_table[field.inv(lead)]
+    return tuple([g[a] for a in vec])
+
+
 def rank(field: GaloisField, rows) -> int:
     return len(rref(field, rows)[0])
 

@@ -44,7 +44,11 @@ class ProjectiveSpace:
     # -- points ----------------------------------------------------------
 
     def normalize(self, vec) -> tuple[int, ...]:
-        """Canonical representative: first nonzero coordinate scaled to 1."""
+        """Canonical representative: first nonzero coordinate scaled to 1.
+
+        The boundary validator for points from outside: it checks length,
+        type and range and rejects the zero vector (see `linalg.canonical`).
+        """
         vec = tuple(vec)
         if len(vec) != self.n + 1:
             raise DimensionMismatch(
@@ -53,14 +57,10 @@ class ProjectiveSpace:
         q = self.field.q
         if any(not isinstance(x, int) or not 0 <= x < q for x in vec):
             raise SpaceMismatch(f"coordinate codes must lie in [0, {q})")
-        lead = next((x for x in vec if x), None)
-        if lead is None:
+        out = linalg.canonical(self.field, vec)
+        if out is None:
             raise SpaceMismatch("the zero vector is not a projective point")
-        if lead == 1:
-            return vec
-        f = self.field.inv(lead)
-        mul = self.field.mul
-        return tuple(mul(f, x) for x in vec)
+        return out
 
     def points(self) -> list[tuple[int, ...]]:
         """All points in lexicographic order of their coordinate codes."""
@@ -159,7 +159,8 @@ class ProjectiveSpace:
         if inside is None:
             inside = self.full_subspace()
         self._check_sub(inside)
-        if not inside.contains(point):
+        # the point is normalized already, so test membership directly
+        if not linalg.in_rowspace(self.field, inside.pivots, inside.rows, point):
             raise PointNotInSubspace(f"{point} not in the given subspace")
         if inside.dim < 1:
             raise DimensionMismatch("pencil needs a subspace of dimension >= 1")
@@ -182,7 +183,8 @@ class ProjectiveSpace:
         """
         self._check_sub(base)
         point = self.normalize(point)
-        if base.contains(point):
+        # the point is normalized already, so test membership directly
+        if linalg.in_rowspace(self.field, base.pivots, base.rows, point):
             raise PointInBase(f"{point} lies in the base subspace")
         return self.subspace(base.rows + (point,))
 
@@ -246,6 +248,7 @@ class Subspace:
         return tuple(vec[c] for c in self.pivots)
 
     def point_from_coords(self, coeffs) -> tuple[int, ...]:
+        """The point with the given coefficients (not all 0) on the basis."""
         field = self.space.field
         add, mul = field.add, field.mul
         acc = [0] * (self.space.n + 1)
@@ -254,7 +257,8 @@ class Subspace:
                 for j, x in enumerate(row):
                     if x:
                         acc[j] = add(acc[j], mul(c, x))
-        return self.space.normalize(acc)
+        # computed by field operations, so it needs no validation
+        return linalg.canonical(field, acc)
 
     def points(self) -> tuple[tuple[int, ...], ...]:
         return _subspace_points(self)
@@ -336,7 +340,8 @@ def frame_coordinates(space: ProjectiveSpace, frame_points, point) -> tuple[int,
         raise NotAFrame("the given points do not form a frame")
     # the scaled columns are a basis, so every point has coordinates
     coords = linalg.solve_columns(space.field, scaled, space.normalize(point))
-    return space.normalize(coords)
+    # computed by field operations, so it needs no validation
+    return linalg.canonical(space.field, coords)
 
 
 # -- semilinear maps ---------------------------------------------------------
@@ -355,6 +360,11 @@ class SemilinearMap:
         mat = tuple(tuple(row) for row in self.matrix)
         if len(mat) != n1 or any(len(r) != n1 for r in mat):
             raise DimensionMismatch(f"matrix must be {n1}x{n1}")
+        q = self.space.field.q
+        if any(type(x) is not int or not 0 <= x < q for r in mat for x in r):
+            raise SpaceMismatch(f"matrix entries must be integer codes in [0, {q})")
+        if type(self.alpha) is not int:
+            raise SpaceMismatch(f"alpha must be an integer, got {self.alpha!r}")
         if linalg.rank(self.space.field, mat) != n1:
             raise SingularMatrix("matrix is not invertible")
         object.__setattr__(self, "matrix", mat)
@@ -366,7 +376,8 @@ class SemilinearMap:
         if self.alpha:
             frob = field.frobenius
             vec = tuple(frob(x, self.alpha) for x in vec)
-        return self.space.normalize(linalg.mat_vec(field, self.matrix, vec))
+        # computed by field operations, so it needs no validation
+        return linalg.canonical(field, linalg.mat_vec(field, self.matrix, vec))
 
     def then(self, other: "SemilinearMap") -> "SemilinearMap":
         """Composite map: apply self first, then other."""
@@ -403,7 +414,6 @@ class SemilinearMap:
 
 
 def _scale_matrix(field: GaloisField, matrix):
-    flat = [x for row in matrix for x in row]
-    lead = next(x for x in flat if x)
-    f = field.inv(lead)
-    return tuple(tuple(field.mul(f, x) for x in row) for row in matrix)
+    flat = linalg.canonical(field, [x for row in matrix for x in row])
+    n = len(matrix[0])
+    return tuple(flat[i : i + n] for i in range(0, len(flat), n))

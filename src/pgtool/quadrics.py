@@ -40,13 +40,9 @@ class QuadraticForm:
             raise DimensionMismatch(
                 f"expected {delta(self.space.n)} coefficients, got {len(coeffs)}"
             )
-        lead = next((c for c in coeffs if c), None)
-        if lead is None:
+        coeffs = linalg.canonical(self.space.field, coeffs)
+        if coeffs is None:
             raise DimensionMismatch("the zero vector is not a quadratic form")
-        if lead != 1:
-            field = self.space.field
-            f = field.inv(lead)
-            coeffs = tuple(field.mul(f, c) for c in coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, point) -> int:

@@ -24,7 +24,7 @@ from .embeddings import (
     reconstruct_kappa,
     span_preimage,
 )
-from .errors import PgtoolError, UnknownSuite
+from .errors import PgtoolError, SigmaFixesLine, SigmaFixesP0, UnknownSuite
 from .generate import (
     broken_map,
     frame_injection_map,
@@ -243,19 +243,16 @@ def _suite_props_h3_h4():
     return params, not witnesses, witnesses
 
 
-def _admissible_sigma(space, rng, alpha):
+def _lemma_h6_draw(space, rng, alpha):
+    """`lemma_h6_set` of the first random (sigma, p0) it accepts."""
     pts = space.points()
     while True:
         p0 = pts[rng.randbelow(len(pts))]
         sigma = random_semilinear(space, rng, alpha=alpha)
-        p2 = sigma.apply(p0)
-        if p2 == p0:
-            continue
-        joining = space.span((p0, p2))
-        a, b = joining.rows
-        if space.span((sigma.apply(a), sigma.apply(b))) == joining:
-            continue
-        return sigma, p0
+        try:
+            return lemma_h6_set(sigma, p0)
+        except (SigmaFixesP0, SigmaFixesLine):
+            pass
 
 
 def _suite_lemma_h6():
@@ -266,13 +263,11 @@ def _suite_lemma_h6():
         plane = space.full_subspace()
         rng = SplitMix64(params["seed"] + q)
         for i in range(params["per_direction"]):
-            sigma, p0 = _admissible_sigma(space, rng, alpha=0)
-            pts = sorted(lemma_h6_set(sigma, p0))
+            pts = sorted(_lemma_h6_draw(space, rng, alpha=0))
             if not is_arc(space, pts, plane):
                 witnesses.append({"q": q, "case": f"projective:{i}", "set": _pts(pts)})
         for i in range(params["per_direction"]):
-            sigma, p0 = _admissible_sigma(space, rng, alpha=1)
-            pts = sorted(lemma_h6_set(sigma, p0))
+            pts = sorted(_lemma_h6_draw(space, rng, alpha=1))
             if is_arc(space, pts, plane):
                 witnesses.append({"q": q, "case": f"twisted:{i}", "set": _pts(pts)})
     return params, not witnesses, witnesses

@@ -24,8 +24,9 @@ from pgtool import (
     veronese_for,
     veronese_kappa_map,
 )
-from pgtool import linalg
+from pgtool import QuadraticForm, linalg
 from pgtool.arcs import _pencil
+from pgtool.projective import _coefficient_reps
 from pgtool.errors import (
     DimensionMismatch,
     NoUniqueUnisecant,
@@ -128,6 +129,48 @@ def test_pointed_conic_with_nucleus_is_not_a_conic():
     assert is_oval(space, swapped, space.full_subspace())
     ok, witness = is_regular_conic(plane_arc(space, swapped))
     assert not ok
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_line_is_not_a_regular_conic(q):
+    # a line is the zero set of a repeated linear form and has q+1 points,
+    # but it is no arc
+    space = space_for(2, q)
+    plane = space.full_subspace()
+    for line in space.lines():
+        assert is_regular_conic(PlaneArc(plane, frozenset(line.points()))) == (False, None)
+
+
+def _zero_sets(space):
+    """The zero set of every plane quadratic form, by literal evaluation."""
+    return {
+        frozenset(x for x in space.points() if not QuadraticForm(space, coeffs).evaluate(x))
+        for coeffs in _coefficient_reps(space.field, 6)
+    }
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_is_regular_conic_matches_literal_oracle(q):
+    space = space_for(2, q)
+    plane = space.full_subspace()
+    pts = space.points()
+    zero_sets = _zero_sets(space)
+    conic = _conic_points(space)
+    rng = SplitMix64(100 + q)
+    cases = []
+    for _ in range(10):
+        cases.append([pts[i] for i in rng.sample_indices(len(pts), q + 1)])
+        kappa = random_semilinear(space, rng)
+        image = [kappa.apply(p) for p in conic]
+        off = [p for p in pts if p not in image]
+        cases += [image, image[1:] + [off[rng.randbelow(len(off))]]]
+    for subset in cases:
+        ok, witness = is_regular_conic(PlaneArc(plane, frozenset(subset)))
+        assert ok == (is_arc(space, subset, plane) and frozenset(subset) in zero_sets)
+        if ok:
+            assert QuadraticForm(space, witness).zero_set() == frozenset(subset)
+        else:
+            assert witness is None
 
 
 def test_tangent_meet_examples():

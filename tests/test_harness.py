@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -313,3 +316,16 @@ def test_suite_threaded_matches_serial():
     with ThreadPoolExecutor(max_workers=2) as pool:
         threaded = [r.body() for r in pool.map(suites_mod._run_one, wanted)]
     assert serial == threaded
+
+
+def test_traced_names_resolve_in_pgtool():
+    # the traced benchmark run wraps these by name; a rename must fail here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod, fn in tracer.SPANNED_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"pgtool.{mod}"), fn, None)), (mod, fn)
+    for mod, cls, meth in tracer.SPANNED_METHODS + tracer.COUNTED_METHODS:
+        klass = getattr(importlib.import_module(f"pgtool.{mod}"), cls)
+        assert meth in klass.__dict__, (mod, cls, meth)

@@ -352,3 +352,19 @@ def test_semilinear_rejects_singular():
     space = space_for(1, 3)
     with pytest.raises(SingularMatrix):
         SemilinearMap(space, ((1, 2), (2, 1)), 0)  # det = 1 - 4 = 0 mod 3
+
+
+@pytest.mark.parametrize(
+    "matrix, alpha",
+    [
+        (((-1, 0, 0), (0, 1, 0), (0, 0, 1)), 0),
+        (((7, 0, 0), (0, 1, 0), (0, 0, 1)), 0),
+        (((1.0, 0, 0), (0, 1, 0), (0, 0, 1)), 0),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1.0),
+    ],
+    ids=["negative-code", "code-out-of-range", "float-code", "float-alpha"],
+)
+def test_semilinear_rejects_malformed_entries(matrix, alpha):
+    # over GF(4): -1 would index the field tables as code 3
+    with pytest.raises(SpaceMismatch):
+        SemilinearMap(space_for(2, 4), matrix, alpha)
