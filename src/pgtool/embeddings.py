@@ -42,6 +42,7 @@ from .errors import (
     NotTotal,
     ParallelLinesImpossible,
     PgtoolError,
+    SpaceMismatch,
     UsageError,
     VerificationFailed,
 )
@@ -59,6 +60,8 @@ from .veronese import delta, monomial_pairs, veronese_for
 
 EXHAUSTIVE_CAP = 15
 REDUCED_CAP = 10**7
+# what `reconstruct_kappa` raises for a table it cannot certify
+CERTIFICATE_REFUSALS = (NotRegular, VerificationFailed, ForeignTarget, DimensionMismatch)
 
 
 class PointMap:
@@ -256,7 +259,7 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
     elif mode == "reduced":
         try:
             reconstruct_kappa(nu)
-        except (NotRegular, VerificationFailed, ForeignTarget, DimensionMismatch):
+        except CERTIFICATE_REFUSALS:
             pass
         else:
             return EmbeddingReport(True, mode, None, True, "certificate")
@@ -435,9 +438,31 @@ def is_regular(nu: PointMap) -> bool:
     exactly when the target field equals the source field; a target over
     a larger field is allowed, and then no image point has a unique
     unisecant.  So the unisecants need not be enumerated.
+
+    The certificate decides first.  When `reconstruct_kappa` certifies
+    nu = kappa rho, nu is regular: rho maps a line onto a conic, the
+    q+1 zeros of a nondegenerate form in the plane its Veronese image
+    spans, so a plane (q+1)-arc; kappa maps planes to planes and lines
+    to lines, so every line image is again a plane (q+1)-arc, regular
+    by the tangent count.  The outcome is kept on nu, so a
+    `reconstruct_kappa` after this call costs nothing.
+
+    A failed certificate proves nothing, so the line scan decides then,
+    and it stays: regularity asks only that line images be arcs, and the
+    paper's main theorem identifies kappa rho among quadratic embeddings
+    alone.  A table can be regular without being kappa rho: a random
+    injection PG(2, 2) -> PG(5, 2) usually sends every line to three
+    non-collinear points, and a line source (n = 1) or a target of
+    another dimension is outside the theorem.
     """
     if nu.source.field != nu.target.field:
         return False
+    try:
+        reconstruct_kappa(nu)
+    except CERTIFICATE_REFUSALS:
+        pass
+    else:
+        return True
     return all(_line_image_is_arc(nu, line) for line in nu.source.lines())
 
 
@@ -741,14 +766,31 @@ def _reconstruct(nu: PointMap) -> Reconstruction:
         raise NotRegular(str(exc)) from exc
     # the scaled frame columns are a basis, so the matrix is invertible
     kappa = SemilinearMap(target, linalg.transpose(frame_data.scaled), alpha)
-    ver = veronese_for(source)
     checked = 0
-    for x in source.points():
-        if kappa.apply(ver.apply(x)) != nu.table[x]:
-            raise VerificationFailed(
-                f"certificate fails at {x}", point=x
-            )
+    for x, y in zip(source.points(), kappa_rho(source, kappa)):
+        if y != nu.table[x]:
+            raise VerificationFailed(f"certificate fails at {x}", point=x)
         checked += 1
     return Reconstruction(
         kappa=kappa, alpha=alpha, frame_data=frame_data, points_checked=checked
     )
+
+
+def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap) -> list:
+    """The points kappa(rho(x)) for the source points x, in `source.points()`
+    order: the one computation of a kappa rho table, for the certificate
+    and for `generate.compose_with_veronese`.
+
+    It reads the rho rows the closure context keeps.  They are
+    canonical, and so are their Frobenius images, as 0 and 1 are fixed;
+    so each goes through `linalg.mat_vec` and `linalg.canonical` without
+    validation, which gives `kappa.apply(rho(x))` exactly.
+    """
+    if kappa.space != veronese_for(source).target:
+        raise SpaceMismatch(f"kappa acts on {kappa.space}, not on the Veronese target")
+    field, alpha = source.field, kappa.alpha
+    rows = _context_for(source).rho_rows
+    if alpha:
+        frob = [field.frobenius(a, alpha) for a in field.elements()]
+        rows = [[frob[a] for a in row] for row in rows]
+    return [linalg.canonical(field, linalg.mat_vec(field, kappa.matrix, row)) for row in rows]

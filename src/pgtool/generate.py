@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .embeddings import PointMap
+from .embeddings import PointMap, kappa_rho
 from .errors import ParamOutOfRange, SingularMatrix
 from .fields import create_field, prime_power
 from .prng import SplitMix64
@@ -41,9 +41,8 @@ def veronese_point_map(n: int, q: int) -> PointMap:
 
 
 def compose_with_veronese(ver: VeroneseMap, kappa: SemilinearMap) -> PointMap:
-    return PointMap.from_function(
-        ver.source, ver.target, lambda x: kappa.apply(ver.apply(x))
-    )
+    source = ver.source
+    return PointMap(source, ver.target, dict(zip(source.points(), kappa_rho(source, kappa))))
 
 
 def veronese_kappa_map(n: int, q: int, seed: int) -> tuple[PointMap, SemilinearMap]:

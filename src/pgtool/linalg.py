@@ -1,7 +1,9 @@
 """Dense exact linear algebra over a finite field.
 
 All matrices are small (at most a few dozen rows/columns), so plain
-Gaussian elimination on lists of integer codes is used throughout.
+Gaussian elimination on lists of integer codes is used throughout.  The
+inner loops index the field's dense addition and multiplication tables
+directly.
 Row-echelon forms are fully reduced (pivots 1, zeros above and below),
 which makes them canonical: two row sets span the same space iff their
 reduced forms are identical.
@@ -28,7 +30,7 @@ def rref(field: GaloisField, rows) -> tuple[tuple[int, ...], tuple[tuple[int, ..
         return (), ()
     ncols = len(mat[0])
     nrows = len(mat)
-    sub, mul, inv = field.sub, field.mul, field.inv
+    add, neg, mul, inv = field.add_table, field.neg_table, field.mul_table, field.inv
     pivots = []
     r = 0
     for c in range(ncols):
@@ -39,17 +41,16 @@ def rref(field: GaloisField, rows) -> tuple[tuple[int, ...], tuple[tuple[int, ..
         row = mat[r]
         f = inv(row[c])
         if f != 1:
-            for j in range(ncols):
-                if row[j]:
-                    row[j] = mul(f, row[j])
+            times_f = mul[f]
+            row[:] = [times_f[y] for y in row]
+        terms = [(j, y) for j, y in enumerate(row) if y]
         for i in range(nrows):
             other = mat[i]
-            if i != r and other[c]:
-                g = other[c]
-                for j in range(ncols):
-                    y = row[j]
-                    if y:
-                        other[j] = sub(other[j], mul(g, y))
+            g = other[c]
+            if g and i != r:
+                minus_g = mul[neg[g]]
+                for j, y in terms:
+                    other[j] = add[other[j]][minus_g[y]]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -79,15 +80,14 @@ def rank(field: GaloisField, rows) -> int:
 def residual(field: GaloisField, pivots, rrows, vec) -> tuple[int, ...]:
     """Reduce vec against reduced rows; zero tuple iff vec is in the row space."""
     v = list(vec)
-    n = len(v)
-    sub, mul = field.sub, field.mul
+    add, neg, mul = field.add_table, field.neg_table, field.mul_table
     for c, row in zip(pivots, rrows):
         f = v[c]
         if f:
-            for j in range(n):
-                y = row[j]
+            minus_f = mul[neg[f]]
+            for j, y in enumerate(row):
                 if y:
-                    v[j] = sub(v[j], mul(f, y))
+                    v[j] = add[v[j]][minus_f[y]]
     return tuple(v)
 
 
@@ -153,28 +153,33 @@ def solve_columns(field: GaloisField, cols, target) -> tuple[int, ...] | None:
 
 
 def mat_vec(field: GaloisField, matrix, vec) -> tuple[int, ...]:
-    add, mul = field.add, field.mul
+    """matrix . vec.  Only the nonzero entries x of vec contribute, each
+    through its multiplication row, so a row costs one lookup pair per
+    such entry.
+    """
+    add, mul = field.add_table, field.mul_table
+    terms = [(j, mul[x]) for j, x in enumerate(vec) if x]
     out = []
     for row in matrix:
         acc = 0
-        for a, x in zip(row, vec):
-            if a and x:
-                acc = add(acc, mul(a, x))
+        for j, times_x in terms:
+            acc = add[acc][times_x[row[j]]]
         out.append(acc)
     return tuple(out)
 
 
 def mat_mul(field: GaloisField, A, B) -> tuple[tuple[int, ...], ...]:
-    add, mul = field.add, field.mul
+    add, mul = field.add_table, field.mul_table
     ncols = len(B[0])
     out = []
     for row in A:
         acc = [0] * ncols
         for a, brow in zip(row, B):
             if a:
+                times_a = mul[a]
                 for j, b in enumerate(brow):
                     if b:
-                        acc[j] = add(acc[j], mul(a, b))
+                        acc[j] = add[acc[j]][times_a[b]]
         out.append(tuple(acc))
     return tuple(out)
 

@@ -45,6 +45,8 @@ from pgtool.errors import (
     NotTotal,
     VerificationFailed,
 )
+from pgtool.generate import compose_with_veronese
+from pgtool.projective import SemilinearMap
 from pgtool.quadrics import _context_for
 from pgtool.veronese import monomial_pairs
 
@@ -344,13 +346,62 @@ def _regular_by_unisecants(nu):
     return True
 
 
-@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2)])
-def test_is_regular_matches_unisecant_oracle(n, q):
-    maps = [veronese_kappa_map(n, q, s)[0] for s in range(2)]
-    maps += [broken_map(n, q, s) for s in range(2)]
-    verdicts = [is_regular(nu) for nu in maps]
-    assert verdicts == [_regular_by_unisecants(nu) for nu in maps]
-    assert verdicts[:2] == [True, True]
+def _random_injection(n, q, seed):
+    """Random injective table PG(n, q) -> PG(C(n+2,2)-1, q)."""
+    source = space_for(n, q)
+    target = veronese_for(source).target
+    images = list(target.points())
+    SplitMix64(seed).shuffle(images)
+    return PointMap(source, target, dict(zip(source.points(), images)))
+
+
+def _regularity_gate_maps(n, q):
+    """Tables of the form kappa rho, and tables that are not."""
+    ver = veronese_for(space_for(n, q))
+    kappa_rho = [veronese_kappa_map(n, q, s)[0] for s in range(2)]
+    # every Frobenius twist, so GF(4) gets alpha = 1
+    kappa_rho += [
+        compose_with_veronese(ver, random_semilinear(ver.target, SplitMix64(7), alpha))
+        for alpha in ver.source.field.automorphism_exponents()
+    ]
+    if (n, q) == (2, 2):
+        kappa_rho += [frame_injection_map(s) for s in range(5)]
+    others = [broken_map(n, q, s) for s in range(3)]
+    others += [_random_injection(n, q, s) for s in range(3)]
+    return kappa_rho, others
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (2, 5), (3, 3)])
+def test_is_regular_matches_unisecant_oracle(n, q, monkeypatch):
+    # is_regular asks the certificate first; the line scan and the
+    # unisecant count are the oracles, and certified tables must never
+    # reach the scan
+    kappa_rho, others = _regularity_gate_maps(n, q)
+    maps = kappa_rho + others
+    line_scan = [
+        all(embeddings._line_image_is_arc(nu, line) for line in nu.source.lines())
+        for nu in maps
+    ]
+    assert line_scan == [_regular_by_unisecants(nu) for nu in maps]
+    certified = set()
+    for nu in maps:  # on a copy, so `is_regular` below meets a fresh table
+        try:
+            reconstruct_kappa(PointMap(nu.source, nu.target, dict(nu.table)))
+            certified.add(id(nu))
+        except (NotRegular, VerificationFailed):
+            pass
+    assert certified >= {id(nu) for nu in kappa_rho}
+    if q == 2:  # three non-collinear points are an arc, so these reach the scan
+        assert any(reg and id(nu) not in certified for nu, reg in zip(maps, line_scan))
+
+    line_image_is_arc = embeddings._line_image_is_arc
+
+    def scan_uncertified(nu, line):
+        assert id(nu) not in certified, "a certified table reached the line scan"
+        return line_image_is_arc(nu, line)
+
+    monkeypatch.setattr(embeddings, "_line_image_is_arc", scan_uncertified)
+    assert [is_regular(nu) for nu in maps] == line_scan
 
 
 def test_is_regular_false_over_larger_target_field():
@@ -576,6 +627,33 @@ def test_reconstruct_rejects_broken():
         nu = broken_map(2, 3, seed)
         with pytest.raises((NotRegular, VerificationFailed)):
             reconstruct_kappa(nu)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 4), (3, 2)])
+def test_certificate_witness_is_first_literal_mismatch(n, q):
+    failed = 0
+    for seed in range(12):
+        nu = broken_map(n, q, seed)
+        try:
+            reconstruct_kappa(nu)
+        except NotRegular:
+            continue  # refused before the certificate
+        except VerificationFailed as exc:
+            witness = exc.point
+        else:
+            pytest.fail(f"broken table {seed} certified")
+        frame_data = build_Q_frame(nu)
+        alpha = recover_automorphism(nu, frame_data)
+        kappa = SemilinearMap(nu.target, linalg.transpose(frame_data.scaled), alpha)
+        ver = veronese_for(nu.source)
+        assert witness == next(
+            x for x in nu.source.points() if kappa.apply(ver.apply(x)) != nu.table[x]
+        )
+        failed += 1
+    assert failed  # the certificate itself rejected some table
+    for seed in range(3):
+        nu, _ = veronese_kappa_map(n, q, seed)
+        assert reconstruct_kappa(nu).points_checked == nu.source.point_count
 
 
 def test_reconstruct_rejects_foreign_target():

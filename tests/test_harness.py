@@ -16,13 +16,16 @@ from pgtool import (
     generate_embedding,
     is_frame,
     load_point_map,
+    random_semilinear,
     save_point_map,
     space_for,
+    veronese_for,
     veronese_kappa_map,
     veronese_point_map,
 )
 from pgtool.cli import main
-from pgtool.errors import ParamOutOfRange, UnknownSuite
+from pgtool.errors import ParamOutOfRange, SpaceMismatch, UnknownSuite
+from pgtool.generate import compose_with_veronese
 from pgtool.suites import BUDGETS, SUITE_ORDER, run_suite
 
 
@@ -75,6 +78,17 @@ def test_generators_deterministic():
     assert a.table == b.table and ka.matrix == kb.matrix and ka.alpha == kb.alpha
     assert frame_injection_map(4).table == frame_injection_map(4).table
     assert broken_map(2, 3, 5).table == broken_map(2, 3, 5).table
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_compose_with_veronese_matches_literal_composition(q):
+    ver = veronese_for(space_for(2, q))
+    for alpha in ver.source.field.automorphism_exponents():
+        kappa = random_semilinear(ver.target, SplitMix64(q + alpha), alpha)
+        nu = compose_with_veronese(ver, kappa)
+        assert nu.table == {x: kappa.apply(ver.apply(x)) for x in ver.source.points()}
+    with pytest.raises(SpaceMismatch):  # a collineation of the source plane
+        compose_with_veronese(ver, random_semilinear(ver.source, SplitMix64(0)))
 
 
 def test_map_file_roundtrip_bit_exact(tmp_path):

@@ -135,3 +135,47 @@ def test_matrix_inverse(q):
         found += 1
         assert linalg.mat_mul(field, m, inv) == ident
         assert linalg.mat_mul(field, inv, m) == ident
+
+
+def _literal_rref(field, rows):
+    """Gauss-Jordan elimination through field.add, field.mul and field.inv."""
+    mat = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        f = field.inv(mat[r][c])
+        mat[r] = [field.mul(f, y) for y in mat[r]]
+        for i, other in enumerate(mat):
+            if i != r:
+                g = field.neg(other[c])
+                mat[i] = [field.add(x, field.mul(g, y)) for x, y in zip(other, mat[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots), tuple(tuple(row) for row in mat[:r])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_table_arithmetic_matches_literal_field_ops(q):
+    # mat_vec, mat_mul, rref and residual index the dense tables directly
+    field = create_field(*prime_power(q))
+    rng = SplitMix64(q + 500)
+    for _ in range(20):
+        rows, inner, cols = (1 + rng.randbelow(5) for _ in range(3))
+        a = _random_matrix(field, rows, inner, rng)
+        b = _random_matrix(field, inner, cols, rng)
+        vec = tuple(rng.randbelow(field.q) for _ in range(inner))
+        assert linalg.mat_vec(field, a, vec) == tuple(_dot(field, row, vec) for row in a)
+        assert linalg.mat_mul(field, a, b) == tuple(
+            tuple(_dot(field, row, col) for col in zip(*b)) for row in a
+        )
+        pivots, rrows = linalg.rref(field, a)
+        assert (pivots, rrows) == _literal_rref(field, a)
+        res = linalg.residual(field, pivots, rrows, vec)
+        v = list(vec)
+        for c, row in zip(pivots, rrows):
+            g = field.neg(v[c])
+            v = [field.add(x, field.mul(g, y)) for x, y in zip(v, row)]
+        assert res == tuple(v)
