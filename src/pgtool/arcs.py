@@ -16,7 +16,6 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     NoUniqueUnisecant,
-    ParallelLinesImpossible,
     PointNotOnArc,
     PointOutsidePlane,
     SigmaFixesLine,
@@ -216,12 +215,10 @@ def tangent_meet(arc: PlaneArc, p1, p2) -> tuple[int, ...]:
         raise PointNotOnArc("tangent_meet needs two distinct arc points")
     coords = _plane_coords(arc.plane, arc.points)
     tangents = [_tangent_line(space.field, coords, p) for p in (p1, p2)]
-    meet = linalg.nullspace(space.field, tangents, 3)
-    if len(meet) != 1:
-        raise ParallelLinesImpossible(
-            f"tangent intersection has dimension {len(meet) - 1}"
-        )
-    return arc.plane.point_from_coords(meet[0])
+    # the unisecant at p1 meets the arc only in p1, so it is not the one
+    # at p2: two distinct lines of a plane meet in exactly one point
+    (meet,) = linalg.nullspace(space.field, tangents, 3)
+    return arc.plane.point_from_coords(meet)
 
 
 def lemma_h6_set(sigma: SemilinearMap, p0) -> frozenset:

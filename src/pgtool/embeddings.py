@@ -37,10 +37,8 @@ from .errors import (
     NotComplementary,
     NotIncident,
     NotALine,
-    NoUniqueUnisecant,
     NotRegular,
     NotTotal,
-    ParallelLinesImpossible,
     PgtoolError,
     SpaceMismatch,
     UsageError,
@@ -60,8 +58,6 @@ from .veronese import delta, monomial_pairs, veronese_for
 
 EXHAUSTIVE_CAP = 15
 REDUCED_CAP = 10**7
-# what `reconstruct_kappa` raises for a table it cannot certify
-CERTIFICATE_REFUSALS = (NotRegular, VerificationFailed, ForeignTarget, DimensionMismatch)
 
 
 class PointMap:
@@ -257,11 +253,7 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
         if npts > EXHAUSTIVE_CAP:
             raise ModeInfeasible(f"{npts} points exceed exhaustive cap {EXHAUSTIVE_CAP}")
     elif mode == "reduced":
-        try:
-            reconstruct_kappa(nu)
-        except CERTIFICATE_REFUSALS:
-            pass
-        else:
+        if _certified(nu):
             return EmbeddingReport(True, mode, None, True, "certificate")
     else:
         raise ModeInfeasible(f"unknown mode {mode!r}")
@@ -457,13 +449,7 @@ def is_regular(nu: PointMap) -> bool:
     """
     if nu.source.field != nu.target.field:
         return False
-    try:
-        reconstruct_kappa(nu)
-    except CERTIFICATE_REFUSALS:
-        pass
-    else:
-        return True
-    return all(_line_image_is_arc(nu, line) for line in nu.source.lines())
+    return _certified(nu) or all(_line_image_is_arc(nu, line) for line in nu.source.lines())
 
 
 # -- the affine restriction and its extension ---------------------------------
@@ -471,27 +457,31 @@ def is_regular(nu: PointMap) -> bool:
 
 def default_complement(space: ProjectiveSpace, sub: Subspace) -> Subspace:
     """Deterministic complement: greedy extension by unit vectors."""
-    field = space.field
-    rows = list(sub.rows)
-    added = []
-    for i in range(space.n + 1):
-        unit = tuple(1 if j == i else 0 for j in range(space.n + 1))
-        if linalg.rank(field, rows + added + [unit]) > len(rows) + len(added):
-            added.append(unit)
-    return space.span(added)
+    n1 = space.n + 1
+    units = (tuple(int(j == i) for j in range(n1)) for i in range(n1))
+    return _greedy_complement(space, sub, units)
 
 
 def random_complement(space: ProjectiveSpace, sub: Subspace, rng: SplitMix64) -> Subspace:
-    field = space.field
+    """Complement by greedy extension with random points."""
     pts = space.points()
+    return _greedy_complement(space, sub, iter(lambda: pts[rng.randbelow(len(pts))], None))
+
+
+def _greedy_complement(space: ProjectiveSpace, sub: Subspace, candidates) -> Subspace:
+    """Span of the candidates that raise the rank of sub's rows.
+
+    The rank is checked for full before each candidate is drawn, so no
+    candidate is drawn once the complement is complete.
+    """
     rows = list(sub.rows)
-    added = []
-    need = space.n + 1 - len(rows)
-    while len(added) < need:
-        cand = pts[rng.randbelow(len(pts))]
-        if linalg.rank(field, rows + added + [cand]) > len(rows) + len(added):
-            added.append(cand)
-    return space.span(added)
+    base = len(rows)
+    for cand in candidates:
+        if len(rows) == space.n + 1:
+            break
+        if linalg.rank(space.field, rows + [cand]) > len(rows):
+            rows.append(cand)
+    return space.span(rows[base:])
 
 
 def build_iota(nu: PointMap, hyperplane: Subspace, complement: Subspace) -> dict:
@@ -576,8 +566,8 @@ def _fit_semilinear(space: ProjectiveSpace, coords_of: dict) -> SemilinearMap:
     fitted = SemilinearMap(space, linalg.transpose(scaled), alpha)  # scaled is a basis
     # coords_of values are reduced-basis coordinates of normalized members,
     # so their first nonzero entry is 1 and they compare as they are
-    for x in space.points():
-        if fitted.apply(x) != coords_of[x]:
+    for x, y in zip(space.points(), fitted.images(space.points())):
+        if y != coords_of[x]:
             raise NotACollineation(f"table is not semilinear at {x}")
     return fitted
 
@@ -744,6 +734,20 @@ def reconstruct_kappa(nu: PointMap) -> Reconstruction:
     return outcome
 
 
+def _certified(nu: PointMap) -> bool:
+    """Whether `reconstruct_kappa` certifies nu = kappa rho.
+
+    Every refusal is False: a table the certificate rejects, and a table
+    outside the main theorem (another field, a line source, a target of
+    another dimension).
+    """
+    try:
+        reconstruct_kappa(nu)
+    except (NotRegular, VerificationFailed, ForeignTarget, DimensionMismatch):
+        return False
+    return True
+
+
 def _reconstruct(nu: PointMap) -> Reconstruction:
     source, target = nu.source, nu.target
     if source.field != target.field:
@@ -754,43 +758,26 @@ def _reconstruct(nu: PointMap) -> Reconstruction:
         raise DimensionMismatch(
             f"target dimension {target.n} differs from expected {delta(source.n) - 1}"
         )
-    try:
-        frame_data = build_Q_frame(nu)
-        alpha = recover_automorphism(nu, frame_data)
-    except (
-        FrameCheckFailed,
-        NoUniqueUnisecant,
-        ParallelLinesImpossible,
-        NoAutomorphismMatch,
-    ) as exc:
-        raise NotRegular(str(exc)) from exc
+    frame_data = build_Q_frame(nu)
+    alpha = recover_automorphism(nu, frame_data)
     # the scaled frame columns are a basis, so the matrix is invertible
     kappa = SemilinearMap(target, linalg.transpose(frame_data.scaled), alpha)
-    checked = 0
     for x, y in zip(source.points(), kappa_rho(source, kappa)):
         if y != nu.table[x]:
             raise VerificationFailed(f"certificate fails at {x}", point=x)
-        checked += 1
     return Reconstruction(
-        kappa=kappa, alpha=alpha, frame_data=frame_data, points_checked=checked
+        kappa=kappa, alpha=alpha, frame_data=frame_data, points_checked=source.point_count
     )
 
 
-def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap) -> list:
-    """The points kappa(rho(x)) for the source points x, in `source.points()`
-    order: the one computation of a kappa rho table, for the certificate
-    and for `generate.compose_with_veronese`.
+def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap):
+    """The points kappa(rho(x)) for the source points x, lazily and in
+    `source.points()` order: the one computation of a kappa rho table,
+    for the certificate and for `generate.compose_with_veronese`.
 
-    It reads the rho rows the closure context keeps.  They are
-    canonical, and so are their Frobenius images, as 0 and 1 are fixed;
-    so each goes through `linalg.mat_vec` and `linalg.canonical` without
-    validation, which gives `kappa.apply(rho(x))` exactly.
+    The rho rows the closure context keeps are canonical, so
+    `kappa.images` of them is `kappa.apply(rho(x))` without validation.
     """
     if kappa.space != veronese_for(source).target:
         raise SpaceMismatch(f"kappa acts on {kappa.space}, not on the Veronese target")
-    field, alpha = source.field, kappa.alpha
-    rows = _context_for(source).rho_rows
-    if alpha:
-        frob = [field.frobenius(a, alpha) for a in field.elements()]
-        rows = [[frob[a] for a in row] for row in rows]
-    return [linalg.canonical(field, linalg.mat_vec(field, kappa.matrix, row)) for row in rows]
+    return kappa.images(_context_for(source).rho_rows)

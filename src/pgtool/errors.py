@@ -4,6 +4,10 @@ Every error raised by the library derives from :class:`PgtoolError`.
 Errors that indicate bad input (rather than a violated geometric
 property) additionally derive from :class:`UsageError`; the CLI maps
 these to exit code 2, property violations to exit code 1.
+Reconstruction refusals derive from :class:`NotRegular`: a table whose
+frame, unisecants or Frobenius exponent cannot be read off is refused
+through that one type, and a failed pointwise certificate raises
+:class:`VerificationFailed`.
 """
 
 
@@ -83,12 +87,12 @@ class PointNotOnArc(UsageError):
     pass
 
 
-class NoUniqueUnisecant(PgtoolError):
+class NotRegular(PgtoolError):
     pass
 
 
-class ParallelLinesImpossible(PgtoolError):
-    """Unreachable in a projective plane; raised only on internal inconsistency."""
+class NoUniqueUnisecant(NotRegular):
+    pass
 
 
 class SigmaFixesLine(UsageError):
@@ -141,11 +145,11 @@ class BetaUnavailable(PgtoolError):
     pass
 
 
-class FrameCheckFailed(PgtoolError):
+class FrameCheckFailed(NotRegular):
     pass
 
 
-class NoAutomorphismMatch(PgtoolError):
+class NoAutomorphismMatch(NotRegular):
     pass
 
 
@@ -155,10 +159,6 @@ class VerificationFailed(PgtoolError):
     def __init__(self, message, point=None):
         super().__init__(message)
         self.point = point
-
-
-class NotRegular(PgtoolError):
-    pass
 
 
 class ForeignTarget(UsageError):

@@ -15,11 +15,6 @@ def space_for(n: int, q: int) -> ProjectiveSpace:
     return ProjectiveSpace(create_field(p, k), n)
 
 
-def random_point(space: ProjectiveSpace, rng: SplitMix64):
-    pts = space.points()
-    return pts[rng.randbelow(len(pts))]
-
-
 def random_semilinear(
     space: ProjectiveSpace, rng: SplitMix64, alpha: int | None = None
 ) -> SemilinearMap:

@@ -371,13 +371,20 @@ class SemilinearMap:
         object.__setattr__(self, "alpha", self.alpha % self.space.field.k)
 
     def apply(self, point) -> tuple[int, ...]:
-        field = self.space.field
-        vec = self.space.normalize(point)
+        (image,) = self.images((self.space.normalize(point),))
+        return image
+
+    def images(self, rows):
+        """Lazy images of canonical rows: `apply` without its validation.
+
+        The Frobenius power goes through a lookup list when alpha != 0,
+        then each row through `linalg.mat_vec` and `linalg.canonical`.
+        """
+        field, matrix = self.space.field, self.matrix
         if self.alpha:
-            frob = field.frobenius
-            vec = tuple(frob(x, self.alpha) for x in vec)
-        # computed by field operations, so it needs no validation
-        return linalg.canonical(field, linalg.mat_vec(field, self.matrix, vec))
+            frob = [field.frobenius(a, self.alpha) for a in field.elements()]
+            rows = ([frob[a] for a in row] for row in rows)
+        return (linalg.canonical(field, linalg.mat_vec(field, matrix, row)) for row in rows)
 
     def then(self, other: "SemilinearMap") -> "SemilinearMap":
         """Composite map: apply self first, then other."""

@@ -34,7 +34,8 @@ from .generate import (
     veronese_point_map,
 )
 from .prng import SplitMix64
-from .quadrics import closure_points, longest_closed_chain
+from .projective import _coefficient_reps
+from .quadrics import QuadraticForm, closure_points, longest_closed_chain
 from .veronese import delta, veronese_for
 
 
@@ -75,11 +76,7 @@ def _suite_closure_transfer():
     for n, q in ((2, 2), (1, 3)):
         space = space_for(n, q)
         pts = space.points()
-        ver = veronese_for(space)
         # literal oracle: intersect the zero sets of every form containing M
-        from .quadrics import QuadraticForm
-        from .projective import _coefficient_reps
-
         zero_masks = []
         for coeffs in _coefficient_reps(space.field, delta(n)):
             form = QuadraticForm(space, coeffs)
@@ -106,7 +103,7 @@ def _suite_closure_transfer():
                         lin_mask |= 1 << i
                 if literal != lin_mask:
                     witnesses.append({"space": [n, q], "subset": _pts(subset)})
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 _GRID_37 = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
@@ -128,7 +125,7 @@ def _suite_thm_3_7():
                 witnesses.append(
                     {"space": [n, q], "case": label, "rank": got, "expected": expected}
                 )
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_prop_3_9():
@@ -155,7 +152,7 @@ def _suite_prop_3_9():
         got = longest_closed_chain(space23, subset)
         if got != want:
             witnesses.append({"space": [2, 3], "subset": _pts(subset), "chain": got, "rank_dim": want})
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_eq_immsing():
@@ -175,7 +172,7 @@ def _suite_eq_immsing():
                     witnesses.append(
                         {"hyperplane": _pts(hp.points()), "subset": _pts(subset), "lhs": lhs, "rhs": rhs}
                     )
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_prop_h2():
@@ -204,7 +201,7 @@ def _suite_prop_h2():
                                 "dim_image": got,
                             }
                         )
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_props_h3_h4():
@@ -240,7 +237,7 @@ def _suite_props_h3_h4():
             images[hp] = h_image
         if len(set(images.values())) != len(images):
             witnesses.append({"space": [n, q], "error": "hyperplane images collide"})
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _lemma_h6_draw(space, rng, alpha):
@@ -270,7 +267,7 @@ def _suite_lemma_h6():
             pts = sorted(_lemma_h6_draw(space, rng, alpha=1))
             if is_arc(space, pts, plane):
                 witnesses.append({"q": q, "case": f"twisted:{i}", "set": _pts(pts)})
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_prop_h7():
@@ -288,7 +285,7 @@ def _suite_prop_h7():
                 ok, _witness = is_regular_conic(PlaneArc(plane, frozenset(imgs)))
                 if not ok:
                     witnesses.append({"q": q, "seed": s, "line": _pts(line.points())})
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_prop_x33():
@@ -302,7 +299,7 @@ def _suite_prop_x33():
                 build_Q_frame(nu)
             except PgtoolError as exc:
                 witnesses.append({"space": [n, q], "seed": s, "error": str(exc)})
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_main_theorem():
@@ -320,7 +317,7 @@ def _suite_main_theorem():
                 witnesses.append(
                     {"q": q, "seed": s, "alpha": rec.alpha, "expected": kappa0.alpha}
                 )
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_example_4():
@@ -336,7 +333,7 @@ def _suite_example_4():
             reconstruct_kappa(nu)
         except PgtoolError as exc:
             witnesses.append({"seed": s, "error": str(exc)})
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_segre_scan():
@@ -346,7 +343,7 @@ def _suite_segre_scan():
         report = segre_scan(q)
         if report.non_conic_ovals or report.ovals != report.conics:
             witnesses.append(report.to_dict())
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 def _suite_negative_controls():
@@ -362,7 +359,7 @@ def _suite_negative_controls():
         subset = sorted(report.violated_set)
         if closure_points(nu.source, subset) == span_preimage(nu, subset):
             witnesses.append({"seed": s, "error": "reported witness does not violate"})
-    return params, not witnesses, witnesses
+    return params, witnesses
 
 
 _SUITES = {
@@ -404,13 +401,13 @@ BUDGETS = {
 def _run_one(suite_id: str) -> SuiteResult:
     anchor, fn = _SUITES[suite_id]
     start = time.perf_counter()
-    params, passed, witnesses = fn()
+    params, witnesses = fn()
     seconds = time.perf_counter() - start
     return SuiteResult(
         suite=suite_id,
         anchor=anchor,
         params=params,
-        passed=passed,
+        passed=not witnesses,
         witnesses=witnesses,
         seconds=seconds,
     )

@@ -38,11 +38,15 @@ from pgtool.errors import (
     DimensionMismatch,
     FieldMismatch,
     ForeignTarget,
+    FrameCheckFailed,
     InvalidPointMap,
     ModeInfeasible,
+    NoAutomorphismMatch,
     NotComplementary,
+    NoUniqueUnisecant,
     NotRegular,
     NotTotal,
+    UsageError,
     VerificationFailed,
 )
 from pgtool.generate import compose_with_veronese
@@ -654,6 +658,47 @@ def test_certificate_witness_is_first_literal_mismatch(n, q):
     for seed in range(3):
         nu, _ = veronese_kappa_map(n, q, seed)
         assert reconstruct_kappa(nu).points_checked == nu.source.point_count
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 4), (3, 2)])
+def test_certificate_stops_at_first_mismatch(n, q, monkeypatch):
+    # each kappa rho image costs one mat_vec call, and no earlier step of
+    # the reconstruction makes one
+    calls = 0
+    mat_vec = linalg.mat_vec
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return mat_vec(*args)
+
+    monkeypatch.setattr(linalg, "mat_vec", counted)
+    pts = space_for(n, q).points()
+    stops = []
+    for seed in range(12):
+        nu = broken_map(n, q, seed)
+        calls = 0
+        try:
+            reconstruct_kappa(nu)
+        except VerificationFailed as exc:
+            assert calls == 1 + pts.index(exc.point)
+            stops.append(calls)
+        except NotRegular:
+            assert calls == 0  # refused before the certificate
+        else:
+            pytest.fail(f"broken table {seed} certified")
+    assert stops and min(stops) < len(pts)  # some certificate stopped early
+    nu, _ = veronese_kappa_map(n, q, 0)
+    calls = 0
+    assert reconstruct_kappa(nu).points_checked == calls == len(pts)
+
+
+def test_certificate_refusals_are_not_regular():
+    for cls in (FrameCheckFailed, NoUniqueUnisecant, NoAutomorphismMatch):
+        assert issubclass(cls, NotRegular) and not issubclass(cls, UsageError)
+    # the frame step's own type reaches the caller, with no re-raise
+    with pytest.raises(FrameCheckFailed):
+        reconstruct_kappa(broken_map(2, 3, 2))
 
 
 def test_reconstruct_rejects_foreign_target():

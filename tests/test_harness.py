@@ -217,6 +217,23 @@ def test_cli_verify_rejects_broken(tmp_path, capsys):
     assert report["violated_set"]
 
 
+def test_cli_reconstruct_exit_codes(tmp_path, capsys):
+    # broken PG(2,3) seed 0 fails the certificate, seed 2 the frame step
+    for seed in (0, 2):
+        map_path = tmp_path / f"broken{seed}.json"
+        assert main(["gen", "--kind", "broken", "--n", "2", "--q", "3",
+                     "--seed", str(seed), "--out", str(map_path)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--map", str(map_path)]) == 1
+        assert capsys.readouterr().err.startswith("reconstruction failed:")
+    line_path = tmp_path / "line.json"
+    assert main(["gen", "--kind", "veronese", "--n", "1", "--q", "3",
+                 "--out", str(line_path)]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--map", str(line_path)]) == 2  # DimensionMismatch
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_verify_certifies_large_map(tmp_path, capsys):
     map_path = tmp_path / "nu.json"
     assert main(["gen", "--kind", "veronese-kappa", "--n", "2", "--q", "9",
