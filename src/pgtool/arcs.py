@@ -235,13 +235,13 @@ def lemma_h6_set(sigma: SemilinearMap, p0) -> frozenset:
     if p2 == p0:
         raise SigmaFixesP0(f"collineation fixes {p0}")
     joining = space.span((p0, p2))
-    a, b = joining.rows
-    if space.span((sigma.apply(a), sigma.apply(b))) == joining:
+    if space.span(tuple(sigma.images(joining.rows))) == joining:
         raise SigmaFixesLine("collineation fixes the joining line")
     out = set()
-    for line in space.lines_through(p0):
-        u, v = line.rows
-        image = space.span((sigma.apply(u), sigma.apply(v)))
+    lines = space.lines_through(p0)
+    images = sigma.images(row for line in lines for row in line.rows)
+    for line in lines:
+        image = space.span((next(images), next(images)))
         if image == line:
             continue
         meet = space.meet(line, image)

@@ -472,13 +472,13 @@ def _greedy_complement(space: ProjectiveSpace, sub: Subspace, candidates) -> Sub
     """Span of the candidates that raise the rank of sub's rows.
 
     The rank is checked for full before each candidate is drawn, so no
-    candidate is drawn once the complement is complete.
+    candidate is drawn once the complement is complete, nor any when sub
+    is already the whole space.  The candidates must reach full rank.
     """
     rows = list(sub.rows)
     base = len(rows)
-    for cand in candidates:
-        if len(rows) == space.n + 1:
-            break
+    while len(rows) < space.n + 1:
+        cand = next(candidates)
         if linalg.rank(space.field, rows + [cand]) > len(rows):
             rows.append(cand)
     return space.span(rows[base:])

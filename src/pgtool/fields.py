@@ -119,7 +119,8 @@ class GaloisField:
         inverses and Frobenius images are exponent arithmetic mod q - 1.
         The addition, negation and multiplication tables are also kept,
         read-only, as ``add_table``, ``neg_table`` and ``mul_table`` for
-        inner loops that index them directly.
+        inner loops that index them directly, and ``frobenius_table[m]``
+        lists x -> x^(p^m) for each m in [0, k).
         """
         p, k, q = self.p, self.k, self.q
         weights = [p**i for i in range(k)]
@@ -153,10 +154,11 @@ class GaloisField:
                 row[b] = exp[(i + j) % order]
         mul_t = tuple(map(tuple, mul_t))
         inv_t = [0] + [exp[-log[a] % order] for a in range(1, q)]
-        frob_t = [
-            [0] + [exp[log[a] * p**m % order] for a in range(1, q)] for m in range(k)
-        ]
+        frob_t = tuple(
+            (0,) + tuple(exp[log[a] * p**m % order] for a in range(1, q)) for m in range(k)
+        )
         self.add_table, self.neg_table, self.mul_table = add_t, neg_t, mul_t
+        self.frobenius_table = frob_t
         self.add = lambda a, b: add_t[a][b]
         self.sub = lambda a, b: add_t[a][neg_t[b]]
         self.neg = lambda a: neg_t[a]

@@ -58,7 +58,7 @@ def frame_injection_map(seed: int) -> PointMap:
     source, target = ver.source, ver.target
     rng = SplitMix64(seed)
     kappa = random_semilinear(target, rng)
-    frame = [kappa.apply(p) for p in standard_frame(target)]
+    frame = list(kappa.images(standard_frame(target)))
     rng.shuffle(frame)
     table = {src: frame[i] for i, src in enumerate(source.points())}
     return PointMap(source, target, table)

@@ -377,12 +377,13 @@ class SemilinearMap:
     def images(self, rows):
         """Lazy images of canonical rows: `apply` without its validation.
 
-        The Frobenius power goes through a lookup list when alpha != 0,
-        then each row through `linalg.mat_vec` and `linalg.canonical`.
+        The Frobenius power goes through the field's lookup table when
+        alpha != 0, then each row through `linalg.mat_vec` and
+        `linalg.canonical`.
         """
         field, matrix = self.space.field, self.matrix
         if self.alpha:
-            frob = [field.frobenius(a, self.alpha) for a in field.elements()]
+            frob = field.frobenius_table[self.alpha]
             rows = ([frob[a] for a in row] for row in rows)
         return (linalg.canonical(field, linalg.mat_vec(field, matrix, row)) for row in rows)
 

@@ -727,3 +727,47 @@ def test_generated_embeddings_verify_and_are_regular():
     for seed in range(3):
         nu, _ = veronese_kappa_map(2, 9, seed)
         assert is_regular(nu)
+
+
+def _literal_random_complement(space, sub, rng):
+    # the draw loop as first written: test for room, then draw
+    pts = space.points()
+    rows = list(sub.rows)
+    added = []
+    need = space.n + 1 - len(rows)
+    while len(added) < need:
+        cand = pts[rng.randbelow(len(pts))]
+        if linalg.rank(space.field, rows + added + [cand]) > len(rows) + len(added):
+            added.append(cand)
+    return space.span(added)
+
+
+def _literal_default_complement(space, sub):
+    rows = list(sub.rows)
+    added = []
+    for i in range(space.n + 1):
+        unit = tuple(1 if j == i else 0 for j in range(space.n + 1))
+        if linalg.rank(space.field, rows + added + [unit]) > len(rows) + len(added):
+            added.append(unit)
+    return space.span(added)
+
+
+@pytest.mark.parametrize("n,q", [(5, 2), (3, 3), (2, 4)])
+def test_complements_draw_like_literal_loops(n, q):
+    # a shared rng must leave each complement in the state the literal
+    # loop leaves it, so later draws (prop-h2 shares one rng) agree
+    space = space_for(n, q)
+    pts = space.points()
+    pick = SplitMix64(7)
+    subs = [space.span([]), space.span(pts), space.span([pts[0]])]
+    for size in range(2, n + 1):
+        subs.append(space.span([pts[pick.randbelow(len(pts))] for _ in range(size)]))
+    for seed, sub in enumerate(subs):
+        ours, theirs = SplitMix64(seed), SplitMix64(seed)
+        assert random_complement(space, sub, ours) == _literal_random_complement(
+            space, sub, theirs
+        )
+        assert ours.next_u64() == theirs.next_u64()
+        assert embeddings.default_complement(space, sub) == _literal_default_complement(
+            space, sub
+        )

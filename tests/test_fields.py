@@ -196,6 +196,8 @@ def test_automorphism_group_structure(q):
     k = f.k
     for a in f.elements():
         assert f.frobenius(a, k) == a
+        # the lookup rows inner loops index are x -> x^(p^m)
+        assert [row[a] for row in f.frobenius_table] == [f.pow(a, f.p**m) for m in range(k)]
         for m1 in range(k):
             for m2 in range(k):
                 assert f.frobenius(f.frobenius(a, m1), m2) == f.frobenius(a, (m1 + m2) % k)
