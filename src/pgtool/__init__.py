@@ -11,10 +11,8 @@ from .arcs import (
     PlaneArc,
     SegreReport,
     is_arc,
-    is_oval,
     is_regular_conic,
     lemma_h6_set,
-    plane_arc,
     segre_scan,
     tangent_meet,
     unisecants_at,
@@ -27,15 +25,12 @@ from .embeddings import (
     Reconstruction,
     build_iota,
     build_Q_frame,
-    check_closure_image,
     default_complement,
     extend_beta,
     is_quadratic_embedding,
     is_regular,
-    is_regular_at,
     load_point_map,
     nu_T,
-    overnu,
     random_complement,
     reconstruct_kappa,
     recover_automorphism,
@@ -62,8 +57,6 @@ from .projective import (
     ProjectiveSpace,
     SemilinearMap,
     Subspace,
-    frame_coordinates,
-    is_frame,
     standard_frame,
 )
 from .quadrics import (
@@ -71,7 +64,6 @@ from .quadrics import (
     QuadraticForm,
     closure_points,
     closure_points_by_forms,
-    is_closed,
     longest_closed_chain,
     quadratic_closure,
 )

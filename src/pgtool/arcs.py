@@ -45,13 +45,6 @@ class PlaneArc:
         object.__setattr__(self, "points", pts)
 
 
-def plane_arc(space: ProjectiveSpace, points) -> PlaneArc:
-    """Arc carrier from the span of its points (which must be a plane)."""
-    pts = [space.normalize(p) for p in points]
-    plane = space.span(pts)
-    return PlaneArc(plane, frozenset(pts))
-
-
 def is_arc(space: ProjectiveSpace, points, plane: Subspace) -> bool:
     """True iff no 3 of the points are collinear (all inside the plane).
 
@@ -76,13 +69,14 @@ def is_arc(space: ProjectiveSpace, points, plane: Subspace) -> bool:
     return True
 
 
-def is_oval(space: ProjectiveSpace, points, plane: Subspace) -> bool:
-    pts = set(space.normalize(p) for p in points)
-    return len(pts) == space.field.q + 1 and is_arc(space, pts, plane)
-
-
 def unisecants_at(arc: PlaneArc, point) -> list[Subspace]:
-    """All lines of the carrying plane meeting the arc only in `point`."""
+    """All lines of the carrying plane meeting the arc only in `point`.
+
+    The literal unisecant count, kept as an oracle: `tangent_meet`,
+    which finds the unisecant without spanning the pencil, and the
+    tangent count in `is_regular` are checked against it.  The
+    benchmark tracer wraps it by name.
+    """
     space = arc.plane.space
     point = space.normalize(point)
     if point not in arc.points:

@@ -22,7 +22,6 @@ from itertools import combinations
 from . import linalg
 from .arcs import PlaneArc, is_arc, tangent_meet
 from .errors import (
-    BetaUnavailable,
     DimensionMismatch,
     FieldMismatch,
     ForeignTarget,
@@ -35,8 +34,6 @@ from .errors import (
     NoAutomorphismMatch,
     NotACollineation,
     NotComplementary,
-    NotIncident,
-    NotALine,
     NotRegular,
     NotTotal,
     PgtoolError,
@@ -53,7 +50,7 @@ from .projective import (
     scale_frame,
     standard_frame,
 )
-from .quadrics import _context_for, closure_points
+from .quadrics import _context_for
 from .veronese import delta, monomial_pairs, veronese_for
 
 EXHAUSTIVE_CAP = 15
@@ -178,6 +175,11 @@ def save_semilinear(kappa: SemilinearMap, path) -> None:
 
 
 def load_semilinear(space: ProjectiveSpace, path) -> SemilinearMap:
+    """Read the collineation file that `reconstruct --out` writes.
+
+    The file is input from outside, so it is validated here, at the
+    boundary: a malformed one raises InvalidSemilinearMap.
+    """
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -385,18 +387,6 @@ def span_preimage(nu: PointMap, pts) -> frozenset:
     return frozenset(p for i, p in enumerate(src_pts) if mask >> i & 1)
 
 
-def check_closure_image(nu: PointMap, subset) -> bool:
-    """Image of the closure equals span of the image cut with the image set,
-    and the span preimage is closed on the source side.
-
-    As nu is injective, the first condition says that the closure equals
-    the span preimage, and a closure is always closed, so that one
-    comparison decides both.
-    """
-    pts = [nu.source.normalize(p) for p in subset]
-    return closure_points(nu.source, pts) == span_preimage(nu, pts)
-
-
 # -- regularity ----------------------------------------------------------------
 
 
@@ -404,20 +394,6 @@ def _line_image_is_arc(nu: PointMap, line: Subspace) -> bool:
     imgs = [nu.table[x] for x in line.points()]
     plane = nu.target.span(imgs)
     return plane.dim == 2 and is_arc(nu.target, imgs, plane)
-
-
-def is_regular_at(nu: PointMap, point, line: Subspace) -> bool:
-    """Unique unisecant through the image of `point` inside the image plane.
-
-    By the tangent count in `is_regular`, this holds exactly when the
-    line image is a plane arc and the target field is the source field.
-    """
-    point = nu.source.normalize(point)
-    if line.dim != 1:
-        raise NotALine("regularity is tested against a line")
-    if not line.contains(point):
-        raise NotIncident(f"{point} does not lie on the line")
-    return nu.source.field == nu.target.field and _line_image_is_arc(nu, line)
 
 
 def is_regular(nu: PointMap) -> bool:
@@ -520,10 +496,6 @@ class AffineExtension:
     table: dict
     map: SemilinearMap  # source coordinates -> complement basis coordinates
 
-    @property
-    def alpha(self) -> int:
-        return self.map.alpha
-
 
 def _probe_exponent(space: ProjectiveSpace, scaled, images: dict) -> int | None:
     """Frobenius exponent that the probe points (1, t, 0, ..., 0) reveal.
@@ -582,6 +554,11 @@ def extend_beta(
     its other points; all contributions must share one point, which
     becomes the image of P.  The finished table is fitted to a matrix
     plus Frobenius exponent and verified point by point.
+
+    Without ``complement`` the image span of the hyperplane is
+    complemented by `default_complement`.  Passing another complement
+    checks the paper's claim that neither the hyperplane image nor the
+    quotient embedding depends on that choice.
     """
     source, target = nu.source, nu.target
     if source.n < 2:
@@ -623,27 +600,18 @@ def extend_beta(
 
 
 def nu_T(nu: PointMap, hyperplane: Subspace, beta: AffineExtension) -> dict:
-    """Each source point joined over the image span of the hyperplane."""
+    """Each source point joined over the image span of the hyperplane.
+
+    The quotient embedding of the paper, with `quotient_point` giving
+    the points of the quotient.  No command or suite builds it; it stays
+    so that the tests can check the paper's claim that it does not
+    depend on the complement `extend_beta` was given.
+    """
     target = nu.target
     base = target.span([nu.table[x] for x in hyperplane.points()])
     return {
         x: target.quotient_point(base, beta.table[x]) for x in nu.source.points()
     }
-
-
-def overnu(nu: PointMap) -> dict:
-    """Hyperplane-to-hyperplane map induced by the extensions."""
-    target = nu.target
-    out = {}
-    for hp in nu.source.hyperplanes():
-        try:
-            beta = extend_beta(nu, hp)
-        except (LinesNotConcurrent, NotACollineation, ImageNotAPoint) as exc:
-            raise BetaUnavailable(f"no extension over {hp}") from exc
-        base_rows = [nu.table[x] for x in hp.points()]
-        beta_rows = [beta.table[x] for x in hp.points()]
-        out[hp] = target.span(base_rows + beta_rows)
-    return out
 
 
 # -- distinguished frame and reconstruction ------------------------------------

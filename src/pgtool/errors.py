@@ -47,19 +47,11 @@ class SpaceMismatch(UsageError):
     pass
 
 
-class NotAFrame(UsageError):
-    pass
-
-
 class SingularMatrix(UsageError):
     pass
 
 
 class PointNotInSubspace(UsageError):
-    pass
-
-
-class NotALine(UsageError):
     pass
 
 
@@ -121,10 +113,6 @@ class InvalidSemilinearMap(UsageError):
     """Malformed collineation file: missing or mistyped matrix or exponent."""
 
 
-class NotIncident(UsageError):
-    pass
-
-
 class NotComplementary(UsageError):
     pass
 
@@ -138,10 +126,6 @@ class LinesNotConcurrent(PgtoolError):
 
 
 class NotACollineation(PgtoolError):
-    pass
-
-
-class BetaUnavailable(PgtoolError):
     pass
 
 

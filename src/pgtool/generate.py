@@ -65,15 +65,20 @@ def frame_injection_map(seed: int) -> PointMap:
 
 
 def broken_map(n: int, q: int, seed: int) -> PointMap:
-    """Veronese table with one entry moved off the image (stays injective)."""
+    """Veronese table with one entry moved off the image (stays injective).
+
+    The replacement is drawn by index and unranked with `point_at`, so
+    the target, which can be far larger than the source, is never
+    enumerated.
+    """
     base = veronese_point_map(n, q)
     rng = SplitMix64(seed)
     src_pts = base.source.points()
-    tgt_pts = base.target.points()
+    target = base.target
     image = set(base.image())
     victim = src_pts[rng.randbelow(len(src_pts))]
     while True:
-        replacement = tgt_pts[rng.randbelow(len(tgt_pts))]
+        replacement = target.point_at(rng.randbelow(target.point_count))
         if replacement not in image:
             break
     table = dict(base.table)

@@ -168,31 +168,5 @@ def mat_vec(field: GaloisField, matrix, vec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mat_mul(field: GaloisField, A, B) -> tuple[tuple[int, ...], ...]:
-    add, mul = field.add_table, field.mul_table
-    ncols = len(B[0])
-    out = []
-    for row in A:
-        acc = [0] * ncols
-        for a, brow in zip(row, B):
-            if a:
-                times_a = mul[a]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = add[acc[j]][times_a[b]]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_inv(field: GaloisField, matrix) -> tuple[tuple[int, ...], ...] | None:
-    """Inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    pivots, rrows = rref(field, aug)
-    if list(pivots) != list(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in rrows)
-
-
 def transpose(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*rows)) if rows else ()

@@ -16,8 +16,6 @@ from itertools import combinations, product
 from . import linalg
 from .errors import (
     DimensionMismatch,
-    NotAFrame,
-    NotALine,
     PointInBase,
     PointNotInSubspace,
     SingularMatrix,
@@ -77,21 +75,47 @@ class ProjectiveSpace:
         self.points()
         return self._index[pt]
 
+    def point_at(self, i: int) -> tuple[int, ...]:
+        """The point at position i of `points()`, without enumerating them.
+
+        `points()` holds the points leading in column n - k, k = 0, ...,
+        n, in blocks of q^k: a 1 followed by every k-tuple of codes in
+        lex order.  So i is found in its block, and its offset there,
+        written in base q, is the tail.
+        """
+        if not 0 <= i < self.point_count:
+            raise SpaceMismatch(f"point index {i} outside [0, {self.point_count})")
+        q = self.field.q
+        k, block = 0, 1
+        while i >= block:
+            i -= block
+            k, block = k + 1, block * q
+        tail = []
+        for _ in range(k):
+            i, code = divmod(i, q)
+            tail.append(code)
+        return (0,) * (self.n - k) + (1,) + tuple(reversed(tail))
+
     # -- subspaces ---------------------------------------------------------
 
     def subspace(self, rows) -> "Subspace":
-        """Subspace spanned by any set of coordinate vectors (reduced on load)."""
+        """Subspace spanned by any set of coordinate vectors (reduced on load).
+
+        A boundary validator like `normalize`, except that zero vectors
+        are allowed: they span nothing.
+        """
+        n1, q = self.n + 1, self.field.q
         for r in rows:
-            if len(r) != self.n + 1:
+            if len(r) != n1:
                 raise DimensionMismatch("spanning vector of wrong length")
+            for x in r:
+                if type(x) is not int or not 0 <= x < q:
+                    raise SpaceMismatch(f"coordinate codes must lie in [0, {q})")
         pivots, rrows = linalg.rref(self.field, rows)
         return Subspace(self, pivots, rrows)
 
     def span(self, points) -> "Subspace":
         return self.subspace(list(points))
-
-    def empty_subspace(self) -> "Subspace":
-        return Subspace(self, (), ())
 
     def full_subspace(self) -> "Subspace":
         n1 = self.n + 1
@@ -168,18 +192,13 @@ class ProjectiveSpace:
         pencil = [self.span((point, x)) for x in inside.points() if not x[j]]
         return sorted(pencil, key=lambda line: line.rows)
 
-    def line_points(self, line: "Subspace") -> list[tuple[int, ...]]:
-        self._check_sub(line)
-        if line.dim != 1:
-            raise NotALine(f"subspace of dimension {line.dim} is not a line")
-        return list(line.points())
-
     def quotient_point(self, base: "Subspace", point) -> "Subspace":
         """The subspace spanned by base and one extra point.
 
         Two calls give equal results exactly when the extensions agree,
         so these subspaces serve as the points of the quotient modulo
-        base.
+        base, from which the quotient embedding is built.  PointInBase
+        refuses a point of the base, which has no quotient point.
         """
         self._check_sub(base)
         point = self.normalize(point)
@@ -269,9 +288,6 @@ class Subspace:
             for r in self.rows
         )
 
-    def __le__(self, other):
-        return self.is_subspace_of(other)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, rows={self.rows})"
 
@@ -294,29 +310,21 @@ def standard_frame(space: ProjectiveSpace) -> tuple[tuple[int, ...], ...]:
     return units + (tuple(1 for _ in range(n1)),)
 
 
-def is_frame(space: ProjectiveSpace, points) -> bool:
-    """True iff the ordered list is dim+2 points, any dim+1 independent.
-
-    That is exactly when `scale_frame` succeeds.  Write the last point
-    as u = s_0 c_0 + ... + s_n c_n.  Dependent c_i leave a free scale at
-    0 or no solution.  For independent c_i, s_i = 0 puts u in the span
-    of the other n, a dependent set of n+1 points; and when every s_i
-    is nonzero, s_i c_i = u - (the other terms), so dropping any c_i
-    for u keeps the span and any n+1 points are independent.  Repeated
-    points are cases of the first two: two equal c_i, or u equal to c_j
-    with every other scale 0.
-    """
-    return scale_frame(space, [space.normalize(p) for p in points]) is not None
-
-
 def scale_frame(space: ProjectiveSpace, frame_points) -> list[tuple[int, ...]] | None:
     """Representatives of the first n+1 frame points, scaled to sum to the last.
 
     The scaled vectors are the columns of the matrix that sends the
     standard frame to the given one, so they are a basis.  Returns None
-    when the points do not form a frame: when there are not n+2 of
-    them, or when the scaling system has no solution with every scale
-    nonzero.
+    exactly when the points do not form a frame, that is n+2 points any
+    n+1 of which are independent; `build_Q_frame` relies on this to
+    raise FrameCheckFailed.  Write the last point as
+    u = s_0 c_0 + ... + s_n c_n.  Dependent c_i leave a free scale at 0
+    or no solution.  For independent c_i, s_i = 0 puts u in the span of
+    the other n, a dependent set of n+1 points; and when every s_i is
+    nonzero, s_i c_i = u - (the other terms), so dropping any c_i for u
+    keeps the span and any n+1 points are independent.  Repeated points
+    are cases of the first two: two equal c_i, or u equal to c_j with
+    every other scale 0.
     """
     if len(frame_points) != space.n + 2:
         return None
@@ -326,22 +334,6 @@ def scale_frame(space: ProjectiveSpace, frame_points) -> list[tuple[int, ...]] |
         return None
     mul = space.field.mul
     return [tuple(mul(s, x) for x in col) for s, col in zip(scales, cols)]
-
-
-def frame_coordinates(space: ProjectiveSpace, frame_points, point) -> tuple[int, ...]:
-    """Coordinates of a point in the system where the frame is standard.
-
-    Representatives of the first n+1 frame points are rescaled so that
-    their sum represents the last one; the returned tuple solves the
-    point against that basis, normalized like any other point.
-    """
-    scaled = scale_frame(space, [space.normalize(p) for p in frame_points])
-    if scaled is None:
-        raise NotAFrame("the given points do not form a frame")
-    # the scaled columns are a basis, so every point has coordinates
-    coords = linalg.solve_columns(space.field, scaled, space.normalize(point))
-    # computed by field operations, so it needs no validation
-    return linalg.canonical(space.field, coords)
 
 
 # -- semilinear maps ---------------------------------------------------------
@@ -386,42 +378,3 @@ class SemilinearMap:
             frob = field.frobenius_table[self.alpha]
             rows = ([frob[a] for a in row] for row in rows)
         return (linalg.canonical(field, linalg.mat_vec(field, matrix, row)) for row in rows)
-
-    def then(self, other: "SemilinearMap") -> "SemilinearMap":
-        """Composite map: apply self first, then other."""
-        if self.space != other.space:
-            raise SpaceMismatch("composition requires a common space")
-        field = self.space.field
-        frob = field.frobenius
-        twisted = tuple(
-            tuple(frob(x, other.alpha) for x in row) for row in self.matrix
-        )
-        return SemilinearMap(
-            self.space,
-            linalg.mat_mul(field, other.matrix, twisted),
-            self.alpha + other.alpha,
-        )
-
-    def inverse(self) -> "SemilinearMap":
-        field = self.space.field
-        minv = linalg.mat_inv(field, self.matrix)
-        if minv is None:
-            raise SingularMatrix("matrix is not invertible")
-        back = (field.k - self.alpha) % field.k
-        frob = field.frobenius
-        twisted = tuple(tuple(frob(x, back) for x in row) for row in minv)
-        return SemilinearMap(self.space, twisted, back)
-
-    def proj_equal(self, other: "SemilinearMap") -> bool:
-        """Equality as point transformations (matrices up to a scalar)."""
-        if self.space != other.space or self.alpha != other.alpha:
-            return False
-        return _scale_matrix(self.space.field, self.matrix) == _scale_matrix(
-            other.space.field, other.matrix
-        )
-
-
-def _scale_matrix(field: GaloisField, matrix):
-    flat = linalg.canonical(field, [x for row in matrix for x in row])
-    n = len(matrix[0])
-    return tuple(flat[i : i + n] for i in range(0, len(flat), n))

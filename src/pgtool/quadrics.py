@@ -62,9 +62,6 @@ class QuadraticForm:
                     acc = add(acc, mul(c, t))
         return acc
 
-    def zero_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(p for p in self.space.points() if not self.evaluate(p))
-
 
 @dataclass(frozen=True)
 class ClosedSet:
@@ -144,10 +141,6 @@ def _context_for(space: ProjectiveSpace) -> _ClosureContext:
     return _ClosureContext(space)
 
 
-def _normalized(space: ProjectiveSpace, pts) -> list[tuple[int, ...]]:
-    return [space.normalize(p) for p in pts]
-
-
 def closure_points(space: ProjectiveSpace, pts) -> frozenset[tuple[int, ...]]:
     """Closure as a point set (row-space algorithm, memoized per space)."""
     ctx = _context_for(space)
@@ -168,7 +161,7 @@ def closure_points_by_forms(space: ProjectiveSpace, pts) -> frozenset[tuple[int,
 
 def _vanishing_forms(space: ProjectiveSpace, pts) -> tuple[QuadraticForm, ...]:
     ver = veronese_for(space)
-    rows = [ver.apply(p) for p in _normalized(space, pts)]
+    rows = [ver.apply(p) for p in pts]
     basis = linalg.nullspace(space.field, rows, delta(space.n))
     return tuple(QuadraticForm(space, b) for b in basis)
 
@@ -182,11 +175,6 @@ def quadratic_closure(space: ProjectiveSpace, pts) -> ClosedSet:
         points=closure_points(space, pts),
         certificate=_vanishing_forms(space, pts),
     )
-
-
-def is_closed(space: ProjectiveSpace, pts) -> bool:
-    member = frozenset(_normalized(space, pts))
-    return closure_points(space, member) == member
 
 
 def longest_closed_chain(space: ProjectiveSpace, pts) -> int:

@@ -1,4 +1,4 @@
-"""The quadratic Veronese coordinate map and its inversion.
+"""The quadratic Veronese coordinate map.
 
 A point of PG(n, q) is sent to the vector of all degree-2 monomials of
 its coordinates.  Monomials are indexed by ordered pairs (i, j) with
@@ -35,7 +35,6 @@ class VeroneseMap:
         self.source = source
         self.target = ProjectiveSpace(source.field, delta(source.n) - 1)
         self.pairs = monomial_pairs(source.n)
-        self.flat_index = {pair: idx for idx, pair in enumerate(self.pairs)}
 
     def apply(self, point) -> tuple[int, ...]:
         x = self.source.normalize(point)
@@ -47,30 +46,6 @@ class VeroneseMap:
 
     def image(self) -> list[tuple[int, ...]]:
         return [self.apply(p) for p in self.source.points()]
-
-    def preimage(self, point) -> tuple[int, ...] | None:
-        """The unique source point mapping to `point`, or None.
-
-        A vector of the image form has some nonzero diagonal entry
-        y_ii = x_i^2; row i of the symmetric pattern then recovers x up
-        to scale, and the remaining entries must satisfy
-        y_ab * y_ii == y_ai * y_bi.
-        """
-        y = self.target.normalize(point)
-        n = self.source.n
-        idx = self.flat_index
-        i = next((i for i in range(n + 1) if y[idx[(i, i)]]), None)
-        if i is None:
-            return None
-        entry = lambda a, b: y[idx[(a, b) if a <= b else (b, a)]]
-        x = tuple(entry(min(a, i), max(a, i)) for a in range(n + 1))
-        mul = self.source.field.mul
-        yii = entry(i, i)
-        for a in range(n + 1):
-            for b in range(a, n + 1):
-                if mul(entry(a, b), yii) != mul(entry(a, i), entry(b, i)):
-                    return None
-        return self.source.normalize(x)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,10 +12,8 @@ from pgtool import (
     SplitMix64,
     broken_map,
     is_arc,
-    is_oval,
     is_regular_conic,
     lemma_h6_set,
-    plane_arc,
     random_semilinear,
     segre_scan,
     space_for,
@@ -46,12 +44,19 @@ def _conic_points(space):
     return [space.normalize(p) for p in pts]
 
 
+def _plane_arc(space, points):
+    """Arc carried by the span of its points, which must be a plane."""
+    pts = [space.normalize(p) for p in points]
+    return PlaneArc(space.span(pts), frozenset(pts))
+
+
 def test_is_arc_examples():
     space = space_for(2, 3)
     plane = space.full_subspace()
     triangle = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert is_arc(space, triangle, plane)
-    assert is_oval(space, _conic_points(space), plane)
+    conic = _conic_points(space)
+    assert len(set(conic)) == space.field.q + 1 and is_arc(space, conic, plane)
     assert not is_arc(space, [(0, 1, 0), (0, 0, 1), (0, 1, 1)], plane)
     # two representatives of one point are one point
     assert is_arc(space, [(1, 0, 0), (2, 0, 0), (0, 1, 0)], plane)
@@ -64,7 +69,7 @@ def test_is_arc_examples():
 
 def test_unisecants_on_conic_pg23():
     space = space_for(2, 3)
-    arc = plane_arc(space, _conic_points(space))
+    arc = _plane_arc(space, _conic_points(space))
     lines = unisecants_at(arc, (1, 0, 0))
     assert len(lines) == 1
     assert lines[0] == space.span([(1, 0, 0), (0, 1, 0)])  # last coordinate zero
@@ -72,7 +77,7 @@ def test_unisecants_on_conic_pg23():
 
 def test_unisecant_triangle_fano():
     space = space_for(2, 2)
-    arc = plane_arc(space, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    arc = _plane_arc(space, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     for vertex in arc.points:
         assert len(unisecants_at(arc, vertex)) == 1
     with pytest.raises(PointNotOnArc):
@@ -82,7 +87,7 @@ def test_unisecant_triangle_fano():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_conic_has_unique_tangent_everywhere(q):
     space = space_for(2, q)
-    arc = plane_arc(space, _conic_points(space))
+    arc = _plane_arc(space, _conic_points(space))
     for p in arc.points:
         assert len(unisecants_at(arc, p)) == 1
 
@@ -90,7 +95,7 @@ def test_conic_has_unique_tangent_everywhere(q):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_conic_is_regular_conic(q):
     space = space_for(2, q)
-    arc = plane_arc(space, _conic_points(space))
+    arc = _plane_arc(space, _conic_points(space))
     ok, witness = is_regular_conic(arc)
     assert ok
     assert witness is not None
@@ -112,7 +117,7 @@ def test_conic_is_regular_conic(q):
 def test_subconic_is_not_regular_conic():
     space = space_for(2, 5)
     four = _conic_points(space)[:4]
-    arc = plane_arc(space, four)
+    arc = _plane_arc(space, four)
     ok, witness = is_regular_conic(arc)
     assert not ok and witness is None  # size 4 != q+1
 
@@ -122,12 +127,12 @@ def test_pointed_conic_with_nucleus_is_not_a_conic():
     # oval in even characteristic, but no form has exactly that zero set
     space = space_for(2, 8)
     conic = _conic_points(space)
-    arc = plane_arc(space, conic)
+    arc = _plane_arc(space, conic)
     nucleus = tangent_meet(arc, conic[0], conic[1])
     assert nucleus == (0, 1, 0)
     swapped = [p for p in conic if p != (1, 0, 0)] + [nucleus]
-    assert is_oval(space, swapped, space.full_subspace())
-    ok, witness = is_regular_conic(plane_arc(space, swapped))
+    assert len(set(swapped)) == space.field.q + 1 and is_arc(space, swapped, space.full_subspace())
+    ok, witness = is_regular_conic(_plane_arc(space, swapped))
     assert not ok
 
 
@@ -168,14 +173,15 @@ def test_is_regular_conic_matches_literal_oracle(q):
         ok, witness = is_regular_conic(PlaneArc(plane, frozenset(subset)))
         assert ok == (is_arc(space, subset, plane) and frozenset(subset) in zero_sets)
         if ok:
-            assert QuadraticForm(space, witness).zero_set() == frozenset(subset)
+            form = QuadraticForm(space, witness)
+            assert frozenset(x for x in pts if not form.evaluate(x)) == frozenset(subset)
         else:
             assert witness is None
 
 
 def test_tangent_meet_examples():
     s23 = space_for(2, 3)
-    arc = plane_arc(s23, _conic_points(s23))
+    arc = _plane_arc(s23, _conic_points(s23))
     assert tangent_meet(arc, (1, 0, 0), (0, 0, 1)) == (0, 1, 0)
     assert tangent_meet(arc, (0, 0, 1), (1, 0, 0)) == (0, 1, 0)  # symmetric
     # the meet never lies on the chord through the two points
@@ -207,7 +213,7 @@ def _meet_of_unisecants(arc, p1, p2):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_tangent_meet_matches_unisecant_oracle(q):
     space = space_for(2, q)
-    arcs = [plane_arc(space, _conic_points(space))]
+    arcs = [_plane_arc(space, _conic_points(space))]
     ver = veronese_for(space)
     for line in space.lines()[:: max(1, len(space.lines()) // 4)]:
         imgs = [ver.apply(x) for x in line.points()]
@@ -223,7 +229,7 @@ def test_tangent_meet_rejects_non_arc():
     # three collinear points on z = 0 plus (0, 0, 1): from (1, 0, 0) the
     # other three points lie on two of its four lines, leaving two unisecants
     pts = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
-    arc = plane_arc(space, pts)
+    arc = _plane_arc(space, pts)
     assert len(unisecants_at(arc, (1, 0, 0))) == 2
     with pytest.raises(NoUniqueUnisecant):
         tangent_meet(arc, (1, 0, 0), (0, 0, 1))
@@ -232,7 +238,7 @@ def test_tangent_meet_rejects_non_arc():
 def test_tangent_concurrence_even_characteristic():
     space = space_for(2, 4)
     conic = _conic_points(space)
-    arc = plane_arc(space, conic)
+    arc = _plane_arc(space, conic)
     meets = {
         tangent_meet(arc, p1, p2) for p1, p2 in combinations(sorted(arc.points), 2)
     }
@@ -340,7 +346,7 @@ def test_lemma_h6_dichotomy_sampled(q):
         if alpha == 0:
             assert not _has_collinear_triple(space, cset)
             # the stronger direction: the set is an entire conic
-            ok, _ = is_regular_conic(plane_arc(space, cset))
+            ok, _ = is_regular_conic(_plane_arc(space, cset))
             assert ok
             done_proj += 1
         else:
@@ -438,8 +444,8 @@ def test_segre_scan_finds_non_conic_ovals_at_q8():
     for oval in report.non_conic_ovals:
         assert list(oval) == sorted(oval)
         assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= set(oval)
-        assert is_oval(space, oval, plane)
-        assert not is_regular_conic(plane_arc(space, oval))[0]
+        assert len(set(oval)) == q + 1 and is_arc(space, oval, plane)
+        assert not is_regular_conic(_plane_arc(space, oval))[0]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -14,11 +14,14 @@ from pgtool import (
     SemilinearMap,
     closure_points,
     is_arc,
+    lemma_h6_set,
     space_for,
+    tangent_meet,
+    unisecants_at,
     veronese_for,
     veronese_point_map,
 )
-from pgtool.errors import UsageError
+from pgtool.errors import SpaceMismatch, UsageError
 
 # malformed points of PG(2, 3): too short, code out of range, not an
 # integer, the zero vector, a negative code
@@ -31,6 +34,7 @@ def _entry_points():
     base = space.span([(1, 0, 0)])
     ident = SemilinearMap(space, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     form = QuadraticForm(space, (1, 0, 0, 0, 0, 0))
+    conic = PlaneArc(full, frozenset([(1, 0, 0), (1, 1, 1), (1, 2, 1), (0, 0, 1)]))
     return {
         "normalize": space.normalize,
         "Subspace.contains": full.contains,
@@ -44,6 +48,9 @@ def _entry_points():
         "QuadraticForm.evaluate": form.evaluate,
         "PlaneArc": lambda p: PlaneArc(full, frozenset([p])),
         "is_arc": lambda p: is_arc(space, [p], full),
+        "tangent_meet": lambda p: tangent_meet(conic, p, (0, 0, 1)),
+        "unisecants_at": lambda p: unisecants_at(conic, p),
+        "lemma_h6_set": lambda p: lemma_h6_set(ident, p),
     }
 
 
@@ -55,3 +62,21 @@ ENTRY_POINTS = _entry_points()
 def test_public_entry_points_reject_malformed_points(entry, point):
     with pytest.raises(UsageError):
         ENTRY_POINTS[entry](point)
+
+
+NONZERO_MALFORMED = [p for p in MALFORMED if any(p)]
+
+
+@pytest.mark.parametrize("vec", NONZERO_MALFORMED, ids=map(repr, NONZERO_MALFORMED))
+def test_span_rejects_malformed_vectors(vec):
+    space = space_for(2, 3)
+    with pytest.raises(UsageError):
+        space.span([(1, 0, 0), vec])
+
+
+def test_span_codes_are_checked_and_zero_vectors_allowed():
+    space = space_for(2, 4)
+    with pytest.raises(SpaceMismatch):  # -1 would index the GF(4) tables as code 3
+        space.span([(1, -1, 0)])
+    assert space.span([(0, 0, 0)]) == space.subspace([])
+    assert space.span([(0, 0, 0), (0, 1, 2)]) == space.span([(0, 1, 2)])

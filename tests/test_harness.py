@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,6 @@ from pgtool import (
     broken_map,
     frame_injection_map,
     generate_embedding,
-    is_frame,
     load_point_map,
     random_semilinear,
     save_point_map,
@@ -26,6 +27,7 @@ from pgtool import (
 from pgtool.cli import main
 from pgtool.errors import ParamOutOfRange, SpaceMismatch, UnknownSuite
 from pgtool.generate import compose_with_veronese
+from pgtool.projective import scale_frame
 from pgtool.suites import BUDGETS, SUITE_ORDER, run_suite
 
 
@@ -57,7 +59,7 @@ def test_generate_kinds():
     pm2 = generate_embedding("veronese_kappa", 2, 3, seed=0)
     assert pm2.table != pm.table or pm2.table == pm.table  # total either way
     fi = generate_embedding("frame_injection", 2, 2, seed=0)
-    assert is_frame(fi.target, fi.image())
+    assert scale_frame(fi.target, fi.image()) is not None
     bm = generate_embedding("broken", 2, 3, seed=0)
     diffs = [p for p in pm.source.points() if pm.table[p] != bm.table[p]]
     assert len(diffs) == 1
@@ -78,6 +80,41 @@ def test_generators_deterministic():
     assert a.table == b.table and ka.matrix == kb.matrix and ka.alpha == kb.alpha
     assert frame_injection_map(4).table == frame_injection_map(4).table
     assert broken_map(2, 3, 5).table == broken_map(2, 3, 5).table
+
+
+def _broken_map_by_enumeration(n, q, seed):
+    """The replacement drawn from the enumerated target points."""
+    base = veronese_point_map(n, q)
+    rng = SplitMix64(seed)
+    src_pts = base.source.points()
+    tgt_pts = base.target.points()
+    image = set(base.image())
+    victim = src_pts[rng.randbelow(len(src_pts))]
+    while True:
+        replacement = tgt_pts[rng.randbelow(len(tgt_pts))]
+        if replacement not in image:
+            break
+    table = dict(base.table)
+    table[victim] = replacement
+    return table
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_broken_map_matches_enumerated_draw(n, q):
+    for seed in range(10):
+        assert broken_map(n, q, seed).table == _broken_map_by_enumeration(n, q, seed)
+
+
+@pytest.mark.parametrize("n, q", [(2, 16), (3, 5)])
+def test_cli_gen_broken_past_the_point_cap(tmp_path, capsys, n, q):
+    # the target has more points than ProjectiveSpace.points() enumerates
+    assert space_for(n, q).point_count <= 10**6 < veronese_for(space_for(n, q)).target.point_count
+    map_path = tmp_path / "broken.json"
+    assert main(["gen", "--kind", "broken", "--n", str(n), "--q", str(q),
+                 "--seed", "1", "--out", str(map_path)]) == 0
+    nu = load_point_map(map_path)
+    base = veronese_point_map(n, q)
+    assert sum(nu.table[x] != base.table[x] for x in base.source.points()) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
@@ -360,3 +397,28 @@ def test_traced_names_resolve_in_pgtool():
     for mod, cls, meth in tracer.SPANNED_METHODS + tracer.COUNTED_METHODS:
         klass = getattr(importlib.import_module(f"pgtool.{mod}"), cls)
         assert meth in klass.__dict__, (mod, cls, meth)
+
+
+def test_every_export_is_used_outside_the_tests():
+    # an exported name must appear, off its own def or class line, in
+    # another pgtool module or in the benchmark; nu_T is the exception,
+    # kept to check that the quotient embedding does not depend on the
+    # complement (test_extension_independent_of_complement)
+    root = Path(__file__).resolve().parents[1]
+    init = root / "src" / "pgtool" / "__init__.py"
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    sources = [p for p in (root / "src" / "pgtool").glob("*.py") if p != init]
+    sources += (root / "perfbench").glob("*.py")
+    lines = [line for path in sources for line in path.read_text().splitlines()]
+    unused = []
+    for name in exported:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert exported and unused == ["nu_T"]

@@ -11,15 +11,12 @@ from pgtool import (
     SemilinearMap,
     SplitMix64,
     create_field,
-    frame_coordinates,
-    is_frame,
     space_for,
     standard_frame,
 )
 from pgtool import linalg
+from pgtool.projective import scale_frame
 from pgtool.errors import (
-    NotAFrame,
-    NotALine,
     PointInBase,
     PointNotInSubspace,
     SingularMatrix,
@@ -135,7 +132,7 @@ def test_meet_complementary_plane_example():
 
 
 def _all_subspaces(space):
-    subs = {space.empty_subspace(), space.full_subspace()}
+    subs = {space.subspace([]), space.full_subspace()}
     pts = space.points()
     for p in pts:
         subs.add(space.span([p]))
@@ -161,9 +158,7 @@ def test_lines_through_and_line_points():
     s23 = space_for(2, 3)
     assert len(s23.lines_through((1, 1, 1))) == 4
     line = s23.span([(1, 0, 0), (0, 1, 0)])
-    assert len(s23.line_points(line)) == 4
-    with pytest.raises(NotALine):
-        s23.line_points(s23.full_subspace())
+    assert len(line.points()) == 4
     with pytest.raises(PointNotInSubspace):
         s23.lines_through((0, 0, 1), line)
 
@@ -234,7 +229,7 @@ def test_pencil_size_in_solid():
 def test_quotient_point():
     space = space_for(2, 3)
     x = (1, 1, 2)
-    assert space.quotient_point(space.empty_subspace(), x).dim == 0
+    assert space.quotient_point(space.subspace([]), x).dim == 0
     q = space.span([(1, 0, 0)])
     line = space.quotient_point(q, x)
     assert line.dim == 1 and line.contains((1, 0, 0)) and line.contains(x)
@@ -253,6 +248,26 @@ def test_quotient_point_over_hyperplane_image():
     assert ext.dim == 3
 
 
+@pytest.mark.parametrize(
+    "n, q", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
+)
+def test_point_at_inverts_point_index(n, q):
+    space = space_for(n, q)
+    assert [space.point_at(i) for i in range(space.point_count)] == space.points()
+    for i in (-1, space.point_count):
+        with pytest.raises(SpaceMismatch):
+            space.point_at(i)
+
+
+def test_point_at_beyond_the_enumeration_cap():
+    space = space_for(5, 16)
+    assert space.point_count > 10**6
+    assert space.point_at(0) == (0, 0, 0, 0, 0, 1)
+    assert space.point_at(space.point_count - 1) == (1,) + (15,) * 5
+    with pytest.raises(SizeCapExceeded):
+        space.points()
+
+
 def test_hyperplane_count():
     for n, q in ((2, 2), (2, 3), (3, 2)):
         space = space_for(n, q)
@@ -262,44 +277,63 @@ def test_hyperplane_count():
         assert len(set(hps)) == len(hps)
 
 
+def _frame_coordinates(space, scaled, point):
+    """Coordinates of a point against the scaled frame columns."""
+    return linalg.canonical(space.field, linalg.solve_columns(space.field, scaled, point))
+
+
+def _is_frame_by_subsets(space, points):
+    """Literal oracle: n+2 distinct points, any n+1 of them independent."""
+    n1 = space.n + 1
+    return len(set(points)) == len(points) == n1 + 1 and all(
+        linalg.rank(space.field, list(sub)) == n1 for sub in combinations(points, n1)
+    )
+
+
 def test_standard_frame_coordinates():
     space = space_for(2, 3)
     frame = standard_frame(space)
-    assert is_frame(space, frame)
-    assert frame_coordinates(space, frame, (1, 1, 1)) == (1, 1, 1)
-    assert frame_coordinates(space, frame, (1, 2, 0)) == (1, 2, 0)
+    scaled = scale_frame(space, list(frame))
+    assert scaled == list(frame[:-1])  # the unit columns already sum to (1, 1, 1)
+    assert _frame_coordinates(space, scaled, (1, 1, 1)) == (1, 1, 1)
+    assert _frame_coordinates(space, scaled, (1, 2, 0)) == (1, 2, 0)
     for i, pt in enumerate(frame[:-1]):
         unit = tuple(1 if j == i else 0 for j in range(3))
-        assert frame_coordinates(space, frame, pt) == unit
+        assert _frame_coordinates(space, scaled, pt) == unit
 
 
 def test_is_frame_negative():
     space = space_for(2, 3)
-    assert not is_frame(space, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
-    assert not is_frame(space, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with pytest.raises(NotAFrame):
-        frame_coordinates(
-            space, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], (1, 1, 1)
-        )
+    assert scale_frame(space, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]) is None
+    assert scale_frame(space, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) is None
+    # a repeated point: two equal columns, or the last point equal to one
+    assert scale_frame(space, [(1, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)]) is None
+    assert scale_frame(space, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 0)]) is None
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (3, 3)])
 def test_random_frames_coordinate_normalization(n, q):
+    # scale_frame returns None exactly for non-frames, which build_Q_frame
+    # relies on; on frames, the scaled columns make the frame standard
     space = space_for(n, q)
     pts = space.points()
     rng = SplitMix64(n * 100 + q)
-    found = 0
+    found = rejected = 0
     while found < 100:
         idxs = rng.sample_indices(len(pts), n + 2)
         frame = [pts[i] for i in idxs]
-        if not is_frame(space, frame):
+        scaled = scale_frame(space, frame)
+        assert (scaled is not None) == _is_frame_by_subsets(space, frame)
+        if scaled is None:
+            rejected += 1
             continue
         found += 1
         ones = tuple(1 for _ in range(n + 1))
-        assert frame_coordinates(space, frame, frame[-1]) == ones
+        assert _frame_coordinates(space, scaled, frame[-1]) == ones
         for i, pt in enumerate(frame[:-1]):
             unit = tuple(1 if j == i else 0 for j in range(n + 1))
-            assert frame_coordinates(space, frame, pt) == unit
+            assert _frame_coordinates(space, scaled, pt) == unit
+    assert rejected  # both verdicts were compared with the oracle
 
 
 def test_semilinear_examples():
@@ -315,22 +349,6 @@ def test_semilinear_examples():
     s14 = space_for(1, 4)
     frob = SemilinearMap(s14, ((1, 0), (0, 1)), 1)
     assert frob.apply((1, 2)) == (1, 3)  # omega -> omega^2
-
-
-def test_semilinear_compose_invert():
-    space = space_for(2, 4)
-    rng = SplitMix64(42)
-    from pgtool import random_semilinear
-
-    for _ in range(20):
-        k1 = random_semilinear(space, rng)
-        k2 = random_semilinear(space, rng)
-        comp = k1.then(k2)
-        inv = k1.inverse()
-        for pt in space.points()[:7]:
-            assert comp.apply(pt) == k2.apply(k1.apply(pt))
-            assert inv.apply(k1.apply(pt)) == pt
-            assert k1.apply(inv.apply(pt)) == pt
 
 
 def test_semilinear_preserves_collinearity():

@@ -1,4 +1,4 @@
-"""Degree-2 monomial coordinates: forward map, inversion, span dimensions."""
+"""Degree-2 monomial coordinates: forward map, image, span dimensions."""
 
 from __future__ import annotations
 
@@ -45,30 +45,6 @@ def test_rho_well_defined_on_classes():
         ver = veronese_for(space_for(n, q))
         for x in ver.source.points():
             assert ver.target.normalize(ver.apply(x)) == ver.apply(x)
-
-
-def test_preimage_examples():
-    ver = veronese_for(space_for(2, 3))
-    assert ver.preimage((1, 0, 0, 0, 0, 0)) == (1, 0, 0)
-    assert ver.preimage((0, 1, 0, 0, 0, 0)) is None  # rank-2 symmetric pattern
-    assert ver.preimage((1, 2, 0, 1, 0, 0)) == (1, 2, 0)
-
-
-@pytest.mark.parametrize("n,q", [(2, 4), (3, 3)])
-def test_preimage_roundtrip(n, q):
-    ver = veronese_for(space_for(n, q))
-    for x in ver.source.points():
-        assert ver.preimage(ver.apply(x)) == x
-
-
-def test_preimage_rejects_off_image_everywhere():
-    # exhaust the target of PG(2,2): exactly 7 of 63 points are in the image
-    ver = veronese_for(space_for(2, 2))
-    image = set(ver.image())
-    hits = [y for y in ver.target.points() if ver.preimage(y) is not None]
-    assert set(hits) == image
-    for y in hits:
-        assert ver.apply(ver.preimage(y)) == y
 
 
 @pytest.mark.parametrize(
