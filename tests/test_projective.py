@@ -283,9 +283,9 @@ def _frame_coordinates(space, scaled, point):
 
 
 def _is_frame_by_subsets(space, points):
-    """Literal oracle: n+2 distinct points, any n+1 of them independent."""
+    """Literal oracle: n+2 points, any n+1 of them independent."""
     n1 = space.n + 1
-    return len(set(points)) == len(points) == n1 + 1 and all(
+    return len(points) == n1 + 1 and all(
         linalg.rank(space.field, list(sub)) == n1 for sub in combinations(points, n1)
     )
 
