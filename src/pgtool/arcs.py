@@ -24,15 +24,21 @@ from .errors import (
 )
 from .fields import create_field, prime_power
 from .projective import ProjectiveSpace, SemilinearMap, Subspace, _coefficient_reps
-from .veronese import monomial_pairs
+from .veronese import veronese_for
 
 
 @dataclass(frozen=True)
 class PlaneArc:
-    """A point set inside a dim-2 subspace of some PG(n, q)."""
+    """A point set inside a dim-2 subspace of some PG(n, q).
+
+    ``coords`` maps each point, in sorted order, to its coordinates
+    against the plane's reduced basis: a vector of a reduced-basis row
+    space is the combination of the rows with its own pivot entries.
+    """
 
     plane: Subspace
     points: frozenset
+    coords: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.plane.dim != 2:
@@ -43,10 +49,12 @@ class PlaneArc:
             if not linalg.in_rowspace(space.field, pivots, rows, p):
                 raise PointOutsidePlane(f"{p} is outside the plane")
         object.__setattr__(self, "points", pts)
+        coords = {p: tuple(p[c] for c in pivots) for p in sorted(pts)}
+        object.__setattr__(self, "coords", coords)
 
 
-def is_arc(space: ProjectiveSpace, points, plane: Subspace) -> bool:
-    """True iff no 3 of the points are collinear (all inside the plane).
+def is_arc(arc: PlaneArc) -> bool:
+    """True iff no 3 of the arc's points are collinear.
 
     Seen from a point P, every other point lies on exactly one line of
     the pencil at P (see `_pencil`), and a later point Z is on the line
@@ -55,15 +63,10 @@ def is_arc(space: ProjectiveSpace, points, plane: Subspace) -> bool:
     arc iff from each point the later ones get distinct parameters:
     O(m^2) field operations in plane coordinates, no elimination.
     """
-    pts = {space.normalize(p) for p in points}
-    for p in pts:  # normalized already, so test membership directly
-        if not linalg.in_rowspace(space.field, plane.pivots, plane.rows, p):
-            raise PointOutsidePlane(f"{p} is outside the plane")
-    if plane.dim != 2:
-        raise DimensionMismatch(f"carrier has dim {plane.dim}, expected 2")
-    coords = list(_plane_coords(plane, pts).values())
+    field = arc.plane.space.field
+    coords = list(arc.coords.values())
     for i, c in enumerate(coords):
-        ts = _pencil(space.field, c, coords[i + 1 :])[2]
+        ts = _pencil(field, c, coords[i + 1 :])[2]
         if len(set(ts)) != len(ts):
             return False
     return True
@@ -89,16 +92,6 @@ def unisecants_at(arc: PlaneArc, point) -> list[Subspace]:
     return out
 
 
-def _plane_coords(plane: Subspace, points) -> dict[tuple, tuple[int, int, int]]:
-    """Points of the plane, in sorted order, mapped to coordinates against
-    the plane's reduced basis.
-
-    A vector of a reduced-basis row space is the combination of the rows
-    with its own pivot entries; callers have checked membership.
-    """
-    return {p: tuple(p[c] for c in plane.pivots) for p in sorted(points)}
-
-
 def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether the arc is the full zero set of a plane quadratic form.
 
@@ -112,35 +105,21 @@ def is_regular_conic(arc: PlaneArc) -> tuple[bool, tuple[int, ...] | None]:
     field = arc.plane.space.field
     if len(arc.points) != field.q + 1:
         return False, None
-    coords = list(_plane_coords(arc.plane, arc.points).values())
+    coords = list(arc.coords.values())
     if linalg.rank(field, coords) != 3:
         return False, None
-    pairs = monomial_pairs(2)
-    rows = [tuple(field.mul(c[i], c[j]) for i, j in pairs) for c in coords]
-    basis = linalg.nullspace(field, rows, 6)
+    ver = veronese_for(ProjectiveSpace(field, 2))
+    basis = linalg.nullspace(field, [ver.apply(c) for c in coords], 6)
     if not basis:
         return False, None
     want = set(coords)
-    plane_points = _coefficient_reps(field, 3)
-    add, mul = field.add, field.mul
+    plane_points, rho = ver.source.points(), ver.image()
+    basis_t = linalg.transpose(basis)
     for coeff_rep in _coefficient_reps(field, len(basis)):
-        form = [0] * 6
-        for c, b in zip(coeff_rep, basis):
-            if c:
-                for idx, x in enumerate(b):
-                    form[idx] = add(form[idx], mul(c, x))
-        zeros = set()
-        for pt in plane_points:
-            acc = 0
-            for (i, j), c in zip(pairs, form):
-                if c:
-                    t = mul(pt[i], pt[j])
-                    if t:
-                        acc = add(acc, mul(c, t))
-            if not acc:
-                zeros.add(pt)
-        if zeros == want:
-            return True, tuple(form)
+        form = linalg.mat_vec(field, basis_t, coeff_rep)
+        values = linalg.mat_vec(field, rho, form)  # f . rho(x) at every plane point
+        if {x for x, v in zip(plane_points, values) if not v} == want:
+            return True, form
     return False, None
 
 
@@ -207,8 +186,7 @@ def tangent_meet(arc: PlaneArc, p1, p2) -> tuple[int, ...]:
     p1, p2 = space.normalize(p1), space.normalize(p2)
     if p1 == p2:
         raise PointNotOnArc("tangent_meet needs two distinct arc points")
-    coords = _plane_coords(arc.plane, arc.points)
-    tangents = [_tangent_line(space.field, coords, p) for p in (p1, p2)]
+    tangents = [_tangent_line(space.field, arc.coords, p) for p in (p1, p2)]
     # the unisecant at p1 meets the arc only in p1, so it is not the one
     # at p2: two distinct lines of a plane meet in exactly one point
     (meet,) = linalg.nullspace(space.field, tangents, 3)

@@ -18,7 +18,7 @@ from .embeddings import (
     save_point_map,
     save_semilinear,
 )
-from .errors import PgtoolError, UsageError, VerificationFailed, NotRegular
+from .errors import NotRegular, PgtoolError, SpaceMismatch, UsageError, VerificationFailed
 from .fields import create_field, element_ops
 from .generate import generate_embedding, space_for
 from .quadrics import quadratic_closure
@@ -30,6 +30,13 @@ from .veronese import veronese_for
 def _dump(data) -> None:
     json.dump(data, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+
+
+def _as_list(value, what: str) -> list:
+    """A parsed JSON value that must be a list; anything else is bad input."""
+    if type(value) is not list:
+        raise SpaceMismatch(f"{what} must be a JSON list, got {json.dumps(value)}")
+    return value
 
 
 def _cmd_field(args) -> int:
@@ -51,8 +58,8 @@ def _cmd_enum(args) -> int:
 
 def _cmd_veronese(args) -> int:
     ver = veronese_for(space_for(args.n, args.q))
-    if args.point:
-        point = tuple(json.loads(args.point))
+    if args.point is not None:
+        point = tuple(_as_list(json.loads(args.point), "--point"))
         _dump({"point": list(point), "image": list(ver.apply(point))})
     else:
         _dump({
@@ -64,7 +71,7 @@ def _cmd_veronese(args) -> int:
 
 def _cmd_closure(args) -> int:
     space = space_for(args.n, args.q)
-    pts = [tuple(p) for p in json.loads(args.points)]
+    pts = [tuple(_as_list(p, "a point")) for p in _as_list(json.loads(args.points), "--points")]
     closed = quadratic_closure(space, pts)
     _dump({
         "input": sorted(list(p) for p in pts),
@@ -204,8 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_segre)
 
     p = sub.add_parser("suite", help="run verification suites")
-    p.add_argument("--id")
-    p.add_argument("--all", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--id")
+    which.add_argument("--all", action="store_true", help="run every suite (the default)")
     p.add_argument("--json", help="write the comparable report body to this file")
     p.set_defaults(fn=_cmd_suite)
 

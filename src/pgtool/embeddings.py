@@ -306,7 +306,7 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
     """
     yfield, rfield = nu.target.field, nu.source.field
     images = nu.image()
-    rho_rows = _context_for(nu.source).rho_rows
+    rho_rows = veronese_for(nu.source).image()
     npts = len(images)
     compared = 0
 
@@ -390,10 +390,17 @@ def span_preimage(nu: PointMap, pts) -> frozenset:
 # -- regularity ----------------------------------------------------------------
 
 
-def _line_image_is_arc(nu: PointMap, line: Subspace) -> bool:
+def line_arc(nu: PointMap, line: Subspace) -> PlaneArc | None:
+    """The image of a source line as an arc candidate in the plane it
+    spans, or None when it spans no plane."""
     imgs = [nu.table[x] for x in line.points()]
     plane = nu.target.span(imgs)
-    return plane.dim == 2 and is_arc(nu.target, imgs, plane)
+    return PlaneArc(plane, frozenset(imgs)) if plane.dim == 2 else None
+
+
+def _line_image_is_arc(nu: PointMap, line: Subspace) -> bool:
+    arc = line_arc(nu, line)
+    return arc is not None and is_arc(arc)
 
 
 def is_regular(nu: PointMap) -> bool:
@@ -570,8 +577,8 @@ def extend_beta(
     iota = build_iota(nu, hyperplane, complement)
     table = dict(iota)
     for p in hyperplane.points():
+        # n >= 2, so q^(n-1) >= 2 lines through p lie outside the hyperplane
         carrier = None
-        seen = 0
         for g in source.lines_through(p):
             if g.is_subspace_of(hyperplane):
                 continue
@@ -581,10 +588,7 @@ def extend_beta(
                     f"iota image of a punctured line spans dimension {span_img.dim}"
                 )
             carrier = span_img if carrier is None else target.meet(carrier, span_img)
-            seen += 1
-            if carrier.dim == -1:
-                raise LinesNotConcurrent(f"candidate lines at {p} have empty meet")
-        if seen < 2 or carrier.dim != 0:
+        if carrier.dim != 0:
             raise LinesNotConcurrent(
                 f"candidate lines at {p} do not meet in a single point"
             )
@@ -647,14 +651,9 @@ def build_Q_frame(nu: PointMap) -> FrameData:
     for i in range(source.n + 1):
         q_points[(i, i)] = nu.table[base_pts[i]]
     for i, j in combinations(range(source.n + 1), 2):
-        line = source.span((base_pts[i], base_pts[j]))
-        imgs = [nu.table[x] for x in line.points()]
-        plane = target.span(imgs)
-        if plane.dim != 2:
-            raise FrameCheckFailed(
-                f"line image spans dimension {plane.dim} instead of 2"
-            )
-        arc = PlaneArc(plane, frozenset(imgs))
+        arc = line_arc(nu, source.span((base_pts[i], base_pts[j])))
+        if arc is None:
+            raise FrameCheckFailed(f"image of the frame line e{i} e{j} spans no plane")
         q_points[(i, j)] = tangent_meet(arc, nu.table[base_pts[i]], nu.table[base_pts[j]])
     e_point = nu.table[unit]
     ordered = [q_points[pair] for pair in monomial_pairs(source.n)] + [e_point]
@@ -743,9 +742,10 @@ def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap):
     `source.points()` order: the one computation of a kappa rho table,
     for the certificate and for `generate.compose_with_veronese`.
 
-    The rho rows the closure context keeps are canonical, so
-    `kappa.images` of them is `kappa.apply(rho(x))` without validation.
+    The rows of `VeroneseMap.image` are canonical, so `kappa.images` of
+    them is `kappa.apply(rho(x))` without validation.
     """
-    if kappa.space != veronese_for(source).target:
+    ver = veronese_for(source)
+    if kappa.space != ver.target:
         raise SpaceMismatch(f"kappa acts on {kappa.space}, not on the Veronese target")
-    return kappa.images(_context_for(source).rho_rows)
+    return kappa.images(ver.image())

@@ -223,9 +223,15 @@ def create_field(p: int, k: int) -> GaloisField:
 
 
 def field_from_descriptor(d: dict) -> GaloisField:
-    """Rebuild a field from its serialized descriptor, validating the modulus."""
-    field = create_field(int(d["p"]), int(d["k"]))
-    recorded = tuple(int(c) for c in d["modulus"])
+    """Rebuild a field from its serialized descriptor, validating the modulus.
+
+    The descriptor comes from outside, so p, k and the modulus entries
+    must be ints as they stand: no float, string or bool is coerced.
+    """
+    p, k, recorded = d["p"], d["k"], tuple(d["modulus"])
+    if any(type(x) is not int for x in (p, k, *recorded)):
+        raise FieldMismatch(f"descriptor entries must be integers, got {d!r}")
+    field = create_field(p, k)
     if recorded != field.modulus:
         raise FieldMismatch(
             f"descriptor modulus {list(recorded)} differs from canonical "

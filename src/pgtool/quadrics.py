@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import DimensionMismatch, OracleSizeCap, SpaceMismatch
 from .projective import ProjectiveSpace
-from .veronese import delta, monomial_pairs, veronese_for
+from .veronese import delta, veronese_for
 
 CHAIN_ORACLE_CAP = 13
 
@@ -46,21 +46,14 @@ class QuadraticForm:
         object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, point) -> int:
-        """Value at the canonical representative of the point.
+        """Value f . rho(x) at the canonical representative x of the point.
 
         Rescaling a representative by t multiplies the value by t^2, so
         whether the value is zero does not depend on the representative.
         """
-        field = self.space.field
-        x = self.space.normalize(point)
-        add, mul = field.add, field.mul
-        acc = 0
-        for (i, j), c in zip(monomial_pairs(self.space.n), self.coeffs):
-            if c:
-                t = mul(x[i], x[j])
-                if t:
-                    acc = add(acc, mul(c, t))
-        return acc
+        rho = veronese_for(self.space).apply(point)
+        (value,) = linalg.mat_vec(self.space.field, (self.coeffs,), rho)
+        return value
 
 
 @dataclass(frozen=True)
@@ -81,10 +74,9 @@ class _ClosureContext:
 
     def __init__(self, space: ProjectiveSpace):
         self.space = space
-        self.ver = veronese_for(space)
         self.points = space.points()
         self.index = {p: i for i, p in enumerate(self.points)}
-        self.rho_rows = [self.ver.apply(p) for p in self.points]
+        self.rho_rows = veronese_for(space).image()
         self._closure_memo: dict[int, int] = {}
         self._chain_memos: dict[int, dict[int, int]] = {}
 

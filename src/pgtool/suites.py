@@ -20,6 +20,7 @@ from .embeddings import (
     build_Q_frame,
     extend_beta,
     is_quadratic_embedding,
+    line_arc,
     random_complement,
     reconstruct_kappa,
     span_preimage,
@@ -261,11 +262,11 @@ def _suite_lemma_h6():
         rng = SplitMix64(params["seed"] + q)
         for i in range(params["per_direction"]):
             pts = sorted(_lemma_h6_draw(space, rng, alpha=0))
-            if not is_arc(space, pts, plane):
+            if not is_arc(PlaneArc(plane, frozenset(pts))):
                 witnesses.append({"q": q, "case": f"projective:{i}", "set": _pts(pts)})
         for i in range(params["per_direction"]):
             pts = sorted(_lemma_h6_draw(space, rng, alpha=1))
-            if is_arc(space, pts, plane):
+            if is_arc(PlaneArc(plane, frozenset(pts))):
                 witnesses.append({"q": q, "case": f"twisted:{i}", "set": _pts(pts)})
     return params, witnesses
 
@@ -277,13 +278,8 @@ def _suite_prop_h7():
         for s in params["seeds"]:
             nu, _ = veronese_kappa_map(2, q, s)
             for line in nu.source.lines():
-                imgs = [nu.table[x] for x in line.points()]
-                plane = nu.target.span(imgs)
-                if plane.dim != 2:
-                    witnesses.append({"q": q, "seed": s, "line": _pts(line.points())})
-                    continue
-                ok, _witness = is_regular_conic(PlaneArc(plane, frozenset(imgs)))
-                if not ok:
+                arc = line_arc(nu, line)
+                if arc is None or not is_regular_conic(arc)[0]:
                     witnesses.append({"q": q, "seed": s, "line": _pts(line.points())})
     return params, witnesses
 

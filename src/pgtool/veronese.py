@@ -35,6 +35,7 @@ class VeroneseMap:
         self.source = source
         self.target = ProjectiveSpace(source.field, delta(source.n) - 1)
         self.pairs = monomial_pairs(source.n)
+        self._image: tuple[tuple[int, ...], ...] | None = None
 
     def apply(self, point) -> tuple[int, ...]:
         x = self.source.normalize(point)
@@ -44,8 +45,13 @@ class VeroneseMap:
         # x_l^2 = 1.
         return tuple(mul(x[i], x[j]) for i, j in self.pairs)
 
-    def image(self) -> list[tuple[int, ...]]:
-        return [self.apply(p) for p in self.source.points()]
+    def image(self) -> tuple[tuple[int, ...], ...]:
+        """rho(P): the rows rho(x) in `source.points()` order, built once
+        per map and shared by the closure, the subset scan and the
+        certificate."""
+        if self._image is None:
+            self._image = tuple(self.apply(p) for p in self.source.points())
+        return self._image
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from pgtool import (
 )
 from pgtool import QuadraticForm, linalg
 from pgtool.arcs import _pencil
+from pgtool.veronese import monomial_pairs
 from pgtool.projective import _coefficient_reps
 from pgtool.errors import (
     DimensionMismatch,
@@ -53,18 +54,27 @@ def _plane_arc(space, points):
 def test_is_arc_examples():
     space = space_for(2, 3)
     plane = space.full_subspace()
+
+    def arc_in_plane(pts):
+        return is_arc(PlaneArc(plane, frozenset(pts)))
+
     triangle = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert is_arc(space, triangle, plane)
+    assert arc_in_plane(triangle)
     conic = _conic_points(space)
-    assert len(set(conic)) == space.field.q + 1 and is_arc(space, conic, plane)
-    assert not is_arc(space, [(0, 1, 0), (0, 0, 1), (0, 1, 1)], plane)
+    assert len(set(conic)) == space.field.q + 1 and arc_in_plane(conic)
+    assert not arc_in_plane([(0, 1, 0), (0, 0, 1), (0, 1, 1)])
     # two representatives of one point are one point
-    assert is_arc(space, [(1, 0, 0), (2, 0, 0), (0, 1, 0)], plane)
+    assert arc_in_plane([(1, 0, 0), (2, 0, 0), (0, 1, 0)])
+    # the carrier is checked before its points
     line = space.span([(1, 0, 0), (0, 1, 0)])
-    with pytest.raises(PointOutsidePlane):
-        is_arc(space, triangle, line)
     with pytest.raises(DimensionMismatch):
-        is_arc(space, [(1, 0, 0), (0, 1, 0)], line)
+        PlaneArc(line, frozenset(triangle))
+    with pytest.raises(DimensionMismatch):
+        PlaneArc(line, frozenset([(1, 0, 0), (0, 1, 0)]))
+    solid = space_for(3, 3)
+    plane_in_solid = solid.span([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    with pytest.raises(PointOutsidePlane):
+        PlaneArc(plane_in_solid, frozenset([(1, 0, 0, 0), (0, 0, 0, 1)]))
 
 
 def test_unisecants_on_conic_pg23():
@@ -131,7 +141,7 @@ def test_pointed_conic_with_nucleus_is_not_a_conic():
     nucleus = tangent_meet(arc, conic[0], conic[1])
     assert nucleus == (0, 1, 0)
     swapped = [p for p in conic if p != (1, 0, 0)] + [nucleus]
-    assert len(set(swapped)) == space.field.q + 1 and is_arc(space, swapped, space.full_subspace())
+    assert len(set(swapped)) == space.field.q + 1 and is_arc(_plane_arc(space, swapped))
     ok, witness = is_regular_conic(_plane_arc(space, swapped))
     assert not ok
 
@@ -154,6 +164,40 @@ def _zero_sets(space):
     }
 
 
+def _literal_regular_conic(arc):
+    """The conic search written out with explicit monomials: each
+    combination of the basis of forms vanishing on the arc, in
+    coefficient order, until one whose zeros, by a literal sum over the
+    plane, are the arc."""
+    field = arc.plane.space.field
+    if len(arc.points) != field.q + 1:
+        return False, None
+    coords = [tuple(p[c] for c in arc.plane.pivots) for p in sorted(arc.points)]
+    if linalg.rank(field, coords) != 3:
+        return False, None
+    pairs = monomial_pairs(2)
+    rows = [tuple(field.mul(c[i], c[j]) for i, j in pairs) for c in coords]
+    basis = linalg.nullspace(field, rows, 6)
+    if not basis:
+        return False, None
+    add, mul = field.add, field.mul
+    for coeff_rep in _coefficient_reps(field, len(basis)):
+        form = [0] * 6
+        for c, b in zip(coeff_rep, basis):
+            for idx, x in enumerate(b):
+                form[idx] = add(form[idx], mul(c, x))
+        zeros = set()
+        for pt in _coefficient_reps(field, 3):
+            acc = 0
+            for (i, j), c in zip(pairs, form):
+                acc = add(acc, mul(c, mul(pt[i], pt[j])))
+            if not acc:
+                zeros.add(pt)
+        if zeros == set(coords):
+            return True, tuple(form)
+    return False, None
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_is_regular_conic_matches_literal_oracle(q):
     space = space_for(2, q)
@@ -170,8 +214,10 @@ def test_is_regular_conic_matches_literal_oracle(q):
         off = [p for p in pts if p not in image]
         cases += [image, image[1:] + [off[rng.randbelow(len(off))]]]
     for subset in cases:
-        ok, witness = is_regular_conic(PlaneArc(plane, frozenset(subset)))
-        assert ok == (is_arc(space, subset, plane) and frozenset(subset) in zero_sets)
+        arc = PlaneArc(plane, frozenset(subset))
+        ok, witness = is_regular_conic(arc)
+        assert (ok, witness) == _literal_regular_conic(arc)
+        assert ok == (is_arc(arc) and frozenset(subset) in zero_sets)
         if ok:
             form = QuadraticForm(space, witness)
             assert frozenset(x for x in pts if not form.evaluate(x)) == frozenset(subset)
@@ -297,7 +343,7 @@ def test_is_arc_matches_triple_oracle_on_random_subsets(q):
     for _ in range(100):
         size = 3 + rng.randbelow(q + 1)
         subset = [pts[i] for i in rng.sample_indices(len(pts), size)]
-        got = is_arc(space, subset, plane)
+        got = is_arc(PlaneArc(plane, frozenset(subset)))
         assert got == (not _has_collinear_triple(space, subset))
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -318,7 +364,7 @@ def test_is_arc_matches_triple_oracle_in_line_image_planes(q):
             plane_pts = plane.points()
             sampled = [plane_pts[i] for i in rng.sample_indices(len(plane_pts), 4)]
             for pts in (imgs, sampled):
-                got = is_arc(nu.target, pts, plane)
+                got = is_arc(PlaneArc(plane, frozenset(pts)))
                 assert got == (not _has_collinear_triple(nu.target, pts))
                 verdicts.add(got)
     assert pivots - {(0, 1, 2)}
@@ -444,7 +490,7 @@ def test_segre_scan_finds_non_conic_ovals_at_q8():
     for oval in report.non_conic_ovals:
         assert list(oval) == sorted(oval)
         assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= set(oval)
-        assert len(set(oval)) == q + 1 and is_arc(space, oval, plane)
+        assert len(set(oval)) == q + 1 and is_arc(PlaneArc(plane, frozenset(oval)))
         assert not is_regular_conic(_plane_arc(space, oval))[0]
 
 

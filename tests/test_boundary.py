@@ -47,7 +47,7 @@ def _entry_points():
         "closure_points": lambda p: closure_points(space, [p]),
         "QuadraticForm.evaluate": form.evaluate,
         "PlaneArc": lambda p: PlaneArc(full, frozenset([p])),
-        "is_arc": lambda p: is_arc(space, [p], full),
+        "is_arc": lambda p: is_arc(PlaneArc(full, frozenset([p]))),
         "tangent_meet": lambda p: tangent_meet(conic, p, (0, 0, 1)),
         "unisecants_at": lambda p: unisecants_at(conic, p),
         "lemma_h6_set": lambda p: lemma_h6_set(ident, p),

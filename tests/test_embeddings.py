@@ -36,11 +36,14 @@ from pgtool.errors import (
     FieldMismatch,
     ForeignTarget,
     FrameCheckFailed,
+    ImageNotAPoint,
     InvalidPointMap,
+    LinesNotConcurrent,
     ModeInfeasible,
     NoAutomorphismMatch,
     NotComplementary,
     NoUniqueUnisecant,
+    NotACollineation,
     NotRegular,
     NotTotal,
     UsageError,
@@ -352,9 +355,11 @@ def _regular_by_unisecants(nu):
     for line in nu.source.lines():
         imgs = [nu.table[x] for x in line.points()]
         plane = nu.target.span(imgs)
-        if plane.dim != 2 or not is_arc(nu.target, imgs, plane):
+        if plane.dim != 2:
             return False
         arc = PlaneArc(plane, frozenset(imgs))
+        if not is_arc(arc):
+            return False
         if any(len(unisecants_at(arc, y)) != 1 for y in imgs):
             return False
     return True
@@ -507,6 +512,24 @@ def test_extend_beta_q2():
     beta = extend_beta(nu, hyper)
     assert beta.map.alpha == 0
     assert len(beta.table) == 7
+
+
+def test_extend_beta_refusals_on_broken_maps():
+    # a broken table either extends or is refused by one of the three
+    # property types, none of which is bad input
+    refusals = (ImageNotAPoint, LinesNotConcurrent, NotACollineation)
+    for cls in refusals:
+        assert not issubclass(cls, UsageError)
+    raised = set()
+    for n, q in ((2, 2), (2, 3), (3, 2)):
+        for seed in range(15):
+            nu = broken_map(n, q, seed)
+            for hyper in nu.source.hyperplanes():
+                try:
+                    extend_beta(nu, hyper)
+                except refusals as exc:
+                    raised.add(type(exc))
+    assert raised == set(refusals)
 
 
 def test_extension_independent_of_complement():

@@ -339,6 +339,62 @@ def test_cli_malformed_map_is_usage_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"p": 3.9, "k": 1, "modulus": [0, 1]},
+        {"p": "3", "k": 1, "modulus": [0, 1]},
+        {"p": 3, "k": True, "modulus": [0, 1]},
+        {"p": 3, "k": 1, "modulus": [0.0, 1.0]},
+    ],
+    ids=["float-p", "string-p", "bool-k", "float-modulus"],
+)
+def test_cli_mistyped_field_descriptor_is_usage_error(tmp_path, capsys, descriptor):
+    # each of these once read as GF(3) through int()
+    path = tmp_path / "bad.json"
+    path.write_text(_map_text(field=descriptor))
+    assert main(["verify", "--map", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--n", "2", "--q", "3", "--points", "5"],
+        ["closure", "--n", "2", "--q", "3", "--points", "[5]"],
+        ["closure", "--n", "2", "--q", "3", "--points", "null"],
+        ["veronese", "--n", "2", "--q", "3", "--point", "null"],
+        ["veronese", "--n", "2", "--q", "3", "--point", "7"],
+        ["veronese", "--n", "2", "--q", "3", "--point", ""],
+    ],
+    ids=["points-int", "points-list-of-int", "points-null", "point-null", "point-int",
+         "point-empty"],
+)
+def test_cli_json_of_the_wrong_shape_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_suite_id_and_all_exclude_each_other(capsys, monkeypatch):
+    import pgtool.cli as cli_mod
+
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--id", "main-theorem", "--all"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    asked = []
+
+    def fake_run_suite(target):
+        asked.append(target)
+        return run_suite("closure-transfer")
+
+    monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
+    assert main(["suite", "--all"]) == main(["suite"]) == 0
+    assert main(["suite", "--id", "thm-3-7"]) == 0
+    assert asked == ["all", "all", "thm-3-7"]
+    capsys.readouterr()
+
+
 def test_cli_segre(capsys):
     assert main(["segre", "--q", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

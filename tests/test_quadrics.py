@@ -8,6 +8,7 @@ import pytest
 
 from pgtool import (
     QuadraticForm,
+    SplitMix64,
     closure_points,
     closure_points_by_forms,
     longest_closed_chain,
@@ -18,6 +19,7 @@ from pgtool import (
 from pgtool import linalg
 from pgtool.errors import DimensionMismatch, OracleSizeCap
 from pgtool.projective import _coefficient_reps
+from pgtool.veronese import monomial_pairs
 
 
 def _zero_set(form):
@@ -64,6 +66,42 @@ def test_zero_set_empty_binary_form():
     space = space_for(1, 2)
     form = QuadraticForm(space, (1, 1, 1))
     assert _zero_set(form) == frozenset()
+
+
+def _literal_evaluate(form, point):
+    """The sum of c_ij x_i x_j over the monomial pairs, at the canonical
+    representative x: the definition `QuadraticForm.evaluate` must match."""
+    field = form.space.field
+    x = form.space.normalize(point)
+    acc = 0
+    for (i, j), c in zip(monomial_pairs(form.space.n), form.coeffs):
+        acc = field.add(acc, field.mul(c, field.mul(x[i], x[j])))
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_evaluate_matches_literal_sum_on_every_form(q):
+    space = space_for(2, q)
+    for coeffs in _coefficient_reps(space.field, 6):
+        form = QuadraticForm(space, coeffs)
+        for x in space.points():
+            assert form.evaluate(x) == _literal_evaluate(form, x)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_evaluate_matches_literal_sum_sampled(q):
+    space = space_for(2, q)
+    field = space.field
+    rng = SplitMix64(300 + q)
+    for _ in range(40):
+        coeffs = [rng.randbelow(q) for _ in range(6)]
+        coeffs[rng.randbelow(6)] = 1 + rng.randbelow(q - 1)  # not the zero form
+        form = QuadraticForm(space, coeffs)
+        for x in space.points():
+            # a random representative, so the canonical one is looked up
+            t = 1 + rng.randbelow(q - 1)
+            rep = tuple(field.mul(t, a) for a in x)
+            assert form.evaluate(rep) == _literal_evaluate(form, rep)
 
 
 def test_evaluate_projective_invariance():

@@ -36,6 +36,14 @@ def test_rho_injective_small():
         assert len(set(imgs)) == len(imgs)
 
 
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 4), (3, 2)])
+def test_image_is_built_once_in_point_order(n, q):
+    ver = veronese_for(space_for(n, q))
+    image = ver.image()
+    assert ver.image() is image
+    assert list(image) == [ver.apply(p) for p in ver.source.points()]
+
+
 def test_rho_well_defined_on_classes():
     ver = veronese_for(space_for(2, 3))
     # same point, different representative
