@@ -289,71 +289,81 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
     """Indices of the first subset with independent images, in size-then-lex
     order, whose closure differs from its span preimage, or None.
 
-    For each size, a depth-first walk visits the prefixes P in lex order
-    and keeps the residuals of all images modulo span nu(P) and of all
-    rows rho(x) modulo span rho(P), each extended by one elimination
-    step per point added to P.  Then y lies in span(nu(P), nu(c))
-    exactly when its residual is zero or a multiple of the nonzero
-    residual of nu(c), and likewise on the rho side.  Every prefix of
-    this size's round was compared in the round before and did not
-    violate, so its zero-residual points are the same on both sides
-    (pre span nu(P) = clos P), and P + {c} violates exactly when the
-    points whose image residual is a multiple of c's differ from those
-    whose rho residual is.  With the residuals grouped by normalized
-    value, each subset costs two dict lookups.  Prefixes and
+    For each size, a depth-first walk visits the prefixes P in lex order.
+    At a prefix whose last point is p it keeps, for the points after p
+    only, the residuals of their images modulo span nu(P) and of their
+    rows rho(x) modulo span rho(P), each extended by one elimination step
+    per point added to P.  Then y lies in span(nu(P), nu(c)) exactly when
+    its residual is zero or a multiple of the nonzero residual of nu(c),
+    and likewise on the rho side.  With the residuals grouped by
+    normalized value, each subset costs two dict lookups.  Prefixes and
     candidates with a zero image residual are skipped with everything
     below them (see `is_quadratic_embedding`).
+
+    The points up to p need no residuals, because the closure and the
+    span preimage of a first violation P + {c} differ only at points
+    after c.  Every subset before P + {c} in size-then-lex order does
+    not violate, P among them, so a point of P or one with a zero
+    residual lies in both (pre span nu(P) = clos P).  Take y < c outside
+    P with a nonzero residual; P + {y} comes earlier, so it does not
+    violate.  If nu(y) lies in span nu(P + {c}), exchange gives
+    span nu(P + {y}) = span nu(P + {c}), so c lies in
+    pre span nu(P + {y}) = clos(P + {y}); as c is not in clos P,
+    exchange on the rho side puts rho(y) in span rho(P + {c}).  The
+    converse is symmetric, so y lies in both or in neither, and the
+    classes of the points after p find the same first violation.
     """
     yfield, rfield = nu.target.field, nu.source.field
-    images = nu.image()
-    rho_rows = veronese_for(nu.source).image()
-    npts = len(images)
+    images, rho_rows = nu.image(), list(veronese_for(nu.source).image())
     compared = 0
 
     def walk(prefix: tuple, depth: int, yres: list, rres: list):
+        # yres[i] and rres[i] belong to the point start + i
         nonlocal compared
         start = prefix[-1] + 1 if prefix else 0
         if depth:
-            for p in range(start, npts - depth):
-                if yres[p] is None:
+            for i in range(len(yres) - depth):
+                if yres[i] is None:
                     continue
-                ny = _reduce_residuals(yfield, yres, p)
-                nr = _reduce_residuals(rfield, rres, p)
-                hit = walk(prefix + (p,), depth - 1, ny, nr)
+                ny = _reduce_residuals(yfield, yres, i)
+                nr = _reduce_residuals(rfield, rres, i)
+                hit = walk(prefix + (start + i,), depth - 1, ny, nr)
                 if hit is not None:
                     return hit
             return None
         ycls, rcls = _residual_classes(yres), _residual_classes(rres)
-        cands = [c for c in range(start, npts) if yres[c] is not None]
+        cands = [i for i, w in enumerate(yres) if w is not None]
         room = REDUCED_CAP - compared
-        for c in cands[:room]:
-            if ycls[yres[c]] != rcls[rres[c]]:
-                return prefix + (c,)
+        for i in cands[:room]:
+            if ycls[yres[i]] != rcls[rres[i]]:
+                return prefix + (start + i,)
         if len(cands) > room:
             raise ModeInfeasible(f"no witness within the reduced cap of {REDUCED_CAP} subsets")
         compared += len(cands)
         return None
 
     for size in range(1, max_size + 1):
-        hit = walk((), size - 1, list(images), list(rho_rows))
+        hit = walk((), size - 1, images, rho_rows)
         if hit is not None:
             return hit
     return None
 
 
 def _reduce_residuals(field, res: list, p: int) -> list:
-    """Residuals modulo one more vector, res[p].
+    """The residuals after res[p], modulo res[p] too: a list of
+    len(res) - p - 1 entries.
 
-    Entries are normalized vectors, or None for a zero residual; a None
-    pivot leaves every residual as it is.
+    Entries are normalized vectors, or None for a zero residual; the
+    pivot res[p] must be nonzero.  `_first_violation` pivots only on
+    points with a nonzero image residual, and the prefix it extends has
+    passed the round before (pre span nu(P) = clos P), so their rho
+    residual is nonzero too.
     """
     v = res[p]
-    if v is None:
-        return res
     add_rows, neg, mul_rows = field.add_table, field.neg_table, field.mul_table
     j = v.index(1)  # the leading coordinate, as v is normalized
-    out, minus = list(res), {}
-    for i, w in enumerate(res):
+    out, minus = res[p + 1:], {}
+    for i, w in enumerate(out):
         if w is None or not w[j]:
             continue
         f = w[j]
@@ -542,7 +552,7 @@ def _fit_semilinear(space: ProjectiveSpace, coords_of: dict) -> SemilinearMap:
     alpha = _probe_exponent(space, scaled, coords_of)
     if alpha is None:
         raise NotACollineation("probe coordinates match no field automorphism")
-    fitted = SemilinearMap(space, linalg.transpose(scaled), alpha)  # scaled is a basis
+    fitted = SemilinearMap.from_basis(space, scaled, alpha)
     # coords_of values are reduced-basis coordinates of normalized members,
     # so their first nonzero entry is 1 and they compare as they are
     for x, y in zip(space.points(), fitted.images(space.points())):
@@ -727,8 +737,7 @@ def _reconstruct(nu: PointMap) -> Reconstruction:
         )
     frame_data = build_Q_frame(nu)
     alpha = recover_automorphism(nu, frame_data)
-    # the scaled frame columns are a basis, so the matrix is invertible
-    kappa = SemilinearMap(target, linalg.transpose(frame_data.scaled), alpha)
+    kappa = SemilinearMap.from_basis(target, frame_data.scaled, alpha)
     for x, y in zip(source.points(), kappa_rho(source, kappa)):
         if y != nu.table[x]:
             raise VerificationFailed(f"certificate fails at {x}", point=x)

@@ -90,9 +90,15 @@ def generate_embedding(kind: str, n: int, q: int, seed: int | None = None) -> Po
     """Build a candidate map of the requested kind.
 
     Kinds: ``veronese`` (no seed), ``veronese_kappa``, ``frame_injection``
-    (forces n=2, q=2), ``broken`` (negative control).
+    (forces n=2, q=2), ``broken`` (negative control).  A seed must lie in
+    [0, 2**64): SplitMix64 keeps 64 bits of it, so any other seed would
+    repeat the table of one in range.
     """
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise ParamOutOfRange(f"seed {seed} outside [0, 2**64)")
     if kind == "veronese":
+        if seed is not None:
+            raise ParamOutOfRange("veronese takes no seed")
         return veronese_point_map(n, q)
     if kind == "veronese_kappa":
         if seed is None:

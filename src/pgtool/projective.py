@@ -362,6 +362,22 @@ class SemilinearMap:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "alpha", self.alpha % self.space.field.k)
 
+    @classmethod
+    def from_basis(cls, space: ProjectiveSpace, columns, alpha: int) -> "SemilinearMap":
+        """The map whose matrix has the given columns, without the
+        constructor's checks.
+
+        Only for columns known to be a basis and computed by field
+        operations, such as those of `scale_frame`, and an alpha from
+        `automorphism_exponents`: the rank test and the code checks would
+        find nothing there.
+        """
+        kappa = object.__new__(cls)
+        object.__setattr__(kappa, "space", space)
+        object.__setattr__(kappa, "matrix", linalg.transpose(columns))
+        object.__setattr__(kappa, "alpha", alpha)
+        return kappa
+
     def apply(self, point) -> tuple[int, ...]:
         (image,) = self.images((self.space.normalize(point),))
         return image

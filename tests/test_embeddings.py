@@ -253,6 +253,72 @@ def test_reduced_scan_matches_literal_scan_on_accepted_maps(scan_only):
         assert _verdict(report) == _literal_reduced_scan(nu)
 
 
+def _swapped_map(n, q, seed):
+    """A kappa rho table with the images of two seeded points exchanged."""
+    nu, _ = veronese_kappa_map(n, q, seed)
+    pts = nu.source.points()
+    a, b = SplitMix64(seed).sample_indices(len(pts), 2)
+    table = dict(nu.table)
+    table[pts[a]], table[pts[b]] = table[pts[b]], table[pts[a]]
+    return PointMap(nu.source, nu.target, table)
+
+
+def _scan_gate_maps(n, q):
+    return [make(n, q, s) for make in (_swapped_map, _random_injection) for s in range(3)]
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_reduced_scan_matches_literal_scan_on_swapped_and_random_maps(n, q, scan_only):
+    # over GF(2) a swap of two points of the frame rho(PG(2, 2)) is again
+    # kappa rho, so the certificate is switched off and the scan decides
+    for nu in _scan_gate_maps(n, q):
+        report = is_quadratic_embedding(nu)
+        assert report.path == "scan"
+        assert _verdict(report) == _literal_reduced_scan(nu)
+        if nu.source.point_count <= embeddings.EXHAUSTIVE_CAP:
+            assert _verdict(report) == _verdict(is_quadratic_embedding(nu, mode="exhaustive"))
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_first_witness_mismatches_only_after_its_last_point(n, q):
+    # why the scan keeps, at each prefix, only the points after its last one
+    maps = _scan_gate_maps(n, q)
+    if (n, q) in ((2, 3), (3, 2)):
+        maps += [broken_map(n, q, s) for s in range(10)]
+    closure = _context_for(space_for(n, q))
+    witnesses = 0
+    for nu in maps:
+        field, images = nu.target.field, nu.image()
+        witness = embeddings._first_violation(nu, linalg.rank(field, images))
+        if witness is None:
+            continue
+        mask = sum(1 << i for i in witness)
+        diff = closure.closure_mask(mask) ^ linalg.span_preimage_mask(field, images, witness)
+        assert diff and diff & mask == 0
+        assert all(i > witness[-1] for i in range(len(images)) if diff >> i & 1)
+        witnesses += 1
+    assert witnesses
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_reduce_residuals_returns_the_literal_tail(q):
+    space = space_for(3, q)
+    field, pts = space.field, space.points()
+    rng = SplitMix64(q)
+    for _ in range(60):
+        res = [pts[rng.randbelow(len(pts))] if rng.randbelow(4) else None for _ in range(12)]
+        p = rng.randbelow(len(res))
+        v = res[p] = pts[rng.randbelow(len(pts))]
+        j = next(k for k, x in enumerate(v) if x)
+        out = embeddings._reduce_residuals(field, res, p)
+        assert len(out) == len(res) - p - 1
+        for w, got in zip(res[p + 1:], out):
+            want = None if w is None else linalg.canonical(
+                field, [field.sub(a, field.mul(w[j], b)) for a, b in zip(w, v)]
+            )
+            assert got == want
+
+
 def test_reduced_scan_cap_counts_compared_subsets(monkeypatch):
     # the witness is the 143rd subset the scan compares; an up-front count
     # would charge all 4096 subsets of up to six points

@@ -74,6 +74,27 @@ def test_generate_param_errors():
         generate_embedding("nonsense", 2, 3, seed=0)
 
 
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("broken", -1), ("broken", 1 << 64), ("veronese-kappa", 1 << 64), ("veronese", 7)],
+)
+def test_cli_gen_refuses_seed_outside_range_or_unused(tmp_path, capsys, kind, seed):
+    # SplitMix64 keeps 64 bits of a seed, so -1 would repeat 2**64 - 1
+    # and 2**64 would repeat 0; veronese draws nothing
+    out = tmp_path / "nu.json"
+    assert main(["gen", "--kind", kind, "--n", "2", "--q", "3",
+                 "--seed", str(seed), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_cli_gen_takes_seeds_at_both_ends_of_the_range(tmp_path):
+    for seed in (0, (1 << 64) - 1):
+        assert main(["gen", "--kind", "broken", "--n", "2", "--q", "3",
+                     "--seed", str(seed), "--out", str(tmp_path / f"{seed}.json")]) == 0
+    assert load_point_map(tmp_path / "0.json") == broken_map(2, 3, 0)
+
+
 def test_generators_deterministic():
     a, ka = veronese_kappa_map(2, 4, 9)
     b, kb = veronese_kappa_map(2, 4, 9)
@@ -158,8 +179,9 @@ def test_semilinear_file_roundtrip(tmp_path):
         {"alpha_exponent": 0},
         {"matrix": 7, "alpha_exponent": 0},
         {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "alpha_exponent": "1"},
+        {"matrix": [[1, 2, 0], [2, 1, 0], [0, 0, 1]], "alpha_exponent": 0},
     ],
-    ids=["missing-matrix", "non-list-matrix", "non-integer-alpha"],
+    ids=["missing-matrix", "non-list-matrix", "non-integer-alpha", "singular-matrix"],
 )
 def test_semilinear_file_malformed_is_usage_error(tmp_path, data):
     from pgtool.embeddings import load_semilinear

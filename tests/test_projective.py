@@ -336,6 +336,23 @@ def test_random_frames_coordinate_normalization(n, q):
     assert rejected  # both verdicts were compared with the oracle
 
 
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 3)])
+def test_from_basis_equals_the_checked_constructor(n, q):
+    # from_basis skips the checks for scale_frame columns, which are a basis
+    space = space_for(n, q)
+    pts = space.points()
+    rng = SplitMix64(n * 10 + q)
+    built = 0
+    while built < 20:
+        scaled = scale_frame(space, [pts[i] for i in rng.sample_indices(len(pts), n + 2)])
+        if scaled is None:
+            continue
+        for alpha in space.field.automorphism_exponents():
+            checked = SemilinearMap(space, linalg.transpose(scaled), alpha)
+            assert SemilinearMap.from_basis(space, scaled, alpha) == checked
+        built += 1
+
+
 def test_semilinear_examples():
     s13 = space_for(1, 3)
     ident = SemilinearMap(s13, ((1, 0), (0, 1)), 0)
