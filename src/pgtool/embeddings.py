@@ -312,26 +312,39 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
     exchange on the rho side puts rho(y) in span rho(P + {c}).  The
     converse is symmetric, so y lies in both or in neither, and the
     classes of the points after p find the same first violation.
+
+    The rho side is shared across tables.  Its residuals and classes at
+    P describe clos = rho^-1(span rho(.)) on the source space alone, so
+    they never depend on nu; `_ClosureContext.rho_tail` keeps them per
+    source space and over the source field, and each table reduces only
+    its image side.  The memo stores at most quadrics.RHO_TAIL_CAP
+    residual entries per space; past that the walk reduces the parent's
+    rho residuals, which it carries down its path, as it does on any
+    miss.  Every rho pivot is nonzero: the walk extends P by c only when
+    nu(P + {c}) is independent, so P + {c} passed an earlier round and
+    c is not in pre span nu(P) = clos P.
     """
-    yfield, rfield = nu.target.field, nu.source.field
-    images, rho_rows = nu.image(), list(veronese_for(nu.source).image())
+    yfield, ctx = nu.target.field, _context_for(nu.source)
     compared = 0
 
-    def walk(prefix: tuple, depth: int, yres: list, rres: list):
-        # yres[i] and rres[i] belong to the point start + i
+    def walk(prefix: tuple, depth: int, yres: list, rentry: list):
+        # yres[i] and rentry[0][i] belong to the point start + i
         nonlocal compared
         start = prefix[-1] + 1 if prefix else 0
         if depth:
             for i in range(len(yres) - depth):
                 if yres[i] is None:
                     continue
-                ny = _reduce_residuals(yfield, yres, i)
-                nr = _reduce_residuals(rfield, rres, i)
-                hit = walk(prefix + (start + i,), depth - 1, ny, nr)
+                child = prefix + (start + i,)
+                ny = linalg.reduce_residuals(yfield, yres, i)
+                hit = walk(child, depth - 1, ny, ctx.rho_tail(child, rentry, i))
                 if hit is not None:
                     return hit
             return None
-        ycls, rcls = _residual_classes(yres), _residual_classes(rres)
+        rres, rcls = rentry
+        if rcls is None:
+            rcls = rentry[1] = linalg.residual_classes(rres)
+        ycls = linalg.residual_classes(yres)
         cands = [i for i, w in enumerate(yres) if w is not None]
         room = REDUCED_CAP - compared
         for i in cands[:room]:
@@ -343,45 +356,10 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
         return None
 
     for size in range(1, max_size + 1):
-        hit = walk((), size - 1, images, rho_rows)
+        hit = walk((), size - 1, nu.image(), ctx.rho_root())
         if hit is not None:
             return hit
     return None
-
-
-def _reduce_residuals(field, res: list, p: int) -> list:
-    """The residuals after res[p], modulo res[p] too: a list of
-    len(res) - p - 1 entries.
-
-    Entries are normalized vectors, or None for a zero residual; the
-    pivot res[p] must be nonzero.  `_first_violation` pivots only on
-    points with a nonzero image residual, and the prefix it extends has
-    passed the round before (pre span nu(P) = clos P), so their rho
-    residual is nonzero too.
-    """
-    v = res[p]
-    add_rows, neg, mul_rows = field.add_table, field.neg_table, field.mul_table
-    j = v.index(1)  # the leading coordinate, as v is normalized
-    out, minus = res[p + 1:], {}
-    for i, w in enumerate(out):
-        if w is None or not w[j]:
-            continue
-        f = w[j]
-        cols = minus.get(f)
-        if cols is None:  # cols[k][a] = a - f * v[k], the add row of -(f * v[k])
-            mf = mul_rows[f]
-            cols = minus[f] = [add_rows[neg[mf[x]]] for x in v]
-        out[i] = linalg.canonical(field, [c[a] for c, a in zip(cols, w)])
-    return out
-
-
-def _residual_classes(res: list) -> dict:
-    """Nonzero residual -> mask of the points with that residual."""
-    cls = {}
-    for i, w in enumerate(res):
-        if w is not None:
-            cls[w] = cls.get(w, 0) | 1 << i
-    return cls
 
 
 def span_preimage(nu: PointMap, pts) -> frozenset:

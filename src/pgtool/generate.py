@@ -91,11 +91,8 @@ def generate_embedding(kind: str, n: int, q: int, seed: int | None = None) -> Po
 
     Kinds: ``veronese`` (no seed), ``veronese_kappa``, ``frame_injection``
     (forces n=2, q=2), ``broken`` (negative control).  A seed must lie in
-    [0, 2**64): SplitMix64 keeps 64 bits of it, so any other seed would
-    repeat the table of one in range.
+    [0, 2**64), which `SplitMix64` checks.
     """
-    if seed is not None and not 0 <= seed < 1 << 64:
-        raise ParamOutOfRange(f"seed {seed} outside [0, 2**64)")
     if kind == "veronese":
         if seed is not None:
             raise ParamOutOfRange("veronese takes no seed")

@@ -117,6 +117,41 @@ def span_preimage_mask(field: GaloisField, rows, idx) -> int:
     return mask
 
 
+def reduce_residuals(field: GaloisField, res: list, p: int) -> list:
+    """The residuals after res[p], modulo res[p] too: a list of
+    len(res) - p - 1 entries.
+
+    Entries are canonical vectors (see `canonical`), or None for a zero
+    residual; the pivot res[p] must be nonzero.  The witness scan of
+    `embeddings._first_violation` extends span(P) by one point p with
+    it, on the image side and, through `quadrics._ClosureContext`, on
+    the rho side.
+    """
+    v = res[p]
+    add_rows, neg, mul_rows = field.add_table, field.neg_table, field.mul_table
+    j = v.index(1)  # the leading coordinate, as v is canonical
+    out, minus = res[p + 1:], {}
+    for i, w in enumerate(out):
+        if w is None or not w[j]:
+            continue
+        f = w[j]
+        cols = minus.get(f)
+        if cols is None:  # cols[k][a] = a - f * v[k], the add row of -(f * v[k])
+            mf = mul_rows[f]
+            cols = minus[f] = [add_rows[neg[mf[x]]] for x in v]
+        out[i] = canonical(field, [c[a] for c, a in zip(cols, w)])
+    return out
+
+
+def residual_classes(res: list) -> dict:
+    """Nonzero residual -> bitmask of the positions holding it."""
+    cls = {}
+    for i, w in enumerate(res):
+        if w is not None:
+            cls[w] = cls.get(w, 0) | 1 << i
+    return cls
+
+
 def nullspace(field: GaloisField, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of {v : M v = 0} for the matrix with the given rows."""
     pivots, rrows = rref(field, rows)

@@ -11,13 +11,19 @@ reproducibility contract: ``randbelow(n)`` is ``next_u64() % n`` and
 
 from __future__ import annotations
 
+from .errors import ParamOutOfRange
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        # the state keeps 64 bits, so a seed outside [0, 2**64) would
+        # repeat the stream of one inside it
+        if not 0 <= seed <= _MASK:
+            raise ParamOutOfRange(f"seed {seed} outside [0, 2**64)")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK

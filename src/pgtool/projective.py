@@ -53,7 +53,7 @@ class ProjectiveSpace:
                 f"expected {self.n + 1} coordinates, got {len(vec)}"
             )
         q = self.field.q
-        if any(not isinstance(x, int) or not 0 <= x < q for x in vec):
+        if any(type(x) is not int or not 0 <= x < q for x in vec):
             raise SpaceMismatch(f"coordinate codes must lie in [0, {q})")
         out = linalg.canonical(self.field, vec)
         if out is None:

@@ -20,6 +20,7 @@ from .projective import ProjectiveSpace
 from .veronese import delta, veronese_for
 
 CHAIN_ORACLE_CAP = 13
+RHO_TAIL_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,21 @@ class ClosedSet:
 
 
 class _ClosureContext:
-    """Per-space closure engine working on point-index bitmasks."""
+    """Per-space closure engine working on point-index bitmasks.
+
+    It also holds the rho side of the witness scan in
+    `embeddings._first_violation`.  For a prefix P of source point
+    indices, `rho_tail` gives the rows rho(x) of the points x after
+    P's last point, reduced modulo span rho(P), and their classes.  By
+    clos M = rho^-1(span rho(M)) this is a fact about the source space
+    alone: it never depends on the table being checked, so every table
+    over this source shares it.  The memo holds at most RHO_TAIL_CAP
+    residual entries in all, which bounds its memory (about 0.5 MB at
+    PG(2, 16) and PG(4, 2)); once that is full, new prefixes are
+    reduced but not stored, and nothing is evicted.  Every scan starts
+    at the lex-first prefixes, so the entries kept first are the ones
+    reused most.
+    """
 
     def __init__(self, space: ProjectiveSpace):
         self.space = space
@@ -79,6 +94,8 @@ class _ClosureContext:
         self.rho_rows = veronese_for(space).image()
         self._closure_memo: dict[int, int] = {}
         self._chain_memos: dict[int, dict[int, int]] = {}
+        self._tail_memo: dict[tuple, list] = {(): [list(self.rho_rows), None]}
+        self.tail_entries = 0  # residual entries stored in _tail_memo, at most RHO_TAIL_CAP
 
     def mask_of(self, pts) -> int:
         mask = 0
@@ -99,6 +116,28 @@ class _ClosureContext:
         out = linalg.span_preimage_mask(self.space.field, self.rho_rows, idx)
         self._closure_memo[mask] = out
         return out
+
+    def rho_tail(self, prefix: tuple, parent: list, i: int) -> list:
+        """[residuals, classes] for `prefix`, whose last point sits at
+        position i of the tail of its parent entry `parent`.
+
+        The residuals are those of the points after prefix[-1], as
+        `linalg.reduce_residuals` gives them; the classes start as None
+        and the scan fills them in with `linalg.residual_classes`.  On a
+        miss the parent's residuals, which the scan holds, are reduced
+        once.
+        """
+        entry = self._tail_memo.get(prefix)
+        if entry is None:
+            entry = [linalg.reduce_residuals(self.space.field, parent[0], i), None]
+            if self.tail_entries + len(entry[0]) <= RHO_TAIL_CAP:
+                self._tail_memo[prefix] = entry
+                self.tail_entries += len(entry[0])
+        return entry
+
+    def rho_root(self) -> list:
+        """The `rho_tail` entry of the empty prefix: every row rho(x)."""
+        return self._tail_memo[()]
 
     # -- longest chain of closed sets (search oracle) --------------------
 

@@ -6,6 +6,8 @@ public function that takes a point must reject a malformed one itself.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from pgtool import (
@@ -21,11 +23,13 @@ from pgtool import (
     veronese_for,
     veronese_point_map,
 )
+from pgtool.cli import main
+from pgtool.embeddings import point_map_to_dict
 from pgtool.errors import SpaceMismatch, UsageError
 
 # malformed points of PG(2, 3): too short, code out of range, not an
-# integer, the zero vector, a negative code
-MALFORMED = [(1, 0), (3, 0, 0), (1.0, 0, 0), (0, 0, 0), (-1, 0, 0)]
+# integer, the zero vector, a negative code, a bool (JSON true)
+MALFORMED = [(1, 0), (3, 0, 0), (1.0, 0, 0), (0, 0, 0), (-1, 0, 0), (True, 0, 0)]
 
 
 def _entry_points():
@@ -80,3 +84,15 @@ def test_span_codes_are_checked_and_zero_vectors_allowed():
         space.span([(1, -1, 0)])
     assert space.span([(0, 0, 0)]) == space.subspace([])
     assert space.span([(0, 0, 0), (0, 1, 2)]) == space.span([(0, 1, 2)])
+
+
+def test_cli_rejects_bool_coordinates(tmp_path, capsys):
+    # JSON true reads as a Python bool, an int subclass, not a coordinate code
+    assert main(["closure", "--n", "2", "--q", "3", "--points", "[[true,0,0],[0,1,0]]"]) == 2
+    data = point_map_to_dict(veronese_point_map(2, 3))
+    pair = next(pair for pair in data["pairs"] if pair[0] == [1, 0, 0])
+    pair[0] = [True, False, False]
+    path = tmp_path / "nu.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--map", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

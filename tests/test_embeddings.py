@@ -30,7 +30,7 @@ from pgtool import (
     veronese_kappa_map,
     veronese_point_map,
 )
-from pgtool import embeddings, linalg
+from pgtool import embeddings, linalg, quadrics
 from pgtool.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -310,7 +310,7 @@ def test_reduce_residuals_returns_the_literal_tail(q):
         p = rng.randbelow(len(res))
         v = res[p] = pts[rng.randbelow(len(pts))]
         j = next(k for k, x in enumerate(v) if x)
-        out = embeddings._reduce_residuals(field, res, p)
+        out = linalg.reduce_residuals(field, res, p)
         assert len(out) == len(res) - p - 1
         for w, got in zip(res[p + 1:], out):
             want = None if w is None else linalg.canonical(
@@ -331,19 +331,115 @@ def test_reduced_scan_cap_counts_compared_subsets(monkeypatch):
     assert is_quadratic_embedding(nu).violated_set == witness
 
 
-def test_reduced_scan_reads_closures_over_the_source_field(monkeypatch):
-    # the Veronese table of PG(2,4) read in PG(5,16) is a quadratic
-    # embedding, as ranks do not change under field extension; its
-    # closures must be computed over GF(4), and no subset may violate
+def _veronese_read_in_gf16():
+    """The Veronese table of PG(2,4) read in PG(5,16) through GF(4) in GF(16)."""
     big = space_for(5, 16)
     f16 = big.field
     omega = next(w for w in f16.elements() if f16.add(f16.mul(w, w), f16.add(w, 1)) == 0)
     into16 = [0, 1, omega, f16.add(omega, 1)]  # the GF(4) codes 0, 1, x, x + 1
     base = veronese_point_map(2, 4)
     table = {x: tuple(into16[c] for c in y) for x, y in base.table.items()}
+    return PointMap(base.source, big, table)
+
+
+def test_reduced_scan_reads_closures_over_the_source_field(monkeypatch):
+    # the table is a quadratic embedding, as ranks do not change under
+    # field extension; its closures must be computed over GF(4), and no
+    # subset may violate
     monkeypatch.setattr(embeddings, "REDUCED_CAP", 3000)
     with pytest.raises(ModeInfeasible):  # the budget runs out before any witness
-        is_quadratic_embedding(PointMap(base.source, big, table))
+        is_quadratic_embedding(_veronese_read_in_gf16())
+
+
+def _cold_contexts(monkeypatch) -> dict:
+    """Give the scan fresh closure contexts, kept in the returned dict."""
+    made = {}
+
+    def context_for(space):
+        if space not in made:
+            made[space] = quadrics._ClosureContext(space)
+        return made[space]
+
+    monkeypatch.setattr(embeddings, "_context_for", context_for)
+    return made
+
+
+def _first_witness(nu):
+    return embeddings._first_violation(nu, linalg.rank(nu.target.field, nu.image()))
+
+
+def _memo_gate_maps(n, q):
+    maps = _scan_gate_maps(n, q)
+    if (n, q) in ((2, 3), (3, 2)):
+        maps += [broken_map(n, q, s) for s in range(10)]
+    return maps
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_rho_tail_memo_keeps_every_witness(n, q, monkeypatch):
+    maps = _memo_gate_maps(n, q)
+    warm = _cold_contexts(monkeypatch)
+    with_memo = [_first_witness(nu) for nu in maps]
+    assert warm[maps[0].source].tail_entries > 0
+    monkeypatch.setattr(quadrics, "RHO_TAIL_CAP", 0)
+    cold = _cold_contexts(monkeypatch)
+    assert [_first_witness(nu) for nu in maps] == with_memo
+    assert list(cold[maps[0].source]._tail_memo) == [()]
+
+
+def test_rho_tail_memo_does_not_depend_on_table_order(monkeypatch):
+    # the memo is shared by every table over a source, so a table decided
+    # after others, over its source or another, must get the witness it
+    # gets on a cold context
+    maps = _memo_gate_maps(2, 3) + _memo_gate_maps(3, 2)
+    alone = []
+    for nu in maps:
+        _cold_contexts(monkeypatch)
+        alone.append(_first_witness(nu))
+    assert any(alone)
+    for order in (maps, maps[::-1], maps[::2] + maps[1::2]):
+        _cold_contexts(monkeypatch)
+        witnesses = {id(nu): _first_witness(nu) for nu in order}
+        assert [witnesses[id(nu)] for nu in maps] == alone
+
+
+def test_rho_tail_memo_lives_on_the_source_space(monkeypatch):
+    # each stored tail says, over GF(4), which tail points span the same
+    # line with span rho(P): equal residuals, and None for rho(P) itself
+    nu = _veronese_read_in_gf16()
+    made = _cold_contexts(monkeypatch)
+    monkeypatch.setattr(embeddings, "REDUCED_CAP", 3000)
+    with pytest.raises(ModeInfeasible):
+        _first_witness(nu)
+    assert list(made) == [nu.source]
+    ctx = made[nu.source]
+    field, rows = nu.source.field, ctx.rho_rows
+    assert len(ctx._tail_memo) > 1
+    for prefix, (tail, _classes) in ctx._tail_memo.items():
+        if not prefix:
+            continue
+        base = [rows[i] for i in prefix]
+        after = range(prefix[-1] + 1, len(rows))
+        for y, res in zip(after, tail):
+            assert (res is None) == (linalg.rank(field, base + [rows[y]]) == len(prefix))
+        live = [(y, res) for y, res in zip(after, tail) if res is not None]
+        for (y, a), (z, b) in combinations(live, 2):
+            same = linalg.rank(field, base + [rows[y], rows[z]]) == len(prefix) + 1
+            assert same == (a == b)
+
+
+def test_rho_tail_memo_stays_within_its_budget(monkeypatch):
+    nu = broken_map(4, 2, 1)
+    witnesses = []
+    for cap in (500, quadrics.RHO_TAIL_CAP):
+        made = _cold_contexts(monkeypatch)
+        monkeypatch.setattr(quadrics, "RHO_TAIL_CAP", cap)
+        witnesses.append(_first_witness(nu))
+        ctx = made[nu.source]
+        stored = sum(len(tail) for prefix, (tail, _classes) in ctx._tail_memo.items() if prefix)
+        assert stored == ctx.tail_entries <= cap
+    assert witnesses[0] is not None
+    assert witnesses[0] == witnesses[1]
 
 
 def test_unknown_mode():

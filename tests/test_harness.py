@@ -53,6 +53,18 @@ def test_splitmix64_derived_draws_are_documented():
     assert a == b and sorted(a) == list(range(8))
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_splitmix64_refuses_seed_outside_range(seed):
+    # a 64-bit state would read -1 as 2**64 - 1 and 2**64 as 0, in every
+    # seeded generator
+    with pytest.raises(ParamOutOfRange):
+        SplitMix64(seed)
+    with pytest.raises(ParamOutOfRange):
+        broken_map(2, 3, seed)
+    with pytest.raises(ParamOutOfRange):
+        veronese_kappa_map(2, 3, seed)
+
+
 def test_generate_kinds():
     pm = generate_embedding("veronese", 2, 3)
     assert len(pm.table) == 13 and pm.target.n == 5
