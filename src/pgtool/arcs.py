@@ -49,8 +49,28 @@ class PlaneArc:
             if not linalg.in_rowspace(space.field, pivots, rows, p):
                 raise PointOutsidePlane(f"{p} is outside the plane")
         object.__setattr__(self, "points", pts)
-        coords = {p: tuple(p[c] for c in pivots) for p in sorted(pts)}
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", _plane_coords(pivots, pts))
+
+    @classmethod
+    def from_span(cls, plane: Subspace, points) -> "PlaneArc":
+        """The arc of canonical points whose span is the plane, without
+        the constructor's checks.
+
+        Only for points that are canonical and span `plane` by
+        construction, as `embeddings.line_arc` gets them: table values
+        `PointMap` validated at load, and the plane reduced from them.
+        The normalization and membership tests would find nothing there.
+        """
+        arc = object.__new__(cls)
+        pts = frozenset(points)
+        object.__setattr__(arc, "plane", plane)
+        object.__setattr__(arc, "points", pts)
+        object.__setattr__(arc, "coords", _plane_coords(plane.pivots, pts))
+        return arc
+
+
+def _plane_coords(pivots, points) -> dict:
+    return {p: tuple(p[c] for c in pivots) for p in sorted(points)}
 
 
 def is_arc(arc: PlaneArc) -> bool:
@@ -180,16 +200,25 @@ def tangent_meet(arc: PlaneArc, p1, p2) -> tuple[int, ...]:
 
     Each unisecant is found as the one line of the pencil that no secant
     uses (see `_tangent_line`), which gives the same line as
-    `unisecants_at` without spanning the pencil.
+    `unisecants_at` without spanning the pencil.  The two lines meet in
+    the cross product of their dual coordinates, a closed form like the
+    pencil basis of `_pencil`, so no elimination is made.
     """
     space = arc.plane.space
+    field = space.field
     p1, p2 = space.normalize(p1), space.normalize(p2)
     if p1 == p2:
         raise PointNotOnArc("tangent_meet needs two distinct arc points")
-    tangents = [_tangent_line(space.field, arc.coords, p) for p in (p1, p2)]
+    (a0, a1, a2), (b0, b1, b2) = (_tangent_line(field, arc.coords, p) for p in (p1, p2))
     # the unisecant at p1 meets the arc only in p1, so it is not the one
-    # at p2: two distinct lines of a plane meet in exactly one point
-    (meet,) = linalg.nullspace(space.field, tangents, 3)
+    # at p2: two distinct lines of a plane meet in exactly one point, the
+    # nonzero cross product of their dual coordinates
+    sub, mul = field.sub, field.mul
+    meet = (
+        sub(mul(a1, b2), mul(a2, b1)),
+        sub(mul(a2, b0), mul(a0, b2)),
+        sub(mul(a0, b1), mul(a1, b0)),
+    )
     return arc.plane.point_from_coords(meet)
 
 

@@ -380,10 +380,20 @@ def span_preimage(nu: PointMap, pts) -> frozenset:
 
 def line_arc(nu: PointMap, line: Subspace) -> PlaneArc | None:
     """The image of a source line as an arc candidate in the plane it
-    spans, or None when it spans no plane."""
+    spans, or None when it spans no plane.
+
+    One elimination of the image rows gives the plane, and
+    `PlaneArc.from_span` builds the arc on it without re-checking the
+    points: `PointMap` validated the table values at load, and the plane
+    is their span.  The result equals
+    ``PlaneArc(nu.target.span(imgs), frozenset(imgs))``.
+    """
+    target = nu.target
     imgs = [nu.table[x] for x in line.points()]
-    plane = nu.target.span(imgs)
-    return PlaneArc(plane, frozenset(imgs)) if plane.dim == 2 else None
+    pivots, rows = linalg.rref(target.field, imgs)
+    if len(rows) != 3:
+        return None
+    return PlaneArc.from_span(Subspace(target, pivots, rows), imgs)
 
 
 def _line_image_is_arc(nu: PointMap, line: Subspace) -> bool:
@@ -492,29 +502,40 @@ class AffineExtension:
     map: SemilinearMap  # source coordinates -> complement basis coordinates
 
 
+def _probe_block(space: ProjectiveSpace, scaled, images: dict) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of the probe images (1, t, 0, ..., 0) against the
+    scaled frame columns: row c holds coordinate c of every probe, for t
+    in field order.
+
+    `scale_frame` returns a basis, so one elimination of the augmented
+    matrix [scaled | probe images] reduces its left block to the
+    identity, and the right block holds every probe's unique solution:
+    the answers `linalg.solve_columns` gives one probe at a time.
+    """
+    field, size = space.field, len(scaled)
+    probes = [images[(1, t) + (0,) * (space.n - 1)] for t in field.elements()]
+    _, rows = linalg.rref(field, [a + b for a, b in zip(zip(*scaled), zip(*probes))])
+    return tuple(row[size:] for row in rows)
+
+
 def _probe_exponent(space: ProjectiveSpace, scaled, images: dict) -> int | None:
     """Frobenius exponent that the probe points (1, t, 0, ..., 0) reveal.
 
-    Each probe image is solved against the scaled frame columns; a
-    semilinear map with exponent m gives coordinates proportional to
-    (1, t^(p^m), 0, ..., 0).  Returns None when some probe image has no
-    nonzero leading coordinate or no exponent matches every ratio.
+    ``scaled`` must be a basis, as `scale_frame` returns; the q probe
+    images are solved against it in one elimination (`_probe_block`).
+    A semilinear map with exponent m gives coordinates proportional to
+    (1, t^(p^m), 0, ..., 0), so the ratios of the second coordinates to
+    the first, in field order, are row m of the Frobenius table.
+    Returns None when some probe image has a zero leading coordinate or
+    no exponent matches every ratio.
     """
     field = space.field
-    ratios = {}
-    for t in field.elements():
-        probe = (1, t) + (0,) * (space.n - 1)  # canonical: the leading entry is 1
-        sol = linalg.solve_columns(field, scaled, images[probe])
-        if sol is None or not sol[0]:
-            return None
-        ratios[t] = field.div(sol[1], sol[0])
+    lead, second = _probe_block(space, scaled, images)[:2]
+    if not all(lead):
+        return None
+    ratios = tuple(field.div(b, a) for a, b in zip(lead, second))
     return next(
-        (
-            m
-            for m in field.automorphism_exponents()
-            if all(ratios[t] == field.frobenius(t, m) for t in field.elements())
-        ),
-        None,
+        (m for m in field.automorphism_exponents() if field.frobenius_table[m] == ratios), None
     )
 
 
@@ -629,6 +650,13 @@ def build_Q_frame(nu: PointMap) -> FrameData:
     Diagonal entries are images of the frame points, off-diagonal
     entries are tangent intersections on the image of the joining line,
     and the unit entry is the image of the frame's unit point.
+
+    Each of the C(n+1, 2) frame lines costs two eliminations, one for
+    the source line and one for its image plane (`line_arc`); the
+    tangent meet is a closed form.  Scaling the frame costs one more,
+    so the frame takes 2 C(n+1, 2) + 1 eliminations whatever q is, and
+    with the one of the automorphism probes a reconstruction takes
+    2 C(n+1, 2) + 2.
     """
     source, target = nu.source, nu.target
     if source.n < 2:
@@ -652,7 +680,8 @@ def build_Q_frame(nu: PointMap) -> FrameData:
 
 
 def recover_automorphism(nu: PointMap, frame_data: FrameData) -> int:
-    """Frobenius exponent read off frame coordinates of probe images."""
+    """Frobenius exponent read off frame coordinates of probe images,
+    all found in one elimination (`_probe_exponent`)."""
     alpha = _probe_exponent(nu.source, frame_data.scaled, nu.table)
     if alpha is None:
         raise NoAutomorphismMatch("probe coordinates match no Frobenius power")

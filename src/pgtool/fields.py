@@ -261,13 +261,12 @@ def element_ops(field: GaloisField, kind: str, a: int, b: int | None = None) -> 
     """Checked single-operation entry point used by the CLI.
 
     ``kind`` is one of add, mul, inv, pow; for pow, b is an integer
-    exponent rather than an element code.
+    exponent rather than an element code.  Codes and exponents must be
+    of type int exactly, so a bool is refused.
     """
-    if not isinstance(a, int) or not 0 <= a < field.q:
+    if type(a) is not int or not 0 <= a < field.q:
         raise FieldMismatch(f"code {a} outside [0, {field.q})")
-    if kind in ("add", "mul") and (
-        not isinstance(b, int) or not 0 <= b < field.q
-    ):
+    if kind in ("add", "mul") and (type(b) is not int or not 0 <= b < field.q):
         raise FieldMismatch(f"code {b} outside [0, {field.q})")
     if kind == "add":
         return field.add(a, b)
@@ -276,7 +275,7 @@ def element_ops(field: GaloisField, kind: str, a: int, b: int | None = None) -> 
     if kind == "inv":
         return field.inv(a)
     if kind == "pow":
-        if not isinstance(b, int):
+        if type(b) is not int:
             raise FieldMismatch("pow requires an integer exponent")
         return field.pow(a, b)
     raise FieldMismatch(f"unknown operation {kind!r}")

@@ -24,6 +24,7 @@ from pgtool import (
 )
 from pgtool import QuadraticForm, linalg
 from pgtool.arcs import _pencil
+from pgtool.embeddings import line_arc
 from pgtool.veronese import monomial_pairs
 from pgtool.projective import _coefficient_reps
 from pgtool.errors import (
@@ -261,9 +262,18 @@ def test_tangent_meet_matches_unisecant_oracle(q):
     space = space_for(2, q)
     arcs = [_plane_arc(space, _conic_points(space))]
     ver = veronese_for(space)
-    for line in space.lines()[:: max(1, len(space.lines()) // 4)]:
+    sample = space.lines()[:: max(1, len(space.lines()) // 4)]
+    for line in sample:
         imgs = [ver.apply(x) for x in line.points()]
         arcs.append(PlaneArc(ver.target.span(imgs), frozenset(imgs)))
+    # line images as the frame step builds them: of a kappa rho table, and
+    # of broken tables on the lines through their moved point, where
+    # line_arc also meets images that span no plane
+    arcs += filter(None, (line_arc(veronese_kappa_map(2, q, 3)[0], line) for line in sample))
+    for seed in range(2):
+        nu = broken_map(2, q, seed)
+        (moved,) = (x for x, y in nu.table.items() if y != ver.apply(x))
+        arcs += filter(None, (line_arc(nu, line) for line in space.lines_through(moved)))
     for arc in arcs:
         pts = sorted(arc.points)
         for p1, p2 in [(pts[0], p) for p in pts[1:]] + [(pts[-1], pts[1])]:

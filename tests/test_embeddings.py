@@ -50,7 +50,7 @@ from pgtool.errors import (
     VerificationFailed,
 )
 from pgtool.generate import compose_with_veronese
-from pgtool.projective import SemilinearMap
+from pgtool.projective import SemilinearMap, scale_frame, standard_frame
 from pgtool.quadrics import _context_for
 from pgtool.veronese import monomial_pairs
 
@@ -769,6 +769,101 @@ def test_recover_automorphism():
         ver.source, ver.target, lambda x: twist.apply(ver.apply(x))
     )
     assert recover_automorphism(nu4, build_Q_frame(nu4)) == 1
+    # every Frobenius twist over GF(8) and GF(9), read off one elimination
+    for q in (8, 9):
+        ver = veronese_for(space_for(2, q))
+        for alpha in ver.source.field.automorphism_exponents():
+            kappa = random_semilinear(ver.target, SplitMix64(alpha), alpha)
+            nu = compose_with_veronese(ver, kappa)
+            assert recover_automorphism(nu, build_Q_frame(nu)) == alpha
+
+
+def _frame_gate_maps(n, q):
+    """Accepted, broken and two-swapped tables."""
+    return [
+        make(n, q, s)
+        for make in (lambda *a: veronese_kappa_map(*a)[0], broken_map, _swapped_map)
+        for s in range(3)
+    ]
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_line_arc_matches_literal_plane_arc(n, q):
+    # the trusted construction against the constructor's checked one,
+    # on every line image: same plane, points and coords, in order
+    for nu in _frame_gate_maps(n, q):
+        for line in nu.source.lines():
+            imgs = [nu.table[x] for x in line.points()]
+            plane = nu.target.span(imgs)
+            arc = embeddings.line_arc(nu, line)
+            if plane.dim != 2:
+                assert arc is None
+                continue
+            literal = PlaneArc(plane, frozenset(imgs))
+            assert arc == literal
+            assert list(arc.coords.items()) == list(literal.coords.items())
+
+
+def _assert_probe_block_is_per_probe_solves(space, scaled, images):
+    block = embeddings._probe_block(space, scaled, images)
+    assert list(zip(*block)) == [
+        linalg.solve_columns(space.field, scaled, images[(1, t) + (0,) * (space.n - 1)])
+        for t in space.field.elements()
+    ]
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_probe_block_matches_per_probe_solves(n, q):
+    framed = 0
+    for nu in _frame_gate_maps(n, q):
+        try:
+            scaled = build_Q_frame(nu).scaled
+        except NotRegular:
+            continue
+        framed += 1
+        _assert_probe_block_is_per_probe_solves(nu.source, scaled, nu.table)
+    assert framed > 3  # more than the accepted tables
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_probe_block_matches_per_probe_solves_in_semilinear_fits(q):
+    # the _fit_semilinear inputs of a collineation with alpha != 0
+    space = space_for(2, q)
+    for alpha in range(1, space.field.k):
+        for seed in range(3):
+            sigma = random_semilinear(space, SplitMix64(seed), alpha)
+            coords_of = dict(zip(space.points(), sigma.images(space.points())))
+            scaled = scale_frame(space, [coords_of[u] for u in standard_frame(space)])
+            _assert_probe_block_is_per_probe_solves(space, scaled, coords_of)
+            fitted = embeddings._fit_semilinear(space, coords_of)
+            assert fitted.alpha == alpha
+            assert _equal_up_to_scalar(space.field, fitted.matrix, sigma.matrix)
+
+
+def test_reconstruction_elimination_count(monkeypatch):
+    # Each of the C(n+1, 2) frame lines costs two eliminations: the source
+    # line's span and its image plane in line_arc (the tangent meet is a
+    # cross product).  Scaling the frame (solve_columns) is one more, and
+    # the q automorphism probes share one.  So a warm reconstruction, with
+    # the point lists and the Veronese map cached, makes 2 C(n+1, 2) + 2
+    # eliminations: 8 for n = 2 and 14 for n = 3, whatever q is.
+    calls = 0
+    rref = linalg.rref
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    counts = {}
+    for n, q in [(2, 3), (2, 8), (3, 2), (3, 3)]:
+        nu, _ = veronese_kappa_map(n, q, 1)
+        reconstruct_kappa(nu)  # warms the caches
+        calls = 0
+        reconstruct_kappa(PointMap(nu.source, nu.target, nu.table))
+        counts[n, q] = calls
+    assert counts == {(2, 3): 8, (2, 8): 8, (3, 2): 14, (3, 3): 14}
 
 
 def _equal_up_to_scalar(field, a, b):

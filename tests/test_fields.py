@@ -130,6 +130,11 @@ def test_element_ops_validation():
         element_ops(f, "add", 3, 0)
     with pytest.raises(FieldMismatch):
         element_ops(f, "frobnicate", 1, 1)
+    # bools are ints to isinstance, but not codes or exponents
+    bools = [("add", True, True), ("mul", 1, True), ("inv", True, None), ("pow", 2, True)]
+    for kind, a, b in bools:
+        with pytest.raises(FieldMismatch):
+            element_ops(f, kind, a, b)
 
 
 # every prime power up to the stated bound of 81 with an extension part,
