@@ -20,7 +20,6 @@ from .arcs import (
 from .embeddings import (
     AffineExtension,
     EmbeddingReport,
-    FrameData,
     PointMap,
     Reconstruction,
     build_iota,

@@ -51,8 +51,8 @@ def _cmd_field(args) -> int:
 
 def _cmd_enum(args) -> int:
     space = space_for(args.n, args.q)
-    _dump({"space": [args.n, args.q], "count": space.point_count,
-           "points": [list(p) for p in space.points()]})
+    points = [list(p) for p in space.points()]
+    _dump({"space": [args.n, args.q], "count": space.point_count, "points": points})
     return 0
 
 
@@ -136,8 +136,7 @@ def _cmd_segre(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    target = args.id if args.id else "all"
-    results = run_suite(target)
+    results = run_suite("all" if args.id is None else args.id)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.suite} [{res.anchor}] ({res.seconds:.2f}s)")

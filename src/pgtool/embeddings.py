@@ -496,8 +496,6 @@ def build_iota(nu: PointMap, hyperplane: Subspace, complement: Subspace) -> dict
 class AffineExtension:
     """A collineation of the source onto the complement, extending iota."""
 
-    hyperplane: Subspace
-    complement: Subspace
     table: dict
     map: SemilinearMap  # source coordinates -> complement basis coordinates
 
@@ -604,9 +602,7 @@ def extend_beta(
         table[p] = carrier.rows[0]  # a reduced row leads with its pivot 1
     coords_of = {x: complement.coords_of(y) for x, y in table.items()}
     fitted = _fit_semilinear(source, coords_of)
-    return AffineExtension(
-        hyperplane=hyperplane, complement=complement, table=table, map=fitted
-    )
+    return AffineExtension(table=table, map=fitted)
 
 
 # -- quotient embeddings and hyperplane images ---------------------------------
@@ -630,59 +626,48 @@ def nu_T(nu: PointMap, hyperplane: Subspace, beta: AffineExtension) -> dict:
 # -- distinguished frame and reconstruction ------------------------------------
 
 
-@dataclass
-class FrameData:
-    """Target frame assembled from image points and tangent intersections.
+def build_Q_frame(nu: PointMap) -> list[tuple[int, ...]]:
+    """The columns of kappa: a target frame from the standard source
+    frame under a regular embedding, scaled to a basis.
 
-    ``scaled`` holds representatives of the q_points, in monomial pair
-    order, scaled so that they sum to ``e_point`` (`scale_frame`).
+    Entries follow the monomial pairs: (i, i) is the image of the frame
+    point e_i, and (i, j) with i < j the meet of the tangents at the
+    images of e_i and e_j on the image of the frame line e_i e_j.
+    `scale_frame` scales them to sum to the image of the unit point.
+    The frame lines come in lex order of (i, j), so a refusal names the
+    first line whose image fails.
+
+    (e_i, e_j) is already the reduced basis of the line e_i e_j, so
+    each of the C(n+1, 2) frame lines costs one elimination, for its
+    image plane (`line_arc`); the tangent meet is a closed form.
+    Scaling the frame costs one more, so the frame takes C(n+1, 2) + 1
+    eliminations whatever q is, and with the one of the automorphism
+    probes a reconstruction takes C(n+1, 2) + 2.
     """
-
-    q_points: dict
-    e_point: tuple
-    scaled: list
-
-
-def build_Q_frame(nu: PointMap) -> FrameData:
-    """Frame of the target from the standard source frame under a regular
-    embedding.
-
-    Diagonal entries are images of the frame points, off-diagonal
-    entries are tangent intersections on the image of the joining line,
-    and the unit entry is the image of the frame's unit point.
-
-    Each of the C(n+1, 2) frame lines costs two eliminations, one for
-    the source line and one for its image plane (`line_arc`); the
-    tangent meet is a closed form.  Scaling the frame costs one more,
-    so the frame takes 2 C(n+1, 2) + 1 eliminations whatever q is, and
-    with the one of the automorphism probes a reconstruction takes
-    2 C(n+1, 2) + 2.
-    """
-    source, target = nu.source, nu.target
+    source = nu.source
     if source.n < 2:
         raise DimensionMismatch("frame construction needs source dimension >= 2")
-    source_frame = standard_frame(source)
-    base_pts, unit = source_frame[:-1], source_frame[-1]
-    q_points = {}
-    for i in range(source.n + 1):
-        q_points[(i, i)] = nu.table[base_pts[i]]
-    for i, j in combinations(range(source.n + 1), 2):
-        arc = line_arc(nu, source.span((base_pts[i], base_pts[j])))
+    *units, unit = standard_frame(source)
+    frame = []
+    for i, j in monomial_pairs(source.n):
+        if i == j:
+            frame.append(nu.table[units[i]])
+            continue
+        arc = line_arc(nu, Subspace(source, (i, j), (units[i], units[j])))
         if arc is None:
             raise FrameCheckFailed(f"image of the frame line e{i} e{j} spans no plane")
-        q_points[(i, j)] = tangent_meet(arc, nu.table[base_pts[i]], nu.table[base_pts[j]])
-    e_point = nu.table[unit]
-    ordered = [q_points[pair] for pair in monomial_pairs(source.n)] + [e_point]
-    scaled = scale_frame(target, ordered)
+        frame.append(tangent_meet(arc, nu.table[units[i]], nu.table[units[j]]))
+    scaled = scale_frame(nu.target, frame + [nu.table[unit]])
     if scaled is None:
         raise FrameCheckFailed("assembled points do not form a target frame")
-    return FrameData(q_points, e_point, scaled)
+    return scaled
 
 
-def recover_automorphism(nu: PointMap, frame_data: FrameData) -> int:
-    """Frobenius exponent read off frame coordinates of probe images,
-    all found in one elimination (`_probe_exponent`)."""
-    alpha = _probe_exponent(nu.source, frame_data.scaled, nu.table)
+def recover_automorphism(nu: PointMap, scaled) -> int:
+    """Frobenius exponent read off the coordinates of probe images
+    against the `build_Q_frame` basis, all found in one elimination
+    (`_probe_exponent`)."""
+    alpha = _probe_exponent(nu.source, scaled, nu.table)
     if alpha is None:
         raise NoAutomorphismMatch("probe coordinates match no Frobenius power")
     return alpha
@@ -692,19 +677,20 @@ def recover_automorphism(nu: PointMap, frame_data: FrameData) -> int:
 class Reconstruction:
     kappa: SemilinearMap
     alpha: int
-    frame_data: FrameData
     points_checked: int
 
 
 def reconstruct_kappa(nu: PointMap) -> Reconstruction:
     """Produce the collineation composing with the Veronese map to give nu.
 
-    The collineation applies the recovered automorphism entrywise and
-    then the matrix whose columns are the frame representatives scaled
-    so that their sum represents the unit image.  The result is always
-    certified pointwise; any mismatch raises VerificationFailed with
-    the first offending source point.  The outcome, a Reconstruction or
-    the error raised, is kept on nu, so each table is reconstructed once.
+    Three steps: the frame basis (`build_Q_frame`), the automorphism
+    (`recover_automorphism`), then the collineation that applies the
+    automorphism entrywise and the matrix with the basis as columns,
+    certified pointwise.  Any mismatch raises VerificationFailed with the
+    first offending source point.  The frame and the automorphism take
+    C(n+1, 2) + 2 eliminations, whatever q is.  The outcome, a
+    Reconstruction or the error raised, is kept on nu, so each table is
+    reconstructed once.
     """
     outcome = nu._reconstruction
     if outcome is None:
@@ -742,15 +728,13 @@ def _reconstruct(nu: PointMap) -> Reconstruction:
         raise DimensionMismatch(
             f"target dimension {target.n} differs from expected {delta(source.n) - 1}"
         )
-    frame_data = build_Q_frame(nu)
-    alpha = recover_automorphism(nu, frame_data)
-    kappa = SemilinearMap.from_basis(target, frame_data.scaled, alpha)
+    scaled = build_Q_frame(nu)
+    alpha = recover_automorphism(nu, scaled)
+    kappa = SemilinearMap.from_basis(target, scaled, alpha)
     for x, y in zip(source.points(), kappa_rho(source, kappa)):
         if y != nu.table[x]:
             raise VerificationFailed(f"certificate fails at {x}", point=x)
-    return Reconstruction(
-        kappa=kappa, alpha=alpha, frame_data=frame_data, points_checked=source.point_count
-    )
+    return Reconstruction(kappa=kappa, alpha=alpha, points_checked=source.point_count)
 
 
 def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap):

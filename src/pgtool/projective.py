@@ -35,11 +35,17 @@ class ProjectiveSpace:
             raise DimensionMismatch(f"projective dimension must be >= 1, got {n}")
         self.field = field
         self.n = n
-        self.point_count = (field.q ** (n + 1) - 1) // (field.q - 1)
         self._points: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
 
     # -- points ----------------------------------------------------------
+
+    @functools.cached_property
+    def point_count(self) -> int:
+        """(q^(n+1) - 1) / (q - 1), built on first use: the power alone
+        takes seconds once n is in the millions."""
+        q = self.field.q
+        return (q ** (self.n + 1) - 1) // (q - 1)
 
     def normalize(self, vec) -> tuple[int, ...]:
         """Canonical representative: first nonzero coordinate scaled to 1.
@@ -63,10 +69,9 @@ class ProjectiveSpace:
     def points(self) -> list[tuple[int, ...]]:
         """All points in lexicographic order of their coordinate codes."""
         if self._points is None:
-            if self.point_count > POINT_ENUM_CAP:
-                raise SizeCapExceeded(
-                    f"{self.point_count} points exceed cap {POINT_ENUM_CAP}"
-                )
+            # q^n >= 2^n, so the count is not needed to refuse a large n
+            if self.n >= POINT_ENUM_CAP.bit_length() or self.point_count > POINT_ENUM_CAP:
+                raise SizeCapExceeded(f"{self} has more points than the cap {POINT_ENUM_CAP}")
             self._points = _coefficient_reps(self.field, self.n + 1)
             self._index = {pt: i for i, pt in enumerate(self._points)}
         return self._points

@@ -89,8 +89,6 @@ class _ClosureContext:
 
     def __init__(self, space: ProjectiveSpace):
         self.space = space
-        self.points = space.points()
-        self.index = {p: i for i, p in enumerate(self.points)}
         self.rho_rows = veronese_for(space).image()
         self._closure_memo: dict[int, int] = {}
         self._chain_memos: dict[int, dict[int, int]] = {}
@@ -98,21 +96,20 @@ class _ClosureContext:
         self.tail_entries = 0  # residual entries stored in _tail_memo, at most RHO_TAIL_CAP
 
     def mask_of(self, pts) -> int:
-        mask = 0
+        space, mask = self.space, 0
         for p in pts:
-            mask |= 1 << self.index[self.space.normalize(p)]
+            mask |= 1 << space.point_index(space.normalize(p))
         return mask
 
     def points_of(self, mask: int) -> frozenset[tuple[int, ...]]:
-        return frozenset(
-            self.points[i] for i in range(len(self.points)) if mask >> i & 1
-        )
+        points = self.space.points()
+        return frozenset(points[i] for i in range(len(points)) if mask >> i & 1)
 
     def closure_mask(self, mask: int) -> int:
         cached = self._closure_memo.get(mask)
         if cached is not None:
             return cached
-        idx = [i for i in range(len(self.points)) if mask >> i & 1]
+        idx = [i for i in range(self.space.point_count) if mask >> i & 1]
         out = linalg.span_preimage_mask(self.space.field, self.rho_rows, idx)
         self._closure_memo[mask] = out
         return out

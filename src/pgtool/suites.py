@@ -132,27 +132,26 @@ def _suite_thm_3_7():
 def _suite_prop_3_9():
     params = {"exhaustive_space": [2, 2], "sampled_space": [2, 3], "seed": 393, "count": 200}
     witnesses = []
-    space22 = space_for(2, 2)
-    ver22 = veronese_for(space22)
-    pts22 = space22.points()
-    for size in range(len(pts22) + 1):
-        for idx in combinations(range(len(pts22)), size):
-            subset = [pts22[i] for i in idx]
-            want = linalg.rank(space22.field, [ver22.apply(x) for x in subset]) - 1
-            got = longest_closed_chain(space22, subset)
-            if got != want:
-                witnesses.append({"space": [2, 2], "subset": _pts(subset), "chain": got, "rank_dim": want})
-    space23 = space_for(2, 3)
-    ver23 = veronese_for(space23)
-    pts23 = space23.points()
+
+    def check(space, subset):
+        want = linalg.rank(space.field, [veronese_for(space).apply(x) for x in subset]) - 1
+        got = longest_closed_chain(space, subset)
+        if got != want:
+            witnesses.append(
+                {"space": [space.n, space.field.q], "subset": _pts(subset), "chain": got, "rank_dim": want}
+            )
+
+    space = space_for(2, 2)
+    pts = space.points()
+    for size in range(len(pts) + 1):
+        for subset in combinations(pts, size):
+            check(space, subset)
+    space = space_for(2, 3)
+    pts = space.points()
     rng = SplitMix64(params["seed"])
     for _ in range(params["count"]):
-        size = rng.randbelow(len(pts23) + 1)
-        subset = [pts23[i] for i in rng.sample_indices(len(pts23), size)]
-        want = linalg.rank(space23.field, [ver23.apply(x) for x in subset]) - 1
-        got = longest_closed_chain(space23, subset)
-        if got != want:
-            witnesses.append({"space": [2, 3], "subset": _pts(subset), "chain": got, "rank_dim": want})
+        size = rng.randbelow(len(pts) + 1)
+        check(space, [pts[i] for i in rng.sample_indices(len(pts), size)])
     return params, witnesses
 
 
@@ -260,14 +259,12 @@ def _suite_lemma_h6():
         space = space_for(2, q)
         plane = space.full_subspace()
         rng = SplitMix64(params["seed"] + q)
-        for i in range(params["per_direction"]):
-            pts = sorted(_lemma_h6_draw(space, rng, alpha=0))
-            if not is_arc(PlaneArc(plane, frozenset(pts))):
-                witnesses.append({"q": q, "case": f"projective:{i}", "set": _pts(pts)})
-        for i in range(params["per_direction"]):
-            pts = sorted(_lemma_h6_draw(space, rng, alpha=1))
-            if is_arc(PlaneArc(plane, frozenset(pts))):
-                witnesses.append({"q": q, "case": f"twisted:{i}", "set": _pts(pts)})
+        # a projective sigma (alpha 0) gives an arc, a twisted one never does
+        for alpha, case in enumerate(("projective", "twisted")):
+            for i in range(params["per_direction"]):
+                pts = sorted(_lemma_h6_draw(space, rng, alpha))
+                if is_arc(PlaneArc(plane, frozenset(pts))) == bool(alpha):
+                    witnesses.append({"q": q, "case": f"{case}:{i}", "set": _pts(pts)})
     return params, witnesses
 
 
@@ -358,44 +355,29 @@ def _suite_negative_controls():
     return params, witnesses
 
 
+# id: (anchor, suite body, stated wall-clock budget in seconds)
 _SUITES = {
-    "closure-transfer": ("clos M = (span M^rho)^(rho^-1)", _suite_closure_transfer),
-    "thm-3-7": ("n' = C(n+2,2) - 1", _suite_thm_3_7),
-    "prop-3-9": ("chain length = dim span M^rho", _suite_prop_3_9),
-    "eq-immsing": ("dim span (T u M)^rho = C(n+1,2) + dim span M", _suite_eq_immsing),
-    "prop-h2": ("iota preserves span dimensions", _suite_prop_h2),
-    "props-h3-h4": ("unique extension; hyperplane map injective with exact preimages", _suite_props_h3_h4),
-    "lemma-h6": ("collinear-triple dichotomy for the pencil intersection set", _suite_lemma_h6),
-    "prop-h7": ("line images are regular conics", _suite_prop_h7),
-    "prop-x33": ("tangent-intersection points plus unit image form a frame", _suite_prop_x33),
-    "main-theorem": ("nu = rho kappa, certified pointwise", _suite_main_theorem),
-    "example-4": ("frame injections are quadratic embeddings", _suite_example_4),
-    "segre-scan": ("every oval is a conic for q in {2,3,4,5}", _suite_segre_scan),
-    "negative-controls": ("perturbed tables are rejected with witnesses", _suite_negative_controls),
+    "closure-transfer": ("clos M = (span M^rho)^(rho^-1)", _suite_closure_transfer, 1.0),
+    "thm-3-7": ("n' = C(n+2,2) - 1", _suite_thm_3_7, 10.0),
+    "prop-3-9": ("chain length = dim span M^rho", _suite_prop_3_9, 60.0),
+    "eq-immsing": ("dim span (T u M)^rho = C(n+1,2) + dim span M", _suite_eq_immsing, 10.0),
+    "prop-h2": ("iota preserves span dimensions", _suite_prop_h2, 30.0),
+    "props-h3-h4": ("unique extension; hyperplane map injective with exact preimages", _suite_props_h3_h4, 60.0),
+    "lemma-h6": ("collinear-triple dichotomy for the pencil intersection set", _suite_lemma_h6, 30.0),
+    "prop-h7": ("line images are regular conics", _suite_prop_h7, 60.0),
+    "prop-x33": ("tangent-intersection points plus unit image form a frame", _suite_prop_x33, 60.0),
+    "main-theorem": ("nu = rho kappa, certified pointwise", _suite_main_theorem, 300.0),
+    "example-4": ("frame injections are quadratic embeddings", _suite_example_4, 10.0),
+    "segre-scan": ("every oval is a conic for q in {2,3,4,5}", _suite_segre_scan, 120.0),
+    "negative-controls": ("perturbed tables are rejected with witnesses", _suite_negative_controls, 10.0),
 }
 
 SUITE_ORDER = list(_SUITES)
-
-# stated wall-clock budgets, in seconds
-BUDGETS = {
-    "closure-transfer": 1.0,
-    "thm-3-7": 10.0,
-    "prop-3-9": 60.0,
-    "eq-immsing": 10.0,
-    "prop-h2": 30.0,
-    "props-h3-h4": 60.0,
-    "lemma-h6": 30.0,
-    "prop-h7": 60.0,
-    "prop-x33": 60.0,
-    "main-theorem": 300.0,
-    "example-4": 10.0,
-    "segre-scan": 120.0,
-    "negative-controls": 10.0,
-}
+BUDGETS = {suite_id: budget for suite_id, (_, _, budget) in _SUITES.items()}
 
 
 def _run_one(suite_id: str) -> SuiteResult:
-    anchor, fn = _SUITES[suite_id]
+    anchor, fn, _ = _SUITES[suite_id]
     start = time.perf_counter()
     params, witnesses = fn()
     seconds = time.perf_counter() - start
@@ -411,7 +393,7 @@ def _run_one(suite_id: str) -> SuiteResult:
 
 def run_suite(suite_id: str = "all") -> list[SuiteResult]:
     """Run one suite or all of them; results come back in registry order."""
-    if suite_id in ("all", None):
+    if suite_id == "all":
         ids = SUITE_ORDER
     elif suite_id in _SUITES:
         ids = [suite_id]

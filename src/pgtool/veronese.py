@@ -34,8 +34,14 @@ class VeroneseMap:
     def __init__(self, source: ProjectiveSpace):
         self.source = source
         self.target = ProjectiveSpace(source.field, delta(source.n) - 1)
-        self.pairs = monomial_pairs(source.n)
         self._image: tuple[tuple[int, ...], ...] | None = None
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """`monomial_pairs` of the source, listed on first use.  A source
+        too large to enumerate is refused before a point is mapped, and
+        at n = 6000 the list alone holds 18 million pairs."""
+        return monomial_pairs(self.source.n)
 
     def apply(self, point) -> tuple[int, ...]:
         x = self.source.normalize(point)

@@ -25,6 +25,7 @@ from pgtool import (
     reconstruct_kappa,
     recover_automorphism,
     space_for,
+    tangent_meet,
     unisecants_at,
     veronese_for,
     veronese_kappa_map,
@@ -729,15 +730,21 @@ def test_nu_t_bijection():
 # -- distinguished frame and reconstruction ----------------------------------
 
 
+def _canonical_columns_and_sum(field, basis):
+    total = [0] * len(basis[0])
+    for col in basis:
+        total = [field.add(a, b) for a, b in zip(total, col)]
+    return [linalg.canonical(field, col) for col in basis], linalg.canonical(field, total)
+
+
 def test_q_frame_of_veronese_is_standard():
     for q in (2, 3, 4):
         nu = veronese_point_map(2, q)
-        data = build_Q_frame(nu)
+        columns, total = _canonical_columns_and_sum(nu.target.field, build_Q_frame(nu))
         dim = nu.target.n + 1
-        for flat, pair in enumerate(monomial_pairs(2)):
-            unit = tuple(1 if j == flat else 0 for j in range(dim))
-            assert data.q_points[pair] == unit
-        assert data.e_point == tuple(1 for _ in range(dim))
+        assert len(columns) == len(monomial_pairs(2)) == dim
+        assert columns == [tuple(1 if j == flat else 0 for j in range(dim)) for flat in range(dim)]
+        assert total == tuple(1 for _ in range(dim))
 
 
 def test_q_frame_equivariance_under_projective_kappa():
@@ -747,11 +754,11 @@ def test_q_frame_equivariance_under_projective_kappa():
     nu = PointMap.from_function(
         ver.source, ver.target, lambda x: kappa.apply(ver.apply(x))
     )
-    base = build_Q_frame(veronese_point_map(2, 3))
-    twisted = build_Q_frame(nu)
-    for pair in monomial_pairs(2):
-        assert twisted.q_points[pair] == kappa.apply(base.q_points[pair])
-    assert twisted.e_point == kappa.apply(base.e_point)
+    field = ver.target.field
+    base, base_total = _canonical_columns_and_sum(field, build_Q_frame(veronese_point_map(2, 3)))
+    twisted, twisted_total = _canonical_columns_and_sum(field, build_Q_frame(nu))
+    assert twisted == [kappa.apply(col) for col in base]
+    assert twisted_total == kappa.apply(base_total)
 
 
 def test_recover_automorphism():
@@ -804,6 +811,44 @@ def test_line_arc_matches_literal_plane_arc(n, q):
             assert list(arc.coords.items()) == list(literal.coords.items())
 
 
+def _literal_frame(nu):
+    """`build_Q_frame` spelled out: each frame line spanned by an
+    elimination, its tangent meet found on the line_arc image, the
+    points gathered by monomial pair, then scaled."""
+    source = nu.source
+    *units, unit = standard_frame(source)
+    points = {(i, i): nu.table[e] for i, e in enumerate(units)}
+    for i, j in combinations(range(source.n + 1), 2):
+        arc = embeddings.line_arc(nu, source.span((units[i], units[j])))
+        if arc is None:
+            raise FrameCheckFailed(f"image of the frame line e{i} e{j} spans no plane")
+        points[i, j] = tangent_meet(arc, nu.table[units[i]], nu.table[units[j]])
+    frame = [points[pair] for pair in monomial_pairs(source.n)] + [nu.table[unit]]
+    scaled = scale_frame(nu.target, frame)
+    if scaled is None:
+        raise FrameCheckFailed("assembled points do not form a target frame")
+    return scaled
+
+
+def _frame_outcome(build, nu):
+    try:
+        return build(nu)
+    except NotRegular as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_q_frame_matches_literal_frame(n, q):
+    # the same basis, or the same first refusal, on every gate table
+    outcomes = []
+    for nu in _frame_gate_maps(n, q):
+        got = _frame_outcome(build_Q_frame, nu)
+        assert got == _frame_outcome(_literal_frame, nu)
+        outcomes.append(got)
+    assert sum(type(o) is list for o in outcomes) >= 3  # the accepted tables
+    assert any(type(o) is tuple for o in outcomes)  # some table is refused
+
+
 def _assert_probe_block_is_per_probe_solves(space, scaled, images):
     block = embeddings._probe_block(space, scaled, images)
     assert list(zip(*block)) == [
@@ -817,7 +862,7 @@ def test_probe_block_matches_per_probe_solves(n, q):
     framed = 0
     for nu in _frame_gate_maps(n, q):
         try:
-            scaled = build_Q_frame(nu).scaled
+            scaled = build_Q_frame(nu)
         except NotRegular:
             continue
         framed += 1
@@ -841,12 +886,13 @@ def test_probe_block_matches_per_probe_solves_in_semilinear_fits(q):
 
 
 def test_reconstruction_elimination_count(monkeypatch):
-    # Each of the C(n+1, 2) frame lines costs two eliminations: the source
-    # line's span and its image plane in line_arc (the tangent meet is a
-    # cross product).  Scaling the frame (solve_columns) is one more, and
-    # the q automorphism probes share one.  So a warm reconstruction, with
-    # the point lists and the Veronese map cached, makes 2 C(n+1, 2) + 2
-    # eliminations: 8 for n = 2 and 14 for n = 3, whatever q is.
+    # Each of the C(n+1, 2) frame lines e_i e_j has (e_i, e_j) as its
+    # reduced basis, so only its image plane in line_arc costs an
+    # elimination (the tangent meet is a cross product).  Scaling the
+    # frame (solve_columns) is one more, and the q automorphism probes
+    # share one.  So a warm reconstruction, with the point lists and the
+    # Veronese map cached, makes C(n+1, 2) + 2 eliminations: 3 + 2 = 5
+    # for n = 2 and 6 + 2 = 8 for n = 3, whatever q is.
     calls = 0
     rref = linalg.rref
 
@@ -863,7 +909,7 @@ def test_reconstruction_elimination_count(monkeypatch):
         calls = 0
         reconstruct_kappa(PointMap(nu.source, nu.target, nu.table))
         counts[n, q] = calls
-    assert counts == {(2, 3): 8, (2, 8): 8, (3, 2): 14, (3, 3): 14}
+    assert counts == {(2, 3): 5, (2, 8): 5, (3, 2): 8, (3, 3): 8}
 
 
 def _equal_up_to_scalar(field, a, b):
@@ -922,9 +968,9 @@ def test_certificate_witness_is_first_literal_mismatch(n, q):
             witness = exc.point
         else:
             pytest.fail(f"broken table {seed} certified")
-        frame_data = build_Q_frame(nu)
-        alpha = recover_automorphism(nu, frame_data)
-        kappa = SemilinearMap(nu.target, linalg.transpose(frame_data.scaled), alpha)
+        scaled = build_Q_frame(nu)
+        alpha = recover_automorphism(nu, scaled)
+        kappa = SemilinearMap(nu.target, linalg.transpose(scaled), alpha)
         ver = veronese_for(nu.source)
         assert witness == next(
             x for x in nu.source.points() if kappa.apply(ver.apply(x)) != nu.table[x]

@@ -354,6 +354,27 @@ def _map_text(**override) -> str:
     return json.dumps({**_map_dict(veronese_point_map(2, 3)), **override})
 
 
+def test_cli_oversized_spaces_exit_2_without_a_point_count(tmp_path, capsys):
+    # a few bytes of input name spaces far past the enumeration cap: each
+    # is refused before its point count is built, and no count is printed
+    path = tmp_path / "map.json"
+    for argv, spaces in [
+        (["gen", "--kind", "veronese", "--n", "40", "--q", "3", "--out", str(path)],
+         [space_for(40, 3), veronese_for(space_for(40, 3)).target]),
+        (["enum", "--n", "40", "--q", "3"], [space_for(40, 3)]),
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert not any(str(space.point_count) in err for space in spaces)
+    assert "pairs" not in veronese_for(space_for(40, 3)).__dict__  # C(42, 2) monomials
+    path.write_text(_map_text(n_prime=1000))
+    assert main(["verify", "--map", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(space_for(1000, 3).point_count) not in err
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -422,6 +443,8 @@ def test_cli_suite_id_and_all_exclude_each_other(capsys, monkeypatch):
         asked.append(target)
         return run_suite("closure-transfer")
 
+    assert main(["suite", "--id", ""]) == 2  # an empty id names no suite
+    assert "unknown suite ''" in capsys.readouterr().err
     monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
     assert main(["suite", "--all"]) == main(["suite"]) == 0
     assert main(["suite", "--id", "thm-3-7"]) == 0

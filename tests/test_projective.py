@@ -248,6 +248,15 @@ def test_quotient_point_over_hyperplane_image():
     assert ext.dim == 3
 
 
+def test_points_refuses_a_huge_space_without_counting():
+    # q^n >= 2^n, so PG(n, q) with n >= POINT_ENUM_CAP.bit_length() has
+    # more points than the cap, and its count is never built
+    space = space_for(10**5, 3)
+    with pytest.raises(SizeCapExceeded, match="more points than the cap 1000000"):
+        space.points()
+    assert "point_count" not in space.__dict__
+
+
 @pytest.mark.parametrize(
     "n, q", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 )
