@@ -117,6 +117,12 @@ def _cmd_reconstruct(args) -> int:
         rec = reconstruct_kappa(nu)
     except (VerificationFailed, NotRegular) as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
+        point = getattr(exc, "point", None)  # the first mismatch of a VerificationFailed
+        _dump({
+            "refusal": type(exc).__name__,
+            "message": str(exc),
+            "point": None if point is None else list(point),
+        })
         return 1
     if args.out:
         save_semilinear(rec.kappa, args.out)

@@ -4,16 +4,18 @@ A candidate map is an explicit table sending every point of the source
 space to a point of the target space.  The verifier checks that taking
 linear spans of image sets and pulling back reproduces the quadratic
 closure on the source, for every subset in the selected mode, and that
-the image spans the whole target.  For maps that pass a regularity
-test, the reconstruction pipeline builds a distinguished target frame
-from tangent intersections of image conics, reads off the field
-automorphism, and produces the unique collineation whose composition
-with the Veronese map reproduces the table; the result is certified
-point by point.
+the image spans the whole target.  Reconstruction fits the unique
+collineation whose composition with the Veronese map reproduces the
+table from the images of points with 0/1 coordinates, in one
+elimination, and certifies it point by point.  The paper's pipeline, a
+distinguished target frame from tangent intersections of image conics
+and the field automorphism read off probe points, runs only to name
+why a table is refused.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import types
 from dataclasses import dataclass
@@ -34,7 +36,6 @@ from .errors import (
     NoAutomorphismMatch,
     NotACollineation,
     NotComplementary,
-    NotRegular,
     NotTotal,
     PgtoolError,
     SpaceMismatch,
@@ -60,8 +61,8 @@ REDUCED_CAP = 10**7
 class PointMap:
     """Total injective-candidate map between point sets, given as a table.
 
-    The table is read-only, so `reconstruct_kappa` can keep its outcome
-    on the map.
+    The table is read-only, so `_certified` and `reconstruct_kappa` can
+    keep their outcome on the map.
     """
 
     def __init__(self, source: ProjectiveSpace, target: ProjectiveSpace, table: dict):
@@ -90,7 +91,7 @@ class PointMap:
                 )
             seen[img] = p
         self.table = types.MappingProxyType({p: norm[p] for p in pts})
-        self._reconstruction = None  # set by reconstruct_kappa
+        self._reconstruction = None  # set by _certified and reconstruct_kappa
 
     @classmethod
     def from_function(cls, source, target, fn) -> "PointMap":
@@ -220,13 +221,13 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
     ``exhaustive`` compares every subset of the source (at most
     EXHAUSTIVE_CAP points), one at a time; it is the literal oracle.
 
-    ``reduced`` first asks `reconstruct_kappa` for a certificate
-    nu = kappa rho, with kappa a collineation of the target.  A
-    collineation preserves spans, so for every subset M the span
-    preimage of nu(M) is {x : kappa rho(x) in span kappa rho(M)} =
-    {x : rho(x) in span rho(M)} = clos M, and nu(P) = kappa(rho(P))
-    spans the target because rho(P) does.  A certified table is
-    therefore accepted without a scan.
+    ``reduced`` first asks `_certified` for a certificate
+    nu = kappa rho, with kappa a collineation of the target fitted in
+    one elimination (`_fit_kappa`).  A collineation preserves spans, so
+    for every subset M the span preimage of nu(M) is
+    {x : kappa rho(x) in span kappa rho(M)} = {x : rho(x) in span rho(M)}
+    = clos M, and nu(P) = kappa(rho(P)) spans the target because rho(P)
+    does.  A certified table is therefore accepted without a scan.
 
     Otherwise `_first_violation` scans only the subsets whose images
     are linearly independent, and it finds the same witness.  Suppose M
@@ -246,7 +247,8 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
     line, so every line image of a quadratic embedding is a plane
     (q+1)-arc, which is regular by the tangent count in `is_regular`;
     by the paper's main theorem a regular embedding is kappa rho, which
-    `reconstruct_kappa` certifies.
+    `_certified` certifies.  A rejected table pays for the fit and the
+    certificate up to its first mismatch, and no Q-frame, before the scan.
     """
     source, target = nu.source, nu.target
     src_pts = source.points()
@@ -412,21 +414,22 @@ def is_regular(nu: PointMap) -> bool:
     a larger field is allowed, and then no image point has a unique
     unisecant.  So the unisecants need not be enumerated.
 
-    The certificate decides first.  When `reconstruct_kappa` certifies
-    nu = kappa rho, nu is regular: rho maps a line onto a conic, the
-    q+1 zeros of a nondegenerate form in the plane its Veronese image
-    spans, so a plane (q+1)-arc; kappa maps planes to planes and lines
-    to lines, so every line image is again a plane (q+1)-arc, regular
-    by the tangent count.  The outcome is kept on nu, so a
-    `reconstruct_kappa` after this call costs nothing.
+    The certificate decides first.  When `_certified` fits kappa in one
+    elimination and certifies nu = kappa rho, nu is regular: rho maps a
+    line onto a conic, the q+1 zeros of a nondegenerate form in the
+    plane its Veronese image spans, so a plane (q+1)-arc; kappa maps
+    planes to planes and lines to lines, so every line image is again a
+    plane (q+1)-arc, regular by the tangent count.  The outcome is kept
+    on nu, so a `reconstruct_kappa` after a True costs nothing.
 
     A failed certificate proves nothing, so the line scan decides then,
-    and it stays: regularity asks only that line images be arcs, and the
-    paper's main theorem identifies kappa rho among quadratic embeddings
-    alone.  A table can be regular without being kappa rho: a random
-    injection PG(2, 2) -> PG(5, 2) usually sends every line to three
-    non-collinear points, and a line source (n = 1) or a target of
-    another dimension is outside the theorem.
+    with no Q-frame built first.  The scan stays: regularity asks only
+    that line images be arcs, and the paper's main theorem identifies
+    kappa rho among quadratic embeddings alone.  A table can be regular
+    without being kappa rho: a random injection PG(2, 2) -> PG(5, 2)
+    usually sends every line to three non-collinear points, and a line
+    source (n = 1) or a target of another dimension is outside the
+    theorem.
     """
     if nu.source.field != nu.target.field:
         return False
@@ -527,8 +530,14 @@ def _probe_exponent(space: ProjectiveSpace, scaled, images: dict) -> int | None:
     Returns None when some probe image has a zero leading coordinate or
     no exponent matches every ratio.
     """
-    field = space.field
     lead, second = _probe_block(space, scaled, images)[:2]
+    return _frobenius_exponent(space.field, lead, second)
+
+
+def _frobenius_exponent(field, lead, second) -> int | None:
+    """The m with second[t] / lead[t] = t^(p^m) for every t in field
+    order, by one lookup in `field.frobenius_table`; None when some lead
+    is zero or no m matches."""
     if not all(lead):
         return None
     ratios = tuple(field.div(b, a) for a, b in zip(lead, second))
@@ -683,39 +692,161 @@ class Reconstruction:
 def reconstruct_kappa(nu: PointMap) -> Reconstruction:
     """Produce the collineation composing with the Veronese map to give nu.
 
-    Three steps: the frame basis (`build_Q_frame`), the automorphism
-    (`recover_automorphism`), then the collineation that applies the
-    automorphism entrywise and the matrix with the basis as columns,
-    certified pointwise.  Any mismatch raises VerificationFailed with the
-    first offending source point.  The frame and the automorphism take
-    C(n+1, 2) + 2 eliminations, whatever q is.  The outcome, a
-    Reconstruction or the error raised, is kept on nu, so each table is
-    reconstructed once.
+    A table that `_certified` certifies gets the Reconstruction of the
+    fit, which cost one elimination.  Any other table is refused, and
+    the paper's construction names the refusal: `_reconstruct` builds
+    the Q-frame (`build_Q_frame`), reads the automorphism
+    (`recover_automorphism`) and runs its own certificate, and what it
+    raises is raised here: NotRegular for a frame or automorphism it
+    cannot read, VerificationFailed with its first mismatched point, or
+    ForeignTarget or DimensionMismatch for a table outside the main
+    theorem.  By `_fit_kappa` it cannot certify a table the fit refused.
+    The outcome is kept on nu, so each table is fitted once and its
+    refusal named once.
     """
-    outcome = nu._reconstruction
-    if outcome is None:
+    if _certified(nu):
+        return nu._reconstruction
+    if nu._reconstruction is False:
         try:
-            outcome = nu._reconstruction = _reconstruct(nu)
+            rec = _reconstruct(nu)
         except PgtoolError as exc:
             nu._reconstruction = exc
-            raise
-    if isinstance(outcome, PgtoolError):
-        raise outcome.with_traceback(None)
-    return outcome
+        else:
+            raise AssertionError(f"the Q-frame certified a table the fit refused: {rec}")
+    raise nu._reconstruction.with_traceback(None)
 
 
 def _certified(nu: PointMap) -> bool:
-    """Whether `reconstruct_kappa` certifies nu = kappa rho.
+    """Whether nu = kappa rho, by `_fit_kappa` and the pointwise
+    certificate of `kappa_rho`, which stops at the first mismatch.
 
-    Every refusal is False: a table the certificate rejects, and a table
+    This is the decision behind `is_regular` and reduced verification.
+    A certified table keeps its Reconstruction on nu, and a refused one
+    keeps False until `reconstruct_kappa` names the refusal.  A table
     outside the main theorem (another field, a line source, a target of
-    another dimension).
+    another dimension) is refused.
     """
-    try:
-        reconstruct_kappa(nu)
-    except (NotRegular, VerificationFailed, ForeignTarget, DimensionMismatch):
-        return False
-    return True
+    if nu._reconstruction is None:
+        kappa = _fit_kappa(nu)
+        source = nu.source
+        if kappa is None or any(
+            y != nu.table[x] for x, y in zip(source.points(), kappa_rho(source, kappa))
+        ):
+            nu._reconstruction = False
+        else:
+            nu._reconstruction = Reconstruction(kappa, kappa.alpha, source.point_count)
+    return isinstance(nu._reconstruction, Reconstruction)
+
+
+def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
+    """kappa read off the table at points with 0/1 coordinates, in one
+    elimination, or None when those points fit no collineation.
+
+    Write K for the matrix of a kappa with nu = kappa rho, its columns
+    k_ij indexed by the monomial pairs.  At a point x with coordinates 0
+    and 1, rho(x) has entries 0 and 1, which every Frobenius power fixes,
+    so nu(x) ~ K rho(x) whatever alpha is (~ means equal up to a nonzero
+    factor).  The fit reads:
+
+    - the basis images b_ii = nu(e_i) ~ k_ii and, for i < j,
+      b_ij = nu(e_i + e_j) ~ k_ii + k_jj + k_ij.  So for nonzero c,
+      k_ii = c_i b_ii and k_ij = c_ij b_ij - c_i b_ii - c_j b_jj, that
+      is K = b diag(c) T, where T sends e_ij to e_ij - e_ii - e_jj and
+      fixes e_ii.  T is the identity minus a map N with N^2 = 0, so it
+      is invertible with inverse I + N, and K is invertible exactly
+      when b is a basis;
+    - the scalar images nu(e_0 + e_i + e_j), 1 <= i < j <= n, each
+      ~ k_00 + k_ii + k_jj + k_0i + k_0j + k_ij
+      = c_0i b_0i + c_0j b_0j + c_ij b_ij - c_0 b_00 - c_i b_ii - c_j b_jj.
+      Their coordinates in the b basis give the six factors up to one
+      scale, which c_0 = 1 fixes: every c then carries the same factor
+      against K's, so the fitted matrix is a multiple of K;
+    - the unit image nu(1, ..., 1) ~ K rho(1, ..., 1), the sum of K's
+      columns.  The fitted matrix is rescaled so that its columns sum
+      to the table's representative of it;
+    - over GF(p^k) with k > 1, the probe images nu(1, t, 0, ..., 0)
+      ~ K (1, t^(p^alpha), t^(2 p^alpha)) on the pairs (0,0), (0,1),
+      (1,1).  With beta the b coordinates of a probe, its coordinates
+      in the fitted basis are diag(c)^-1 beta pushed through I + N, up
+      to the rescale: the (0,1) coordinate is beta_01 / c_01 and the
+      (0,0) one beta_00 + sum over j >= 1 of beta_0j / c_0j.  These are
+      the rows `_probe_exponent` reads, so `_frobenius_exponent` finds
+      `recover_automorphism`'s alpha; two exponents give two different
+      ratios at a primitive t, so alpha is unique.  Over a prime field
+      alpha = 0.
+
+    So on a kappa rho table b is a basis, no factor is zero, the column
+    sum is a multiple of the unit image and the probes match alpha: the
+    fit returns kappa, and it refuses only tables that are not kappa
+    rho.  It computes K from the table alone, so every kappa with
+    nu = kappa rho has a matrix proportional to K, and the rescale picks
+    the one multiple whose columns sum to the unit image, as
+    `scale_frame` does for `build_Q_frame`, whose frame points on such a
+    table are K's columns by the paper's construction.  A certificate
+    that passes proves nu = kappa rho.  So the fit with the certificate
+    (`_certified`) and `_reconstruct` both certify exactly the kappa rho
+    tables, with the same kappa, alpha and points_checked, and the paper
+    path cannot certify a table the fit refused.  Unlike the Q-frame,
+    the fit needs no frame in rho(P): for n = 3 over GF(2), rho(PG(3, 2))
+    holds none.
+
+    The basis, scalar and probe images share one elimination; the rest
+    is field arithmetic on m = C(n+2, 2) vectors.
+    """
+    source, target = nu.source, nu.target
+    field, n = source.field, source.n
+    if field != target.field or n < 2 or target.n != delta(n) - 1:
+        return None
+    pairs = monomial_pairs(n)
+    m, at = len(pairs), {pair: r for r, pair in enumerate(pairs)}
+
+    def image(*ones):
+        return nu.table[tuple(int(i in ones) for i in range(n + 1))]
+
+    basis = [image(i, j) for i, j in pairs]
+    triples = list(combinations(range(1, n + 1), 2))
+    extra = [image(0, i, j) for i, j in triples]
+    if field.k > 1:
+        extra += [nu.table[(1, t) + (0,) * (n - 1)] for t in field.elements()]
+    pivots, rows = linalg.rref(field, [a + b for a, b in zip(zip(*basis), zip(*extra))])
+    if pivots != tuple(range(m)):
+        return None
+    coords = list(zip(*(row[m:] for row in rows)))  # b coordinates of each extra image
+    add, mul, neg, div = field.add_table, field.mul_table, field.neg, field.div
+
+    def plus(values):
+        return functools.reduce(lambda a, b: add[a][b], values, 0)
+
+    c = [1] + [0] * (m - 1)  # c_0 = 1, at the pair (0, 0)
+    for (i, j), beta in zip(triples, coords):
+        f = neg(beta[0])  # beta = f (c_0i, c_0j, c_ij, -c_0, -c_i, -c_j) on those pairs
+        if not f:
+            return None
+        for pair in (0, i), (0, j), (i, j), (i, i), (j, j):
+            r = at[pair]
+            c[r] = div(beta[r], beta[0] if pair[0] == pair[1] else f)
+            if not c[r]:
+                return None
+    diag = [[mul[c[at[i, i]]][x] for x in basis[at[i, i]]] for i in range(n + 1)]
+    cols = [
+        diag[i] if i == j else [
+            add[mul[c[r]][x]][neg(add[y][z])] for x, y, z in zip(basis[r], diag[i], diag[j])
+        ]
+        for r, (i, j) in enumerate(pairs)
+    ]
+    total = [plus(row) for row in zip(*cols)]
+    if linalg.canonical(field, total) != image(*range(n + 1)):
+        return None
+    rescale = mul[field.inv(next(filter(None, total)))]
+    cols = [tuple(rescale[x] for x in col) for col in cols]
+    alpha = 0
+    if field.k > 1:
+        # the pairs (0, j) come first, so at[0, j] = j, and c_00 = c_0 = 1
+        probes = [[div(beta[j], c[j]) for j in range(n + 1)] for beta in coords[len(triples):]]
+        alpha = _frobenius_exponent(field, [plus(y) for y in probes], [y[1] for y in probes])
+        if alpha is None:
+            return None
+    return SemilinearMap.from_basis(target, cols, alpha)
 
 
 def _reconstruct(nu: PointMap) -> Reconstruction:

@@ -7,7 +7,10 @@ these to exit code 2, property violations to exit code 1.
 Reconstruction refusals derive from :class:`NotRegular`: a table whose
 frame, unisecants or Frobenius exponent cannot be read off is refused
 through that one type, and a failed pointwise certificate raises
-:class:`VerificationFailed`.
+:class:`VerificationFailed`.  These are the paper path's refusals: a
+table is certified by a fit that raises nothing, and only a table the
+fit refuses goes through the Q-frame, to name its refusal with one of
+these types.
 """
 
 

@@ -289,9 +289,13 @@ def _suite_prop_x33():
         for s in params["seeds"]:
             nu, _ = veronese_kappa_map(n, q, s)
             try:
-                build_Q_frame(nu)
+                frame = build_Q_frame(nu)
+                columns = linalg.transpose(reconstruct_kappa(nu).kappa.matrix)
             except PgtoolError as exc:
                 witnesses.append({"space": [n, q], "seed": s, "error": str(exc)})
+                continue
+            if tuple(frame) != columns:  # the frame must be kappa's columns
+                witnesses.append({"space": [n, q], "seed": s, "error": "frame is not kappa's columns"})
     return params, witnesses
 
 

@@ -47,6 +47,7 @@ from pgtool.errors import (
     NotACollineation,
     NotRegular,
     NotTotal,
+    PgtoolError,
     UsageError,
     VerificationFailed,
 )
@@ -195,10 +196,7 @@ def _literal_reduced_scan(nu):
 def scan_only(monkeypatch):
     """Reduced mode with no certificate, so the subset scan decides."""
 
-    def no_certificate(nu):
-        raise NotRegular("no certificate in this test")
-
-    monkeypatch.setattr(embeddings, "reconstruct_kappa", no_certificate)
+    monkeypatch.setattr(embeddings, "_certified", lambda nu: False)
 
 
 def test_reduced_agrees_with_exhaustive_on_random_maps():
@@ -537,20 +535,25 @@ def _random_injection(n, q, seed):
     return PointMap(source, target, dict(zip(source.points(), images)))
 
 
-def _regularity_gate_maps(n, q):
-    """Tables of the form kappa rho, and tables that are not."""
+def _kappa_rho_gate_maps(n, q):
+    """kappa rho tables: seeded ones, and one for every Frobenius twist,
+    so GF(4) gets alpha = 1."""
     ver = veronese_for(space_for(n, q))
-    kappa_rho = [veronese_kappa_map(n, q, s)[0] for s in range(2)]
-    # every Frobenius twist, so GF(4) gets alpha = 1
-    kappa_rho += [
+    maps = [veronese_kappa_map(n, q, s)[0] for s in range(2)]
+    maps += [
         compose_with_veronese(ver, random_semilinear(ver.target, SplitMix64(7), alpha))
         for alpha in ver.source.field.automorphism_exponents()
     ]
     if (n, q) == (2, 2):
-        kappa_rho += [frame_injection_map(s) for s in range(5)]
+        maps += [frame_injection_map(s) for s in range(5)]
+    return maps
+
+
+def _regularity_gate_maps(n, q):
+    """Tables of the form kappa rho, and tables that are not."""
     others = [broken_map(n, q, s) for s in range(3)]
     others += [_random_injection(n, q, s) for s in range(3)]
-    return kappa_rho, others
+    return _kappa_rho_gate_maps(n, q), others
 
 
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (2, 5), (3, 3)])
@@ -886,13 +889,13 @@ def test_probe_block_matches_per_probe_solves_in_semilinear_fits(q):
 
 
 def test_reconstruction_elimination_count(monkeypatch):
-    # Each of the C(n+1, 2) frame lines e_i e_j has (e_i, e_j) as its
-    # reduced basis, so only its image plane in line_arc costs an
-    # elimination (the tangent meet is a cross product).  Scaling the
-    # frame (solve_columns) is one more, and the q automorphism probes
-    # share one.  So a warm reconstruction, with the point lists and the
-    # Veronese map cached, makes C(n+1, 2) + 2 eliminations: 3 + 2 = 5
-    # for n = 2 and 6 + 2 = 8 for n = 3, whatever q is.
+    # A certified table costs one elimination: `_fit_kappa` solves the
+    # scalar images and, when q is not prime, the automorphism probes
+    # against the basis images in one `rref`, and the certificate makes
+    # none.  The Q-frame runs only to name a refusal.  So a warm
+    # reconstruction, with the point lists and the Veronese map cached,
+    # makes 1 elimination whatever n and q are, and the verdicts of
+    # `is_regular` and reduced verification share it.
     calls = 0
     rref = linalg.rref
 
@@ -903,13 +906,18 @@ def test_reconstruction_elimination_count(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counted)
     counts = {}
-    for n, q in [(2, 3), (2, 8), (3, 2), (3, 3)]:
+    for n, q in [(2, 3), (2, 8), (2, 9), (3, 2), (3, 3), (4, 2)]:
         nu, _ = veronese_kappa_map(n, q, 1)
         reconstruct_kappa(nu)  # warms the caches
         calls = 0
         reconstruct_kappa(PointMap(nu.source, nu.target, nu.table))
         counts[n, q] = calls
-    assert counts == {(2, 3): 5, (2, 8): 5, (3, 2): 8, (3, 3): 8}
+        calls = 0
+        fresh = PointMap(nu.source, nu.target, nu.table)
+        assert is_regular(fresh) and is_quadratic_embedding(fresh).path == "certificate"
+        reconstruct_kappa(fresh)
+        assert calls == 1
+    assert counts == {(2, 3): 1, (2, 8): 1, (2, 9): 1, (3, 2): 1, (3, 3): 1, (4, 2): 1}
 
 
 def _equal_up_to_scalar(field, a, b):
@@ -984,8 +992,9 @@ def test_certificate_witness_is_first_literal_mismatch(n, q):
 
 @pytest.mark.parametrize("n, q", [(2, 3), (2, 4), (3, 2)])
 def test_certificate_stops_at_first_mismatch(n, q, monkeypatch):
-    # each kappa rho image costs one mat_vec call, and no earlier step of
-    # the reconstruction makes one
+    # each kappa rho image costs one mat_vec call, and neither the fit nor
+    # the Q-frame and automorphism steps make one; the fit's certificate
+    # and the paper path's each stop at their own kappa's first mismatch
     calls = 0
     mat_vec = linalg.mat_vec
 
@@ -994,25 +1003,83 @@ def test_certificate_stops_at_first_mismatch(n, q, monkeypatch):
         calls += 1
         return mat_vec(*args)
 
+    ver = veronese_for(space_for(n, q))
+    pts = ver.source.points()
+
+    def first_mismatch(nu, kappa):
+        return next(x for x in pts if kappa.apply(ver.apply(x)) != nu.table[x])
+
     monkeypatch.setattr(linalg, "mat_vec", counted)
-    pts = space_for(n, q).points()
-    stops = []
+    fit_stops, paper_stops = [], []
     for seed in range(12):
         nu = broken_map(n, q, seed)
+        kappa = embeddings._fit_kappa(nu)
+        want = None if kappa is None else first_mismatch(nu, kappa)
+        calls = 0
+        assert not embeddings._certified(nu)
+        assert calls == (0 if want is None else 1 + pts.index(want))
+        if want is not None:
+            fit_stops.append(calls)
         calls = 0
         try:
-            reconstruct_kappa(nu)
+            embeddings._reconstruct(nu)
         except VerificationFailed as exc:
             assert calls == 1 + pts.index(exc.point)
-            stops.append(calls)
+            paper_stops.append(calls)
         except NotRegular:
             assert calls == 0  # refused before the certificate
         else:
             pytest.fail(f"broken table {seed} certified")
-    assert stops and min(stops) < len(pts)  # some certificate stopped early
+    for stops in (fit_stops, paper_stops):
+        assert stops and min(stops) < len(pts)  # some certificate stopped early
     nu, _ = veronese_kappa_map(n, q, 0)
     calls = 0
+    assert embeddings._certified(nu) and calls == len(pts)
     assert reconstruct_kappa(nu).points_checked == calls == len(pts)
+
+
+@pytest.mark.parametrize(
+    "n, q",
+    [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4), (4, 2), (5, 2)],
+)
+def test_fit_kappa_is_the_q_frame_on_kappa_rho_tables(n, q):
+    # the fit's columns are build_Q_frame's basis, entry for entry, and
+    # its alpha is recover_automorphism's, for every Frobenius twist
+    alphas = set()
+    for nu in _kappa_rho_gate_maps(n, q):
+        kappa = embeddings._fit_kappa(nu)
+        scaled = build_Q_frame(nu)
+        assert list(linalg.transpose(kappa.matrix)) == scaled
+        assert kappa.alpha == recover_automorphism(nu, scaled)
+        alphas.add(kappa.alpha)
+    assert alphas == set(space_for(n, q).field.automorphism_exponents())
+
+
+def _reconstruction_outcome(reconstruct, nu):
+    try:
+        rec = reconstruct(nu)
+    except PgtoolError as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
+    return rec.kappa.matrix, rec.alpha, rec.points_checked
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+def test_fit_certifies_exactly_what_the_q_frame_certifies(n, q):
+    # _certified holds exactly when the paper path returns; otherwise
+    # reconstruct_kappa raises the paper path's refusal, and raises it again
+    maps = [make(n, q, s) for make in (broken_map, _swapped_map, _random_injection) for s in range(4)]
+    if (n, q) == (2, 2):
+        maps += [frame_injection_map(s) for s in range(5, 15)]
+    maps += _kappa_rho_gate_maps(n, q)
+    certified = 0
+    for nu in maps:
+        copy = PointMap(nu.source, nu.target, nu.table)
+        paper = _reconstruction_outcome(embeddings._reconstruct, copy)
+        assert embeddings._certified(nu) == (type(paper[0]) is tuple)  # a matrix, not a refusal type
+        assert _reconstruction_outcome(reconstruct_kappa, nu) == paper
+        assert _reconstruction_outcome(reconstruct_kappa, nu) == paper
+        certified += embeddings._certified(nu)
+    assert 0 < certified < len(maps)
 
 
 def test_certificate_refusals_are_not_regular():

@@ -289,14 +289,20 @@ def test_cli_verify_rejects_broken(tmp_path, capsys):
 
 
 def test_cli_reconstruct_exit_codes(tmp_path, capsys):
-    # broken PG(2,3) seed 0 fails the certificate, seed 2 the frame step
-    for seed in (0, 2):
+    # broken PG(2,3) seed 0 fails the certificate, seed 2 the frame step;
+    # stdout names the refusal as reconstruct_kappa raises it
+    for seed, refusal, point in ((0, "VerificationFailed", [1, 1, 2]),
+                                 (2, "FrameCheckFailed", None)):
         map_path = tmp_path / f"broken{seed}.json"
         assert main(["gen", "--kind", "broken", "--n", "2", "--q", "3",
                      "--seed", str(seed), "--out", str(map_path)]) == 0
         capsys.readouterr()
         assert main(["reconstruct", "--map", str(map_path)]) == 1
-        assert capsys.readouterr().err.startswith("reconstruction failed:")
+        out, err = capsys.readouterr()
+        assert err.startswith("reconstruction failed:")
+        body = json.loads(out)
+        assert body == {"refusal": refusal, "message": err.split(": ", 1)[1].rstrip("\n"),
+                        "point": point}
     line_path = tmp_path / "line.json"
     assert main(["gen", "--kind", "veronese", "--n", "1", "--q", "3",
                  "--out", str(line_path)]) == 0
