@@ -19,7 +19,7 @@ import functools
 import json
 import types
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import linalg
 from .arcs import PlaneArc, is_arc, tangent_meet
@@ -61,6 +61,11 @@ REDUCED_CAP = 10**7
 class PointMap:
     """Total injective-candidate map between point sets, given as a table.
 
+    A table is validated as a whole first (`_bulk_checked`).  One that
+    fails any whole-table check goes through the per-entry check
+    (`_entry_checked`), which accepts it or raises on its first bad
+    entry, so every exception and message is that of the per-entry check.
+
     The table is read-only, so `_certified` and `reconstruct_kappa` can
     keep their outcome on the map.
     """
@@ -69,29 +74,13 @@ class PointMap:
         _check_field_compatible(source, target)
         self.source = source
         self.target = target
-        norm = {}
-        for key, val in table.items():
-            key = source.normalize(key)
-            if key in norm:
-                raise InvalidPointMap(f"two representatives of source point {key}")
-            norm[key] = target.normalize(val)
-        pts = source.points()
-        missing = [p for p in pts if p not in norm]
-        if missing:
-            raise NotTotal(f"table misses {len(missing)} source points, e.g. {missing[0]}")
-        if len(norm) != len(pts):
-            extra = set(norm) - set(pts)
-            raise InvalidPointMap(f"table has non-source keys, e.g. {next(iter(extra))}")
-        seen: dict[tuple, tuple] = {}
-        for p in pts:
-            img = norm[p]
-            if img in seen:
-                raise InvalidPointMap(
-                    f"not injective: {seen[img]} and {p} both map to {img}"
-                )
-            seen[img] = p
-        self.table = types.MappingProxyType({p: norm[p] for p in pts})
+        norm = _bulk_checked(source, target, table)
+        if norm is None:
+            norm = _entry_checked(source, target, table)
+        self.table = types.MappingProxyType(norm)
         self._reconstruction = None  # set by _certified and reconstruct_kappa
+        self._fitted = None  # the kappa fitted on a refused table, set by _certified
+        self._mismatches = None  # its D, set by _mismatches
 
     @classmethod
     def from_function(cls, source, target, fn) -> "PointMap":
@@ -110,6 +99,66 @@ class PointMap:
             and self.target == other.target
             and self.table == other.table
         )
+
+
+def _bulk_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> dict | None:
+    """The table in `source.points()` order with canonical values, or
+    None when a whole-table check fails.
+
+    The checks: every key and every value is a tuple of the right
+    length; the set of coordinate types is exactly {int}, so no bool;
+    the value codes lie in [0, q); the keys are exactly the source
+    points, so they are canonical and in range; and the canonical values,
+    one `linalg.canonical` call each, are nonzero and pairwise distinct.
+    A table that passes them is the table `_entry_checked` builds.
+    """
+    pts = source.points()
+    keys, vals = table.keys(), table.values()
+    if (
+        len(keys) != len(pts)
+        or {*map(type, keys), *map(type, vals)} != {tuple}
+        or set(map(len, keys)) != {source.n + 1}
+        or set(map(len, vals)) != {target.n + 1}
+    ):
+        return None
+    codes = list(chain.from_iterable(vals))
+    if {*map(type, chain.from_iterable(keys)), *map(type, codes)} != {int}:
+        return None
+    field, distinct = target.field, set(codes)
+    if min(distinct) < 0 or max(distinct) >= field.q or not source.are_points(keys):
+        return None
+    canon = {key: linalg.canonical(field, val) for key, val in table.items()}
+    images = set(canon.values())
+    if None in images or len(images) != len(pts):
+        return None
+    return {p: canon[p] for p in pts}
+
+
+def _entry_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> dict:
+    """The table checked entry by entry through `ProjectiveSpace.normalize`:
+    the first bad entry in table order names the error."""
+    norm = {}
+    for key, val in table.items():
+        key = source.normalize(key)
+        if key in norm:
+            raise InvalidPointMap(f"two representatives of source point {key}")
+        norm[key] = target.normalize(val)
+    pts = source.points()
+    missing = [p for p in pts if p not in norm]
+    if missing:
+        raise NotTotal(f"table misses {len(missing)} source points, e.g. {missing[0]}")
+    if len(norm) != len(pts):
+        extra = set(norm) - set(pts)
+        raise InvalidPointMap(f"table has non-source keys, e.g. {next(iter(extra))}")
+    seen: dict[tuple, tuple] = {}
+    for p in pts:
+        img = norm[p]
+        if img in seen:
+            raise InvalidPointMap(
+                f"not injective: {seen[img]} and {p} both map to {img}"
+            )
+        seen[img] = p
+    return {p: norm[p] for p in pts}
 
 
 def _check_field_compatible(source: ProjectiveSpace, target: ProjectiveSpace):
@@ -146,15 +195,30 @@ def point_map_from_dict(data: dict) -> PointMap:
             raise InvalidPointMap(f"n and n_prime must be integers, got {n!r} and {n_prime!r}")
         source = ProjectiveSpace(field, n)
         target = ProjectiveSpace(field, n_prime)
-        table = {}
-        for src, tgt in data["pairs"]:
-            key = tuple(src)
-            if key in table:  # PointMap takes a dict, which cannot hold this repeat
-                raise InvalidPointMap(f"duplicate source point {key}")
-            table[key] = tuple(tgt)
+        table = _read_pairs(data["pairs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPointMap(f"malformed map data: {exc!r}") from exc
     return PointMap(source, target, table)
+
+
+def _read_pairs(pairs) -> dict:
+    """The table of a map file's pairs, built in one pass; when that
+    fails or finds a repeated source point, pair by pair, so the first
+    bad pair names the error."""
+    if type(pairs) is list:
+        try:
+            table = {tuple(src): tuple(tgt) for src, tgt in pairs}
+        except (TypeError, ValueError):
+            table = None
+        if table is not None and len(table) == len(pairs):
+            return table
+    table = {}
+    for src, tgt in pairs:
+        key = tuple(src)
+        if key in table:  # PointMap takes a dict, which cannot hold this repeat
+            raise InvalidPointMap(f"duplicate source point {key}")
+        table[key] = tuple(tgt)
+    return table
 
 
 def save_point_map(pm: PointMap, path) -> None:
@@ -430,10 +494,29 @@ def is_regular(nu: PointMap) -> bool:
     usually sends every line to three non-collinear points, and a line
     source (n = 1) or a target of another dimension is outside the
     theorem.
+
+    The scan tests only the lines `_lines_to_scan` gives: those that
+    meet D = {x : nu(x) != kappa rho(x)} when the fit gave a kappa.  A
+    line that misses D has nu(line) = kappa rho(line), a plane
+    (q+1)-arc by the argument above for any collineation kappa, so it
+    passes.  So the scan over the lines that meet D, in `lines()` order,
+    has the value of the scan over all lines and stops at the same first
+    failing line.
     """
     if nu.source.field != nu.target.field:
         return False
-    return _certified(nu) or all(_line_image_is_arc(nu, line) for line in nu.source.lines())
+    return _certified(nu) or all(_line_image_is_arc(nu, line) for line in _lines_to_scan(nu))
+
+
+def _lines_to_scan(nu: PointMap):
+    """The lines of `source.lines()`, in that order, whose images the
+    scan of `is_regular` tests after `_certified` refused nu: those that
+    meet D when a kappa was fitted, else all."""
+    lines = nu.source.lines()
+    d = _mismatches(nu)
+    if d is None:
+        return lines
+    return (line for line in lines if not d.isdisjoint(line.points()))
 
 
 # -- the affine restriction and its extension ---------------------------------
@@ -721,8 +804,9 @@ def _certified(nu: PointMap) -> bool:
     certificate of `kappa_rho`, which stops at the first mismatch.
 
     This is the decision behind `is_regular` and reduced verification.
-    A certified table keeps its Reconstruction on nu, and a refused one
-    keeps False until `reconstruct_kappa` names the refusal.  A table
+    A certified table keeps its Reconstruction on nu.  A refused one
+    keeps False until `reconstruct_kappa` names the refusal, and the
+    fitted kappa, if there was one, for `_mismatches`.  A table
     outside the main theorem (another field, a line source, a target of
     another dimension) is refused.
     """
@@ -732,10 +816,22 @@ def _certified(nu: PointMap) -> bool:
         if kappa is None or any(
             y != nu.table[x] for x, y in zip(source.points(), kappa_rho(source, kappa))
         ):
-            nu._reconstruction = False
+            nu._reconstruction, nu._fitted = False, kappa
         else:
             nu._reconstruction = Reconstruction(kappa, kappa.alpha, source.point_count)
     return isinstance(nu._reconstruction, Reconstruction)
+
+
+def _mismatches(nu: PointMap) -> frozenset | None:
+    """D = {x : nu(x) != kappa rho(x)} for the kappa that `_certified`
+    fitted on a table it refused, or None when it fitted none.  D is
+    computed on first use and kept on nu."""
+    if nu._mismatches is None and nu._fitted is not None:
+        source = nu.source
+        nu._mismatches = frozenset(
+            x for x, y in zip(source.points(), kappa_rho(source, nu._fitted)) if y != nu.table[x]
+        )
+    return nu._mismatches
 
 
 def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
@@ -871,12 +967,66 @@ def _reconstruct(nu: PointMap) -> Reconstruction:
 def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap):
     """The points kappa(rho(x)) for the source points x, lazily and in
     `source.points()` order: the one computation of a kappa rho table,
-    for the certificate and for `generate.compose_with_veronese`.
+    for the certificates, D (`_mismatches`) and
+    `generate.compose_with_veronese`.
 
-    The rows of `VeroneseMap.image` are canonical, so `kappa.images` of
-    them is `kappa.apply(rho(x))` without validation.
+    Over GF(2) each point is `kappa.images` of its row of
+    `VeroneseMap.image`; the rows are canonical, so that is
+    `kappa.apply(rho(x))` without validation.  A line there has only the
+    points t = 0 and 1, so going along lines would save no product and
+    add set-up.  Over a larger field the table goes along lines
+    (`_kappa_rho_by_lines`).
     """
     ver = veronese_for(source)
     if kappa.space != ver.target:
         raise SpaceMismatch(f"kappa acts on {kappa.space}, not on the Veronese target")
-    return kappa.images(ver.image())
+    if source.field.q == 2:
+        return kappa.images(ver.image())
+    return _kappa_rho_by_lines(source, kappa, ver.image())
+
+
+def _kappa_rho_by_lines(source: ProjectiveSpace, kappa: SemilinearMap, rows):
+    """kappa rho along the affine lines that `source.points()` lists.
+
+    `points()` of PG(n, q) is e_n followed by (x', t) for x' in
+    `points()` of PG(n-1, q) and t in field order (see `point_at`).
+    With K the matrix of kappa, its columns k_ij, and sigma its field
+    automorphism, kappa rho(x) ~ K rho(x)^sigma = K rho(x^sigma), since
+    rho's monomials have coefficient 1.  Write (y, s) = (x', t)^sigma.
+    rho(y, s) holds y_i y_j on the pairs (i, j) with j < n, y_i s on
+    (i, n) with i < n, and s^2 on (n, n), so
+
+        K rho(y, s) = a + s b + s^2 c,
+
+    with a = K rho(y, 0), b = the sum over i < n of y_i k_in, and
+    c = k_nn.  So e_n goes to c.  On the line of x', a is the product of
+    K with the row rho(x', 0) under sigma, b the product of the n
+    columns k_in with y, and each t != 0 costs one m-term combination,
+    with the vectors s^2 c tabulated once per kappa.  These vectors are
+    the K rho(x)^sigma that `kappa.images` computes, so their canonical
+    multiples are its points.
+    """
+    field, n, matrix = source.field, source.n, kappa.matrix
+    add, mul = field.add_table, field.mul_table
+    frob = field.frobenius_table[kappa.alpha]
+    c = [row[-1] for row in matrix]
+    at_n = [r for r, (i, j) in enumerate(monomial_pairs(n)) if j == n != i]
+    k_n = [[row[r] for r in at_n] for row in matrix]  # the columns k_in, i < n
+    steps = []  # for t = 1, ..., q - 1: the products by s and the add rows of s^2 c
+    for t in range(1, field.q):
+        s = frob[t]
+        s2 = mul[mul[s][s]]
+        steps.append((mul[s], [add[s2[x]] for x in c]))
+    yield linalg.canonical(field, c)
+    pts = source.points()
+    for r in range(1, len(rows), field.q):
+        rho0, y = rows[r], pts[r][:n]
+        if kappa.alpha:
+            rho0, y = [frob[v] for v in rho0], [frob[v] for v in y]
+        a = linalg.mat_vec(field, matrix, rho0)
+        yield linalg.canonical(field, a)
+        b = linalg.mat_vec(field, k_n, y)
+        for times_s, plus_s2c in steps:
+            yield linalg.canonical(
+                field, [plus[add[x][times_s[z]]] for x, z, plus in zip(a, b, plus_s2c)]
+            )
