@@ -106,10 +106,11 @@ def _bulk_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> di
     None when a whole-table check fails.
 
     The checks: every key and every value is a tuple of the right
-    length; the set of coordinate types is exactly {int}, so no bool;
-    the value codes lie in [0, q); the keys are exactly the source
-    points, so they are canonical and in range; and the canonical values,
-    one `linalg.canonical` call each, are nonzero and pairwise distinct.
+    length; the set of coordinate types is exactly {int}, so no bool,
+    which equals 1 and would pass the key check below; the value codes
+    lie in [0, q); the keys are exactly the source points, so they are
+    canonical and in range; and the canonical values, one
+    `linalg.canonical` call each, are nonzero and pairwise distinct.
     A table that passes them is the table `_entry_checked` builds.
     """
     pts = source.points()
@@ -125,7 +126,7 @@ def _bulk_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> di
     if {*map(type, chain.from_iterable(keys)), *map(type, codes)} != {int}:
         return None
     field, distinct = target.field, set(codes)
-    if min(distinct) < 0 or max(distinct) >= field.q or not source.are_points(keys):
+    if min(distinct) < 0 or max(distinct) >= field.q or keys != set(pts):
         return None
     canon = {key: linalg.canonical(field, val) for key, val in table.items()}
     images = set(canon.values())
@@ -195,30 +196,15 @@ def point_map_from_dict(data: dict) -> PointMap:
             raise InvalidPointMap(f"n and n_prime must be integers, got {n!r} and {n_prime!r}")
         source = ProjectiveSpace(field, n)
         target = ProjectiveSpace(field, n_prime)
-        table = _read_pairs(data["pairs"])
+        table = {}
+        for src, tgt in data["pairs"]:
+            key = tuple(src)
+            if key in table:  # PointMap takes a dict, which cannot hold this repeat
+                raise InvalidPointMap(f"duplicate source point {key}")
+            table[key] = tuple(tgt)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPointMap(f"malformed map data: {exc!r}") from exc
     return PointMap(source, target, table)
-
-
-def _read_pairs(pairs) -> dict:
-    """The table of a map file's pairs, built in one pass; when that
-    fails or finds a repeated source point, pair by pair, so the first
-    bad pair names the error."""
-    if type(pairs) is list:
-        try:
-            table = {tuple(src): tuple(tgt) for src, tgt in pairs}
-        except (TypeError, ValueError):
-            table = None
-        if table is not None and len(table) == len(pairs):
-            return table
-    table = {}
-    for src, tgt in pairs:
-        key = tuple(src)
-        if key in table:  # PointMap takes a dict, which cannot hold this repeat
-            raise InvalidPointMap(f"duplicate source point {key}")
-        table[key] = tuple(tgt)
-    return table
 
 
 def save_point_map(pm: PointMap, path) -> None:
@@ -972,10 +958,14 @@ def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap):
 
     Over GF(2) each point is `kappa.images` of its row of
     `VeroneseMap.image`; the rows are canonical, so that is
-    `kappa.apply(rho(x))` without validation.  A line there has only the
-    points t = 0 and 1, so going along lines would save no product and
-    add set-up.  Over a larger field the table goes along lines
-    (`_kappa_rho_by_lines`).
+    `kappa.apply(rho(x))` without validation.  Over a larger field the
+    table goes along lines (`_kappa_rho_by_lines`), which holds over
+    GF(2) too but is slower there: a line has only the points t = 0 and
+    1, so it saves no product and adds set-up.  Timed per table
+    (`kappa_rho_paths` in BENCH_pr18.json), the line routine ran at
+    0.73-0.90x the speed of `kappa.images` at PG(2, 2) and PG(3, 2),
+    0.93-1.01x at PG(4, 2), 0.98-1.01x at PG(2, 3), and 1.19-1.27x at
+    PG(3, 3), PG(2, 4) and PG(2, 5).
     """
     ver = veronese_for(source)
     if kappa.space != ver.target:

@@ -80,12 +80,6 @@ class ProjectiveSpace:
         self.points()
         return self._index[pt]
 
-    def are_points(self, vecs) -> bool:
-        """Whether each vector is a tuple of `points()`, unvalidated: a
-        bool equals 1 and hashes like it, so callers check types first."""
-        self.points()
-        return all(map(self._index.__contains__, vecs))
-
     def point_at(self, i: int) -> tuple[int, ...]:
         """The point at position i of `points()`, without enumerating them.
 

@@ -1112,8 +1112,9 @@ def test_certificate_stops_at_first_mismatch(n, q, monkeypatch):
      (2, 8), (2, 9), (2, 16), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)],
 )
 def test_kappa_rho_is_the_literal_composition(n, q, monkeypatch):
-    # every point, every Frobenius twist; drawn lazily, at most one
-    # mat_vec call per point drawn
+    # every point, every Frobenius twist, through kappa_rho and through
+    # the line routine; drawn lazily, at most one mat_vec call per point
+    # drawn
     ver = veronese_for(space_for(n, q))
     pts = ver.source.points()
     calls = 0
@@ -1126,9 +1127,10 @@ def test_kappa_rho_is_the_literal_composition(n, q, monkeypatch):
 
     for alpha in ver.source.field.automorphism_exponents():
         kappa = random_semilinear(ver.target, SplitMix64(q + n + alpha), alpha)
-        assert list(embeddings.kappa_rho(ver.source, kappa)) == [
-            kappa.apply(ver.apply(x)) for x in pts
-        ]
+        literal = [kappa.apply(ver.apply(x)) for x in pts]
+        assert list(embeddings.kappa_rho(ver.source, kappa)) == literal
+        # the line routine holds over GF(2) too, where kappa_rho does not take it
+        assert list(embeddings._kappa_rho_by_lines(ver.source, kappa, ver.image())) == literal
         monkeypatch.setattr(linalg, "mat_vec", counted)
         images, calls = embeddings.kappa_rho(ver.source, kappa), 0
         for drawn in range(1, min(len(pts), 2 * q + 2) + 1):
