@@ -314,7 +314,10 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
 
     field = target.field
     images = nu.image()
-    rank = linalg.rank(field, images)
+    if mode == "reduced" and nu._fitted is not None:
+        rank = target.n + 1  # the fit found the n' + 1 basis images independent
+    else:
+        rank = linalg.rank(field, images)
     span_ok = rank == target.n + 1
     if mode == "exhaustive":
         closure = _context_for(source)
@@ -365,6 +368,10 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
     converse is symmetric, so y lies in both or in neither, and the
     classes of the points after p find the same first violation.
 
+    Each side holds `linalg.residual_rows` of its own field (bit masks
+    over GF(2)), and `linalg.reduce_residuals` follows the pivot's type,
+    so the walk never branches on the field.
+
     The rho side is shared across tables.  Its residuals and classes at
     P describe clos = rho^-1(span rho(.)) on the source space alone, so
     they never depend on nu; `_ClosureContext.rho_tail` keeps them per
@@ -377,6 +384,7 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
     c is not in pre span nu(P) = clos P.
     """
     yfield, ctx = nu.target.field, _context_for(nu.source)
+    yroot = linalg.residual_rows(yfield, nu.image())
     compared = 0
 
     def walk(prefix: tuple, depth: int, yres: list, rentry: list):
@@ -408,7 +416,7 @@ def _first_violation(nu: PointMap, max_size: int) -> tuple | None:
         return None
 
     for size in range(1, max_size + 1):
-        hit = walk((), size - 1, nu.image(), ctx.rho_root())
+        hit = walk((), size - 1, yroot, ctx.rho_root())
         if hit is not None:
             return hit
     return None

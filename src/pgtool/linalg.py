@@ -117,20 +117,42 @@ def span_preimage_mask(field: GaloisField, rows, idx) -> int:
     return mask
 
 
+def residual_rows(field: GaloisField, rows) -> list:
+    """Canonical rows as the witness scan holds its residuals: over GF(2)
+    each as an int with coordinate k at bit k, otherwise as the tuple.
+
+    A nonzero GF(2) vector is its own canonical form, so the packing is
+    one-to-one on canonical rows and `reduce_residuals` needs no
+    `canonical` on it.
+    """
+    if field.q == 2:
+        return [int("".join(map(str, reversed(row))), 2) for row in rows]
+    return list(rows)
+
+
 def reduce_residuals(field: GaloisField, res: list, p: int) -> list:
     """The residuals after res[p], modulo res[p] too: a list of
     len(res) - p - 1 entries.
 
-    Entries are canonical vectors (see `canonical`), or None for a zero
-    residual; the pivot res[p] must be nonzero.  The witness scan of
-    `embeddings._first_violation` extends span(P) by one point p with
-    it, on the image side and, through `quadrics._ClosureContext`, on
-    the rho side.
+    Entries come from `residual_rows`, or are None for a zero residual;
+    the pivot res[p] must be nonzero.  A tuple entry is canonical and is
+    reduced at the pivot's leading coordinate; an int entry (GF(2)) is
+    reduced by one XOR when it has the pivot's lowest set bit, which is
+    the same coordinate.  Any pivot coordinate gives the same classes:
+    the reductions compose to a linear projection with kernel span(P),
+    so "zero" and "proportional" mean the same modulo span(P).  The
+    witness scan of `embeddings._first_violation` extends span(P) by one
+    point p with it, on the image side and, through
+    `quadrics._ClosureContext`, on the rho side.
     """
     v = res[p]
+    out = res[p + 1:]
+    if type(v) is int:
+        low = v & -v
+        return [(w ^ v or None) if w is not None and w & low else w for w in out]
     add_rows, neg, mul_rows = field.add_table, field.neg_table, field.mul_table
     j = v.index(1)  # the leading coordinate, as v is canonical
-    out, minus = res[p + 1:], {}
+    minus = {}
     for i, w in enumerate(out):
         if w is None or not w[j]:
             continue

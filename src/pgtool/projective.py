@@ -158,21 +158,10 @@ class ProjectiveSpace:
     def lines(self) -> list["Subspace"]:
         """All 1-dimensional subspaces, sorted by their reduced bases.
 
-        Each line is built once from its reduced basis: pivot columns
-        c1 < c2, the first row free after c1 except at c2, the second
-        row free after c2.
+        They are built once per (field, n), as the points are, and each
+        call returns a fresh list of them.
         """
-        n1 = self.n + 1
-        elems = self.field.elements()
-        bases = []
-        for c1, c2 in combinations(range(n1), 2):
-            k = c2 - c1 - 1
-            for a in product(elems, repeat=n1 - c1 - 2):
-                row1 = (0,) * c1 + (1,) + a[:k] + (0,) + a[k:]
-                for b in product(elems, repeat=n1 - c2 - 1):
-                    bases.append(((row1, (0,) * c2 + (1,) + b), (c1, c2)))
-        bases.sort()
-        return [Subspace(self, pivots, rows) for rows, pivots in bases]
+        return list(_lines_cached(self))
 
     def lines_through(self, point, inside: "Subspace | None" = None) -> list["Subspace"]:
         """The pencil of lines through a point within a subspace, sorted by
@@ -234,6 +223,24 @@ def _coeff_reps_cached(field: GaloisField, length: int) -> tuple[tuple[int, ...]
         for tail in _all_tuples(field, length - lead - 1):
             reps.append(prefix + (1,) + tail)
     return tuple(reps)
+
+
+@functools.lru_cache(maxsize=None)
+def _lines_cached(space: ProjectiveSpace) -> tuple["Subspace", ...]:
+    """The lines of `space`, each built once from its reduced basis:
+    pivot columns c1 < c2, the first row free after c1 except at c2, the
+    second row free after c2."""
+    n1 = space.n + 1
+    elems = space.field.elements()
+    bases = []
+    for c1, c2 in combinations(range(n1), 2):
+        k = c2 - c1 - 1
+        for a in product(elems, repeat=n1 - c1 - 2):
+            row1 = (0,) * c1 + (1,) + a[:k] + (0,) + a[k:]
+            for b in product(elems, repeat=n1 - c2 - 1):
+                bases.append(((row1, (0,) * c2 + (1,) + b), (c1, c2)))
+    bases.sort()
+    return tuple(Subspace(space, pivots, rows) for rows, pivots in bases)
 
 
 def _all_tuples(field: GaloisField, length: int) -> list[tuple[int, ...]]:

@@ -84,7 +84,8 @@ class _ClosureContext:
     PG(2, 16) and PG(4, 2)); once that is full, new prefixes are
     reduced but not stored, and nothing is evicted.  Every scan starts
     at the lex-first prefixes, so the entries kept first are the ones
-    reused most.
+    reused most.  The residuals are `linalg.residual_rows` of the source
+    field: bit masks over GF(2), whatever the target field is.
     """
 
     def __init__(self, space: ProjectiveSpace):
@@ -92,7 +93,9 @@ class _ClosureContext:
         self.rho_rows = veronese_for(space).image()
         self._closure_memo: dict[int, int] = {}
         self._chain_memos: dict[int, dict[int, int]] = {}
-        self._tail_memo: dict[tuple, list] = {(): [list(self.rho_rows), None]}
+        self._tail_memo: dict[tuple, list] = {
+            (): [linalg.residual_rows(space.field, self.rho_rows), None]
+        }
         self.tail_entries = 0  # residual entries stored in _tail_memo, at most RHO_TAIL_CAP
 
     def mask_of(self, pts) -> int:
@@ -133,7 +136,8 @@ class _ClosureContext:
         return entry
 
     def rho_root(self) -> list:
-        """The `rho_tail` entry of the empty prefix: every row rho(x)."""
+        """The `rho_tail` entry of the empty prefix: every row rho(x), as
+        `linalg.residual_rows` holds it."""
         return self._tail_memo[()]
 
     # -- longest chain of closed sets (search oracle) --------------------

@@ -53,7 +53,7 @@ from pgtool.errors import (
 )
 from pgtool.generate import compose_with_veronese
 from pgtool.projective import SemilinearMap, scale_frame, standard_frame
-from pgtool.quadrics import _context_for
+from pgtool.quadrics import _context_for, closure_points_by_forms
 from pgtool.veronese import monomial_pairs
 
 
@@ -316,6 +316,136 @@ def test_reduce_residuals_returns_the_literal_tail(q):
                 field, [field.sub(a, field.mul(w[j], b)) for a, b in zip(w, v)]
             )
             assert got == want
+
+
+def _partition(res):
+    return sorted(linalg.residual_classes(res).values())
+
+
+def test_packed_reduce_residuals_is_the_tuple_path_over_gf2():
+    # the packed reducer and the tuple one, on the same residual lists over
+    # a sequence of reductions: the same residuals, zero pattern and classes
+    space = space_for(3, 2)
+    field, pts = space.field, space.points()
+    rng = SplitMix64(2)
+    for _ in range(60):
+        res = [pts[rng.randbelow(len(pts))] if rng.randbelow(4) else None for _ in range(14)]
+        bits = linalg.residual_rows(field, [w for w in res if w is not None])
+        packed = [None if w is None else bits.pop(0) for w in res]
+        assert all(type(w) is int for w in packed if w is not None)
+        while any(w is not None for w in res):
+            live = [i for i, w in enumerate(res) if w is not None]
+            p = live[rng.randbelow(len(live))]
+            res = linalg.reduce_residuals(field, res, p)
+            packed = linalg.reduce_residuals(field, packed, p)
+            assert [w is None for w in packed] == [w is None for w in res]
+            assert _partition(packed) == _partition(res)
+            assert packed == [None if w is None else linalg.residual_rows(field, [w])[0] for w in res]
+
+
+def test_scan_holds_gf2_residuals_as_bit_masks(monkeypatch):
+    # each side is packed by its own field: into PG(1, 8) the rho side
+    # (over GF(2)) is bits and the image side tuples
+    seen = set()
+    reduce = linalg.reduce_residuals
+
+    def spy(field, res, p):
+        seen.add((field.q, type(res[p])))
+        assert all(type(w) is type(res[p]) for w in res if w is not None)
+        return reduce(field, res, p)
+
+    monkeypatch.setattr(linalg, "reduce_residuals", spy)
+    made = _cold_contexts(monkeypatch)
+    src = space_for(2, 2)
+    for nu in (broken_map(2, 2, 0), broken_map(3, 2, 1), _random_injection(2, 2, 0)):
+        _first_witness(nu)
+    assert seen == {(2, int)}
+    mixed = dict(zip(src.points(), space_for(1, 8).points()))
+    _first_witness(PointMap(src, space_for(1, 8), mixed))
+    assert seen == {(2, int), (8, tuple)}
+    assert all(type(w) is int for w in made[src].rho_root()[0])
+
+
+def _gf2_scan_maps(n, q):
+    maps = _scan_gate_maps(n, q) + [broken_map(n, q, s) for s in range(6)]
+    if (n, q) == (2, 2):
+        maps += [frame_injection_map(seed) for seed in range(3)]
+    return maps
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (3, 2)])
+def test_bit_mask_scan_matches_literal_and_exhaustive_scans(n, q, scan_only):
+    for nu in _gf2_scan_maps(n, q):
+        report = is_quadratic_embedding(nu)
+        assert report.path == "scan"
+        assert _verdict(report) == _literal_reduced_scan(nu)
+        assert _verdict(report) == _verdict(is_quadratic_embedding(nu, mode="exhaustive"))
+
+
+def _literal_compared_count(nu, witness):
+    """The ordinal of the witness among the subsets with independent
+    images, in size-then-lex order: the subsets the scan compares."""
+    field, images = nu.target.field, nu.image()
+    count = 0
+    for size in range(1, len(witness) + 1):
+        for idx in combinations(range(len(images)), size):
+            if linalg.rank(field, [images[i] for i in idx]) == size:
+                count += 1
+            if idx == witness:
+                return count
+    raise AssertionError("the witness is not a subset of its size")
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 0), (3, 1)])
+def test_reduced_scan_cap_counts_compared_subsets_over_gf2(n, seed, monkeypatch):
+    nu = broken_map(n, 2, seed)
+    witness = _first_witness(nu)
+    count = _literal_compared_count(nu, witness)
+    monkeypatch.setattr(embeddings, "REDUCED_CAP", count - 1)
+    with pytest.raises(ModeInfeasible, match="reduced cap"):
+        _first_witness(nu)
+    monkeypatch.setattr(embeddings, "REDUCED_CAP", count)
+    assert _first_witness(nu) == witness
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_pg42_witness_violates_and_nothing_smaller_does(seed):
+    nu = broken_map(4, 2, seed)
+    report = is_quadratic_embedding(nu)
+    witness = report.violated_set
+    assert report.path == "scan" and len(witness) == 4
+    assert closure_points_by_forms(nu.source, witness) != embeddings.span_preimage(nu, witness)
+    field, images = nu.target.field, nu.image()
+    closure = _context_for(nu.source)
+    for size in range(1, 4):
+        for idx in combinations(range(len(images)), size):
+            mask = sum(1 << i for i in idx)
+            assert closure.closure_mask(mask) == linalg.span_preimage_mask(field, images, idx)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (3, 2), (2, 5)])
+def test_fitted_kappa_stands_in_for_the_image_rank(n, q, monkeypatch):
+    # a fitted kappa skips the rank; the report is the one the literal rank gives
+    # at PG(3, 2) the fit gives a kappa on few broken tables, so take 40
+    maps = _scan_gate_maps(n, q) + [broken_map(n, q, s) for s in range(40)]
+    ranks, rank = [], linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda field, rows: ranks.append(1) or rank(field, rows))
+    fitted = 0
+    for nu in maps:
+        del ranks[:]
+        report = is_quadratic_embedding(nu)
+        if report.path == "certificate":
+            continue
+        assert ranks == ([] if nu._fitted is not None else [1])
+        fitted += nu._fitted is not None
+        full = rank(nu.target.field, nu.image())
+        witness = embeddings._first_violation(nu, full)
+        assert report.span_condition == (full == nu.target.n + 1)
+        assert report.violated_set == (
+            None if witness is None else frozenset(nu.source.points()[i] for i in witness)
+        )
+        assert report.path == "scan"
+    assert fitted
 
 
 def test_reduced_scan_cap_counts_compared_subsets(monkeypatch):

@@ -14,7 +14,8 @@ from pgtool import (
     space_for,
     standard_frame,
 )
-from pgtool import linalg
+from pgtool import linalg, projective
+from pgtool.fields import prime_power
 from pgtool.projective import scale_frame
 from pgtool.errors import (
     PointInBase,
@@ -178,6 +179,20 @@ def test_lines_match_pairwise_span_oracle(n, q):
     lines = space.lines()
     assert lines == _lines_by_pairwise_span(space)
     assert all(line.dim == 1 for line in lines)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_lines_are_built_once_per_space(n, q):
+    built = projective._lines_cached.__wrapped__(space_for(n, q))
+    first = space_for(n, q).lines()
+    assert first == list(built)
+    assert [line.rows for line in first] == [line.rows for line in built]
+    # a second space object over the same field and n shares the lines
+    again = ProjectiveSpace(create_field(*prime_power(q)), n)
+    assert again.lines() == first and again.lines()[0] is first[0]
+    first.reverse()
+    first.append(None)
+    assert again.lines() == list(built)
 
 
 def _pencil_by_span_and_dedupe(space, point, inside):
