@@ -37,7 +37,6 @@ from .errors import (
     NotACollineation,
     NotComplementary,
     NotTotal,
-    PgtoolError,
     SpaceMismatch,
     UsageError,
     VerificationFailed,
@@ -66,8 +65,8 @@ class PointMap:
     (`_entry_checked`), which accepts it or raises on its first bad
     entry, so every exception and message is that of the per-entry check.
 
-    The table is read-only, so `_certified` and `reconstruct_kappa` can
-    keep their outcome on the map.
+    The table is read-only, so the map keeps one fit record: the pair
+    (kappa or None, certified) that `_certified` sets.
     """
 
     def __init__(self, source: ProjectiveSpace, target: ProjectiveSpace, table: dict):
@@ -78,9 +77,7 @@ class PointMap:
         if norm is None:
             norm = _entry_checked(source, target, table)
         self.table = types.MappingProxyType(norm)
-        self._reconstruction = None  # set by _certified and reconstruct_kappa
-        self._fitted = None  # the kappa fitted on a refused table, set by _certified
-        self._mismatches = None  # its D, set by _mismatches
+        self._fit = None  # (kappa or None, certified), set once by _certified
 
     @classmethod
     def from_function(cls, source, target, fn) -> "PointMap":
@@ -213,9 +210,21 @@ def save_point_map(pm: PointMap, path) -> None:
         fh.write("\n")
 
 
+def _load_json(path, error: type[UsageError]):
+    """The JSON value in a file; bytes that are not UTF-8, or an integer
+    past the int digit limit, raise `error`, and text that is not JSON
+    raises json.JSONDecodeError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # UnicodeDecodeError or the int digit limit
+        raise error(f"cannot decode {path}: {exc}") from exc
+
+
 def load_point_map(path) -> PointMap:
-    with open(path) as fh:
-        return point_map_from_dict(json.load(fh))
+    return point_map_from_dict(_load_json(path, InvalidPointMap))
 
 
 def save_semilinear(kappa: SemilinearMap, path) -> None:
@@ -226,13 +235,9 @@ def save_semilinear(kappa: SemilinearMap, path) -> None:
 
 
 def load_semilinear(space: ProjectiveSpace, path) -> SemilinearMap:
-    """Read the collineation file that `reconstruct --out` writes.
-
-    The file is input from outside, so it is validated here, at the
-    boundary: a malformed one raises InvalidSemilinearMap.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
+    """Read the collineation file that `reconstruct --out` writes; a
+    malformed or undecodable one raises InvalidSemilinearMap."""
+    data = _load_json(path, InvalidSemilinearMap)
     try:
         return SemilinearMap(space, tuple(map(tuple, data["matrix"])), data["alpha_exponent"])
     except (KeyError, TypeError, UsageError) as exc:
@@ -314,10 +319,8 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
 
     field = target.field
     images = nu.image()
-    if mode == "reduced" and nu._fitted is not None:
-        rank = target.n + 1  # the fit found the n' + 1 basis images independent
-    else:
-        rank = linalg.rank(field, images)
+    fitted = mode == "reduced" and nu._fit[0] is not None  # a fit found n' + 1 independent images
+    rank = target.n + 1 if fitted else linalg.rank(field, images)
     span_ok = rank == target.n + 1
     if mode == "exhaustive":
         closure = _context_for(source)
@@ -477,8 +480,8 @@ def is_regular(nu: PointMap) -> bool:
     line onto a conic, the q+1 zeros of a nondegenerate form in the
     plane its Veronese image spans, so a plane (q+1)-arc; kappa maps
     planes to planes and lines to lines, so every line image is again a
-    plane (q+1)-arc, regular by the tangent count.  The outcome is kept
-    on nu, so a `reconstruct_kappa` after a True costs nothing.
+    plane (q+1)-arc, regular by the tangent count.  The fit record is
+    kept on nu, so a `reconstruct_kappa` after a True fits nothing again.
 
     A failed certificate proves nothing, so the line scan decides then,
     with no Q-frame built first.  The scan stays: regularity asks only
@@ -503,14 +506,10 @@ def is_regular(nu: PointMap) -> bool:
 
 
 def _lines_to_scan(nu: PointMap):
-    """The lines of `source.lines()`, in that order, whose images the
-    scan of `is_regular` tests after `_certified` refused nu: those that
-    meet D when a kappa was fitted, else all."""
-    lines = nu.source.lines()
-    d = _mismatches(nu)
-    if d is None:
-        return lines
-    return (line for line in lines if not d.isdisjoint(line.points()))
+    """The lines of `source.lines()`, in that order, that the scan of
+    `is_regular` tests: those that meet D, or all when no kappa was fitted."""
+    lines, d = nu.source.lines(), _mismatches(nu)
+    return lines if d is None else (line for line in lines if not d.isdisjoint(line.points()))
 
 
 # -- the affine restriction and its extension ---------------------------------
@@ -770,62 +769,47 @@ def reconstruct_kappa(nu: PointMap) -> Reconstruction:
     """Produce the collineation composing with the Veronese map to give nu.
 
     A table that `_certified` certifies gets the Reconstruction of the
-    fit, which cost one elimination.  Any other table is refused, and
-    the paper's construction names the refusal: `_reconstruct` builds
-    the Q-frame (`build_Q_frame`), reads the automorphism
-    (`recover_automorphism`) and runs its own certificate, and what it
-    raises is raised here: NotRegular for a frame or automorphism it
-    cannot read, VerificationFailed with its first mismatched point, or
-    ForeignTarget or DimensionMismatch for a table outside the main
-    theorem.  By `_fit_kappa` it cannot certify a table the fit refused.
-    The outcome is kept on nu, so each table is fitted once and its
-    refusal named once.
+    kappa in its fit record.  Any other table is refused, and the paper's
+    construction names the refusal: `_reconstruct` builds the Q-frame
+    (`build_Q_frame`), reads the automorphism (`recover_automorphism`)
+    and runs its own certificate, and what it raises is raised here:
+    NotRegular for a frame or automorphism it cannot read,
+    VerificationFailed with its first mismatched point, or ForeignTarget
+    or DimensionMismatch for a table outside the main theorem.  By
+    `_fit_kappa` it cannot certify a table the fit refused.  No refusal
+    is kept, so each call on a refused table names the same one anew.
     """
-    if _certified(nu):
-        return nu._reconstruction
-    if nu._reconstruction is False:
-        try:
-            rec = _reconstruct(nu)
-        except PgtoolError as exc:
-            nu._reconstruction = exc
-        else:
-            raise AssertionError(f"the Q-frame certified a table the fit refused: {rec}")
-    raise nu._reconstruction.with_traceback(None)
+    if not _certified(nu):
+        rec = _reconstruct(nu)
+        raise AssertionError(f"the Q-frame certified a table the fit refused: {rec}")
+    kappa = nu._fit[0]
+    return Reconstruction(kappa, kappa.alpha, nu.source.point_count)
 
 
 def _certified(nu: PointMap) -> bool:
-    """Whether nu = kappa rho, by `_fit_kappa` and the pointwise
-    certificate of `kappa_rho`, which stops at the first mismatch.
-
-    This is the decision behind `is_regular` and reduced verification.
-    A certified table keeps its Reconstruction on nu.  A refused one
-    keeps False until `reconstruct_kappa` names the refusal, and the
-    fitted kappa, if there was one, for `_mismatches`.  A table
-    outside the main theorem (another field, a line source, a target of
-    another dimension) is refused.
-    """
-    if nu._reconstruction is None:
+    """Whether nu = kappa rho for the kappa of `_fit_kappa`, that is,
+    whether `_mismatched` is empty, drawn only up to its first item: the
+    decision behind `is_regular`, reduced verification and
+    `reconstruct_kappa`, made once per table and kept as nu's fit record
+    (kappa, certified).  A table outside the main theorem gets no kappa."""
+    if nu._fit is None:
         kappa = _fit_kappa(nu)
-        source = nu.source
-        if kappa is None or any(
-            y != nu.table[x] for x, y in zip(source.points(), kappa_rho(source, kappa))
-        ):
-            nu._reconstruction, nu._fitted = False, kappa
-        else:
-            nu._reconstruction = Reconstruction(kappa, kappa.alpha, source.point_count)
-    return isinstance(nu._reconstruction, Reconstruction)
+        nu._fit = kappa, kappa is not None and next(_mismatched(nu, kappa), None) is None
+    return nu._fit[1]
+
+
+def _mismatched(nu: PointMap, kappa: SemilinearMap):
+    """The points x with nu(x) != kappa rho(x), lazily in `points()`
+    order: the one comparison of a table with kappa rho."""
+    source, table = nu.source, nu.table
+    return (x for x, y in zip(source.points(), kappa_rho(source, kappa)) if y != table[x])
 
 
 def _mismatches(nu: PointMap) -> frozenset | None:
-    """D = {x : nu(x) != kappa rho(x)} for the kappa that `_certified`
-    fitted on a table it refused, or None when it fitted none.  D is
-    computed on first use and kept on nu."""
-    if nu._mismatches is None and nu._fitted is not None:
-        source = nu.source
-        nu._mismatches = frozenset(
-            x for x, y in zip(source.points(), kappa_rho(source, nu._fitted)) if y != nu.table[x]
-        )
-    return nu._mismatches
+    """D = {x : nu(x) != kappa rho(x)} for the kappa in nu's fit record,
+    or None when the fit gave none; read after `_certified`."""
+    kappa = nu._fit[0]
+    return None if kappa is None else frozenset(_mismatched(nu, kappa))
 
 
 def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
@@ -881,7 +865,8 @@ def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
     holds none.
 
     The basis, scalar and probe images share one elimination; the rest
-    is field arithmetic on m = C(n+2, 2) vectors.
+    is field arithmetic on m = C(n+2, 2) vectors.  `_certified` calls the
+    fit once per table and keeps its kappa in nu's fit record.
     """
     source, target = nu.source, nu.target
     field, n = source.field, source.n
@@ -952,17 +937,15 @@ def _reconstruct(nu: PointMap) -> Reconstruction:
     scaled = build_Q_frame(nu)
     alpha = recover_automorphism(nu, scaled)
     kappa = SemilinearMap.from_basis(target, scaled, alpha)
-    for x, y in zip(source.points(), kappa_rho(source, kappa)):
-        if y != nu.table[x]:
-            raise VerificationFailed(f"certificate fails at {x}", point=x)
+    if (x := next(_mismatched(nu, kappa), None)) is not None:
+        raise VerificationFailed(f"certificate fails at {x}", point=x)
     return Reconstruction(kappa=kappa, alpha=alpha, points_checked=source.point_count)
 
 
 def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap):
     """The points kappa(rho(x)) for the source points x, lazily and in
     `source.points()` order: the one computation of a kappa rho table,
-    for the certificates, D (`_mismatches`) and
-    `generate.compose_with_veronese`.
+    for `_mismatched` and `generate.compose_with_veronese`.
 
     Over GF(2) each point is `kappa.images` of its row of
     `VeroneseMap.image`; the rows are canonical, so that is

@@ -96,6 +96,8 @@ class GaloisField:
     """
 
     def __init__(self, p: int, k: int):
+        if p > SIZE_CAP or k > SIZE_CAP:  # first, so no huge p is tested for primality
+            raise SizeCapExceeded(f"field order exceeds cap {SIZE_CAP}: p or k is larger")
         if not is_prime(p):
             raise NonPrimeP(f"p = {p} is not prime")
         if k < 1:
@@ -241,7 +243,10 @@ def field_from_descriptor(d: dict) -> GaloisField:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, k) with p prime, or raise."""
+    """Split q into (p, k) with p prime, or raise; an order over SIZE_CAP
+    is refused before the search for p."""
+    if q > SIZE_CAP:
+        raise SizeCapExceeded(f"field order {q} exceeds cap {SIZE_CAP}")
     if q < 2:
         raise NonPrimeP(f"{q} is not a prime power")
     for p in range(2, q + 1):

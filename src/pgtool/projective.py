@@ -220,7 +220,7 @@ def _coeff_reps_cached(field: GaloisField, length: int) -> tuple[tuple[int, ...]
     reps = []
     for lead in range(length - 1, -1, -1):
         prefix = (0,) * lead
-        for tail in _all_tuples(field, length - lead - 1):
+        for tail in product(field.elements(), repeat=length - lead - 1):
             reps.append(prefix + (1,) + tail)
     return tuple(reps)
 
@@ -241,13 +241,6 @@ def _lines_cached(space: ProjectiveSpace) -> tuple["Subspace", ...]:
                 bases.append(((row1, (0,) * c2 + (1,) + b), (c1, c2)))
     bases.sort()
     return tuple(Subspace(space, pivots, rows) for rows, pivots in bases)
-
-
-def _all_tuples(field: GaloisField, length: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(length):
-        out = [t + (x,) for t in out for x in field.elements()]
-    return out
 
 
 def _coefficient_reps(field: GaloisField, length: int) -> list[tuple[int, ...]]:
@@ -281,15 +274,8 @@ class Subspace:
     def point_from_coords(self, coeffs) -> tuple[int, ...]:
         """The point with the given coefficients (not all 0) on the basis."""
         field = self.space.field
-        add, mul = field.add, field.mul
-        acc = [0] * (self.space.n + 1)
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        acc[j] = add(acc[j], mul(c, x))
         # computed by field operations, so it needs no validation
-        return linalg.canonical(field, acc)
+        return linalg.canonical(field, linalg.mat_vec(field, linalg.transpose(self.rows), coeffs))
 
     def points(self) -> tuple[tuple[int, ...], ...]:
         return _subspace_points(self)

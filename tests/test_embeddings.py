@@ -196,7 +196,7 @@ def _literal_reduced_scan(nu):
 def scan_only(monkeypatch):
     """Reduced mode with no certificate, so the subset scan decides."""
 
-    monkeypatch.setattr(embeddings, "_certified", lambda nu: False)
+    monkeypatch.setattr(embeddings, "_fit_kappa", lambda nu: None)
 
 
 def test_reduced_agrees_with_exhaustive_on_random_maps():
@@ -433,8 +433,8 @@ def test_fitted_kappa_stands_in_for_the_image_rank(n, q, monkeypatch):
         report = is_quadratic_embedding(nu)
         if report.path == "certificate":
             continue
-        assert ranks == ([] if nu._fitted is not None else [1])
-        fitted += nu._fitted is not None
+        assert ranks == ([] if nu._fit[0] is not None else [1])
+        fitted += nu._fit[0] is not None
         full = rank(nu.target.field, nu.image())
         witness = embeddings._first_violation(nu, full)
         assert report.span_condition == (full == nu.target.n + 1)
@@ -1308,6 +1308,27 @@ def test_fit_certifies_exactly_what_the_q_frame_certifies(n, q):
         assert _reconstruction_outcome(reconstruct_kappa, nu) == paper
         certified += embeddings._certified(nu)
     assert 0 < certified < len(maps)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+def test_each_table_is_fitted_once(n, q, monkeypatch):
+    # is_regular, reduced verification and two reconstructions on one
+    # fresh table read one fit; a refused table's second reconstruction
+    # raises the first one's type, message and point
+    fit_kappa, fitted = embeddings._fit_kappa, []
+    monkeypatch.setattr(embeddings, "_fit_kappa", lambda nu: fitted.append(nu) or fit_kappa(nu))
+    refusals = []
+    for gate in _kappa_rho_gate_maps(n, q) + _refused_gate_maps(n, q):
+        nu = PointMap(gate.source, gate.target, dict(gate.table))
+        del fitted[:]
+        is_regular(nu)
+        is_quadratic_embedding(nu)
+        first = _reconstruction_outcome(reconstruct_kappa, nu)
+        assert _reconstruction_outcome(reconstruct_kappa, nu) == first
+        assert fitted == [nu]
+        if type(first[0]) is not tuple:  # a refusal type, not a matrix
+            refusals.append(first)
+    assert refusals
 
 
 def test_certificate_refusals_are_not_regular():

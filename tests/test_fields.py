@@ -114,6 +114,43 @@ def test_cli_field_over_cap_is_usage_error(capsys):
     assert "exceeds cap 256" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "--p", "2", "--k", "100000000"],
+        ["field", "--p", "100000000000000003"],
+        ["enum", "--n", "2", "--q", "1000000007"],
+        ["veronese", "--n", "2", "--q", "1000000007"],
+        ["closure", "--n", "2", "--q", "1000000007", "--points", "[]"],
+        ["gen", "--kind", "veronese", "--n", "2", "--q", "1000000007", "--out", "-"],
+    ],
+    ids=["huge-k", "huge-prime-p", "enum", "veronese", "closure", "gen"],
+)
+def test_cli_oversized_field_exits_2_before_any_search(capsys, argv):
+    # each of these once trial-divided up to p or q, or built 2^(10^8)
+    assert main(argv) == 2
+    assert "exceeds cap 256" in capsys.readouterr().err
+
+
+def test_oversized_fields_are_refused_by_size_first():
+    for p, k in [(2, 10**8), (100000000000000003, 1), (257, 1), (10**30, 0)]:
+        with pytest.raises(SizeCapExceeded):
+            create_field(p, k)
+    for q in (1000000007, 1000, 2**64):
+        with pytest.raises(SizeCapExceeded, match=f"field order {q} exceeds cap 256"):
+            prime_power(q)
+    # at and below the cap every message is the one the order, p or k gives
+    with pytest.raises(SizeCapExceeded, match="field order 512 exceeds cap 256"):
+        create_field(2, 9)
+    with pytest.raises(NonPrimeP, match="p = 256 is not prime"):
+        create_field(256, 1)
+    with pytest.raises(DegreeZero):
+        create_field(251, 0)
+    with pytest.raises(NonPrimeP, match="255 is not a prime power"):
+        prime_power(255)
+    assert prime_power(256) == (2, 8)
+
+
 def test_inverse_errors():
     f = create_field(5, 1)
     with pytest.raises(ZeroInverse):

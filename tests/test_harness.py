@@ -418,6 +418,49 @@ def test_cli_mistyped_field_descriptor_is_usage_error(tmp_path, capsys, descript
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_UNDECODABLE = {
+    "int-over-digit-limit": _map_text(n="N").replace('"N"', "9" * 5001).encode(),
+    "invalid-utf8": _map_text(n="N").replace('"N"', '"\udcff"').encode("utf-8", "surrogateescape"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "regular", "reconstruct"])
+@pytest.mark.parametrize("raw", list(_UNDECODABLE.values()), ids=list(_UNDECODABLE))
+def test_cli_undecodable_map_is_usage_error(tmp_path, capsys, command, raw):
+    # each of these once ended in a ValueError traceback and exit 1
+    from pgtool.errors import InvalidPointMap
+
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(InvalidPointMap):
+        load_point_map(path)
+    assert main([command, "--map", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_map_file_with_an_oversized_field_exits_2(tmp_path, capsys):
+    # is_prime(p) once ran to sqrt(p) before the size cap was checked
+    path = tmp_path / "map.json"
+    path.write_text(_map_text(field={"p": 100000000000000003, "k": 1, "modulus": [0, 1]}))
+    assert main(["verify", "--map", str(path)]) == 2
+    assert "exceeds cap 256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"matrix": ' + b"9" * 5001 + b', "alpha_exponent": 0}', b'{"matrix": "\xff"}'],
+    ids=["int-over-digit-limit", "invalid-utf8"],
+)
+def test_undecodable_semilinear_file_is_usage_error(tmp_path, raw):
+    from pgtool.embeddings import load_semilinear
+    from pgtool.errors import InvalidSemilinearMap
+
+    path = tmp_path / "kappa.json"
+    path.write_bytes(raw)
+    with pytest.raises(InvalidSemilinearMap):
+        load_semilinear(space_for(2, 3), path)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
