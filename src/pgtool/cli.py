@@ -39,6 +39,17 @@ def _as_list(value, what: str) -> list:
     return value
 
 
+def _json_arg(text: str, what: str):
+    """A JSON command-line value; an integer past the int digit limit is
+    bad input, and text that is not JSON raises json.JSONDecodeError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise SpaceMismatch(f"cannot decode {what}: {exc}") from exc
+
+
 def _cmd_field(args) -> int:
     field = create_field(args.p, args.k)
     out = field.descriptor()
@@ -59,7 +70,7 @@ def _cmd_enum(args) -> int:
 def _cmd_veronese(args) -> int:
     ver = veronese_for(space_for(args.n, args.q))
     if args.point is not None:
-        point = tuple(_as_list(json.loads(args.point), "--point"))
+        point = tuple(_as_list(_json_arg(args.point, "--point"), "--point"))
         _dump({"point": list(point), "image": list(ver.apply(point))})
     else:
         _dump({
@@ -71,7 +82,7 @@ def _cmd_veronese(args) -> int:
 
 def _cmd_closure(args) -> int:
     space = space_for(args.n, args.q)
-    pts = [tuple(_as_list(p, "a point")) for p in _as_list(json.loads(args.points), "--points")]
+    pts = [tuple(_as_list(p, "a point")) for p in _as_list(_json_arg(args.points, "--points"), "--points")]
     closed = quadratic_closure(space, pts)
     _dump({
         "input": sorted(list(p) for p in pts),

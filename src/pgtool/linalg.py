@@ -14,6 +14,50 @@ from __future__ import annotations
 from .fields import GaloisField
 
 
+def _echelon(field: GaloisField, rows, reduce_above: bool) -> tuple[list, list]:
+    """Gaussian elimination: (the rows as lists, the pivot columns).
+
+    Each pivot row is scaled to lead with 1 and cleared from the rows
+    below it.  With reduce_above it is cleared from the rows above too,
+    so the first len(pivots) rows are the reduced row echelon form;
+    without it they are a row echelon form, which fixes the rank.
+    Only the nonzero entries of the pivot row are added into the rows
+    it clears.
+    """
+    mat = [list(r) for r in rows]
+    pivots = []
+    if not mat:
+        return mat, pivots
+    ncols = len(mat[0])
+    nrows = len(mat)
+    add, neg, mul, inv = field.add_table, field.neg_table, field.mul_table, field.inv
+    r = 0
+    for c in range(ncols):
+        for pr in range(r, nrows):
+            if mat[pr][c]:
+                break
+        else:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        row = mat[r]
+        f = inv(row[c])
+        if f != 1:
+            times_f = mul[f]
+            row[:] = [times_f[y] for y in row]
+        terms = [(j, y) for j, y in enumerate(row) if y]
+        for other in mat if reduce_above else mat[r + 1:]:
+            g = other[c]
+            if g and other is not row:
+                minus_g = mul[neg[g]]
+                for j, y in terms:
+                    other[j] = add[other[j]][minus_g[y]]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
 def rref(field: GaloisField, rows) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Reduced row echelon form.
 
@@ -25,37 +69,8 @@ def rref(field: GaloisField, rows) -> tuple[tuple[int, ...], tuple[tuple[int, ..
         (pivot_cols, reduced_rows) with zero rows dropped; both tuples,
         canonical per row space.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
-    nrows = len(mat)
-    add, neg, mul, inv = field.add_table, field.neg_table, field.mul_table, field.inv
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        row = mat[r]
-        f = inv(row[c])
-        if f != 1:
-            times_f = mul[f]
-            row[:] = [times_f[y] for y in row]
-        terms = [(j, y) for j, y in enumerate(row) if y]
-        for i in range(nrows):
-            other = mat[i]
-            g = other[c]
-            if g and i != r:
-                minus_g = mul[neg[g]]
-                for j, y in terms:
-                    other[j] = add[other[j]][minus_g[y]]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(pivots), tuple(tuple(row) for row in mat[:r])
+    mat, pivots = _echelon(field, rows, True)
+    return tuple(pivots), tuple(tuple(row) for row in mat[:len(pivots)])
 
 
 def canonical(field: GaloisField, vec) -> tuple[int, ...] | None:
@@ -74,7 +89,14 @@ def canonical(field: GaloisField, vec) -> tuple[int, ...] | None:
 
 
 def rank(field: GaloisField, rows) -> int:
-    return len(rref(field, rows)[0])
+    """The rank of the rows, after forward elimination only.
+
+    Clearing a pivot's column from the rows above it, as `rref` does,
+    moves no pivot: each of those rows keeps its own pivot further
+    left.  So forward elimination finds rref's pivot columns, and their
+    number is the rank, with no reduced rows built.
+    """
+    return len(_echelon(field, rows, False)[1])
 
 
 def residual(field: GaloisField, pivots, rrows, vec) -> tuple[int, ...]:

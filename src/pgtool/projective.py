@@ -128,14 +128,26 @@ class ProjectiveSpace:
         return Subspace(self, tuple(range(n1)), rows)
 
     def meet(self, a: "Subspace", b: "Subspace") -> "Subspace":
-        """Intersection, computed through orthogonal complements."""
+        """Intersection, in one elimination (Zassenhaus).
+
+        The rows (u | u) for u in a's basis and (v | 0) for v in b's
+        span the vectors (u + v | u) with u in a and v in b.  Such a
+        vector has left half 0 exactly when v = -u, so its right half u
+        lies in a and b; and each w in both gives (0 | w) = (w | w) -
+        (w | 0).  In the reduced row echelon form these vectors are
+        spanned by the rows whose pivot lies in the right half, which
+        come last, and the right halves of those rows have pivots 1
+        with zeros above and below them.  So they are the reduced basis
+        of the meet, the one `subspace` would compute from any basis of
+        it, and need no further reduction.
+        """
         self._check_sub(a)
         self._check_sub(b)
         n1 = self.n + 1
-        pa = linalg.nullspace(self.field, a.rows, n1)
-        pb = linalg.nullspace(self.field, b.rows, n1)
-        rows = linalg.nullspace(self.field, pa + pb, n1)
-        return self.subspace(rows)
+        zero = (0,) * n1
+        pivots, rows = linalg.rref(self.field, [u + u for u in a.rows] + [v + zero for v in b.rows])
+        k = next((i for i, c in enumerate(pivots) if c >= n1), len(pivots))
+        return Subspace(self, tuple(c - n1 for c in pivots[k:]), tuple(row[n1:] for row in rows[k:]))
 
     def join(self, a: "Subspace", b: "Subspace") -> "Subspace":
         self._check_sub(a)

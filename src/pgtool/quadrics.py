@@ -144,28 +144,50 @@ class _ClosureContext:
 
     def longest_steps(self, target: int) -> int:
         """Length of the longest strictly increasing chain of closed sets
-        from the empty set to `target` (a closed mask), counting steps."""
-        memo = self._chain_memos.setdefault(target, {})
+        from the empty set to `target` (a closed mask), counting steps.
 
-        def rec(flat: int) -> int:
-            if flat == target:
-                return 0
-            hit = memo.get(flat)
-            if hit is not None:
-                return hit
-            rest = target & ~flat
-            children = set()
-            i = 0
-            while rest:
-                if rest & 1:
-                    children.add(self.closure_mask(flat | (1 << i)))
-                rest >>= 1
-                i += 1
-            best = max(1 + rec(child) for child in children)
-            memo[flat] = best
+        Every child F' of a closed set F in the search, that is the
+        closure of F with one more point x of the target, is visited.
+        The search holds, for each F, the rows rho(y) of the target's
+        points reduced modulo span rho(F), as `rho_root` and
+        `linalg.reduce_residuals` give them (None off the target and on
+        F).  Since clos M = rho^-1(span rho(M)), y lies in the closure
+        of F + x exactly when its residual is a multiple of x's, and
+        canonical residuals are multiples only when equal: so F' is F
+        plus the class of x's residual (`_children`), and no closure is
+        computed below the target.  The residuals of F' are those of F,
+        all of them and not only the ones after x, reduced modulo x's
+        residual by one `linalg.reduce_residuals` step, taken once per
+        new child: on a miss of the memo of flats.
+        """
+        memo = self._chain_memos.setdefault(target, {})
+        field = self.space.field
+
+        def rec(flat: int, res: list) -> int:
+            best = 0
+            for child, p in self._children(flat, res):
+                steps = 0 if child == target else memo.get(child)
+                if steps is None:
+                    reduced = linalg.reduce_residuals(field, [res[p]] + res, 0)
+                    steps = memo[child] = rec(child, reduced)
+                best = max(best, 1 + steps)
             return best
 
-        return rec(0)
+        if not target:
+            return 0
+        hit = memo.get(0)
+        if hit is None:
+            root = self.rho_root()[0]
+            hit = memo[0] = rec(0, [w if target >> i & 1 else None for i, w in enumerate(root)])
+        return hit
+
+    def _children(self, flat: int, res: list) -> list:
+        """(child, p) for each child flat of the closed set `flat`, with
+        `res` its residuals as `longest_steps` holds them: the child is
+        `flat` plus one residual class, and p the class's first
+        position."""
+        return [(flat | cls, (cls & -cls).bit_length() - 1)
+                for cls in linalg.residual_classes(res).values()]
 
 
 @functools.lru_cache(maxsize=None)

@@ -259,6 +259,22 @@ def test_cli_closure(capsys):
     assert out["certificate"]  # a line lies on quadrics
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--n", "2", "--q", "3", "--points", "[[" + "9" * 5001 + ",0,1]]"],
+        ["veronese", "--n", "2", "--q", "3", "--point", "[" + "9" * 5001 + ",0,1]"],
+    ],
+    ids=["closure", "veronese"],
+)
+def test_cli_point_argument_over_the_digit_limit_exits_2(capsys, argv):
+    # each of these once ended in a ValueError traceback and exit 1
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_gen_verify_reconstruct(tmp_path, capsys):
     map_path = tmp_path / "nu.json"
     kappa_path = tmp_path / "kappa.json"

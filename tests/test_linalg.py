@@ -42,6 +42,34 @@ def test_rank_matches_enumeration(q):
         assert linalg.rank(field, rows) == _rank_oracle(field, rows, 3)
 
 
+def _rank_cases(field, rng):
+    """Seeded tall, wide, empty, zero-row and repeated-row matrices."""
+    cases = [[], [(0,) * 5], [(0,) * 5] * 4]
+    for _ in range(6):
+        cases.append(_random_matrix(field, 9, 4, rng))  # tall
+        cases.append(_random_matrix(field, 3, 8, rng))  # wide
+        rows = _random_matrix(field, 4, 6, rng)
+        rows[rng.randbelow(4)] = (0,) * 6
+        cases.append(rows)  # a zero row
+        row = _random_matrix(field, 1, 6, rng)[0]
+        scaled = tuple(field.mul(rng.randbelow(field.q - 1) + 1, x) for x in row)
+        cases.append([row, scaled] + _random_matrix(field, 2, 6, rng) + [row])  # repeated rows
+        cases.append([row] * 3)
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_forward_rank_matches_rref(q):
+    # rank stops after forward elimination; the pivots it counts are rref's
+    field = create_field(*prime_power(q))
+    rng = SplitMix64(q + 300)
+    for rows in _rank_cases(field, rng):
+        got = linalg.rank(field, rows)
+        assert got == len(linalg.rref(field, rows)[0])
+        if field.q ** len(rows) <= 4096:  # rank and rref share one loop
+            assert got == _rank_oracle(field, rows, len(rows[0]) if rows else 0)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_rref_canonical_and_idempotent(q):
     field = create_field(*prime_power(q))

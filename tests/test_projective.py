@@ -153,6 +153,52 @@ def test_grassmann_identity_pg32():
             assert j.dim + m.dim == a.dim + b.dim
 
 
+def _meet_by_complements(space, a, b):
+    """The literal meet: the null space of the two null spaces' union."""
+    n1 = space.n + 1
+    pa = linalg.nullspace(space.field, a.rows, n1)
+    pb = linalg.nullspace(space.field, b.rows, n1)
+    return space.subspace(linalg.nullspace(space.field, pa + pb, n1))
+
+
+def _random_subspace(space, rng):
+    pts = [space.point_at(rng.randbelow(space.point_count)) for _ in range(rng.randbelow(space.n + 2))]
+    return space.span(pts)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2)])
+def test_meet_matches_complements_on_every_pair(n, q):
+    space = space_for(n, q)
+    subs = sorted(_all_subspaces(space), key=lambda s: s.rows)
+    for a in subs:
+        for b in subs:
+            assert space.meet(a, b) == _meet_by_complements(space, a, b)
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 4), (2, 9), (5, 3)])
+def test_meet_matches_complements_on_random_pairs(n, q):
+    space = space_for(n, q)
+    rng = SplitMix64(n * 100 + q)
+    seen = set()
+    for _ in range(60):
+        a, c = _random_subspace(space, rng), _random_subspace(space, rng)
+        b = space.join(a, c)
+        for x, y, case in [
+            (a, c, None),
+            (a, a, "equal"),
+            (a, b, "contained"),
+            (b, a, "contained"),
+            (space.subspace([]), c, "empty"),
+            (c, space.subspace([]), "empty"),
+        ]:
+            got = space.meet(x, y)
+            assert got == _meet_by_complements(space, x, y)
+            if case is None and x.rows and y.rows:
+                case = "trivial" if got.dim == -1 else "proper"
+            seen.add(case)
+    assert {"equal", "contained", "empty", "trivial", "proper"} <= seen
+
+
 def test_lines_through_and_line_points():
     fano = space_for(2, 2)
     assert len(fano.lines_through((1, 0, 0))) == 3

@@ -19,6 +19,7 @@ from pgtool import (
 from pgtool import linalg
 from pgtool.errors import DimensionMismatch, OracleSizeCap
 from pgtool.projective import _coefficient_reps
+from pgtool.quadrics import CHAIN_ORACLE_CAP, _ClosureContext
 from pgtool.veronese import monomial_pairs
 
 
@@ -242,6 +243,49 @@ def test_chain_matches_rank_on_fano():
         for subset in combinations(pts, size):
             expected = linalg.rank(space.field, [ver.apply(x) for x in subset]) - 1
             assert longest_closed_chain(space, subset) == expected
+
+
+def _literal_children(space):
+    """Every closed set of at most CHAIN_ORACLE_CAP points, mapped to its
+    children {closure_mask(F | x) : x not in F}."""
+    ctx = _ClosureContext(space)
+    count = space.point_count
+    kids, frontier = {}, {0}
+    while frontier:
+        for flat in frontier:
+            kids[flat] = {ctx.closure_mask(flat | 1 << i) for i in range(count) if not flat >> i & 1}
+        frontier = {
+            child for flat in frontier for child in kids[flat]
+            if child not in kids and child.bit_count() <= CHAIN_ORACLE_CAP
+        }
+    return kids
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_chain_search_visits_every_child(monkeypatch, n, q):
+    # every maximal chain of a geometric lattice has the same length, so
+    # the chain length alone cannot show a child the search missed
+    space = space_for(n, q)
+    kids = _literal_children(space)
+    ctx = _ClosureContext(space)
+    visited = {}
+    children = ctx._children
+
+    def record(flat, res):
+        out = children(flat, res)
+        visited[flat] = {child for child, _ in out}
+        return out
+
+    def no_closure(mask):
+        raise AssertionError("closure_mask called below the target")
+
+    monkeypatch.setattr(ctx, "_children", record)
+    monkeypatch.setattr(ctx, "closure_mask", no_closure)
+    target = (1 << space.point_count) - 1
+    assert ctx.longest_steps(target) == linalg.rank(space.field, ctx.rho_rows)
+    kids.pop(target, None)  # the target has no children to visit
+    for flat, want in kids.items():
+        assert visited[flat] == want
 
 
 def test_chain_oracle_cap():
