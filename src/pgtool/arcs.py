@@ -153,24 +153,20 @@ def _pencil(field, point, others) -> tuple[tuple, tuple, list]:
     only at `point` itself.  Returns u, v and the t of each of `others`.
 
     `point` is normalized (plane coordinates of a normalized point are),
-    so with j its leading column, u and v are e_f - point[f] e_j for the
-    two columns f != j: the canonical basis `linalg.nullspace` returns.
+    so with j its leading column, u and v are e_f - point[f] e_j and
+    e_g - point[g] e_j for the other two columns f < g: the canonical
+    basis `linalg.nullspace` returns.  Each has two nonzero entries, so
+    its product with Y is read off the field tables directly.
     """
     j = point.index(1)
-    u, v = (
-        tuple(1 if k == f else field.neg(point[f]) if k == j else 0 for k in range(3))
-        for f in range(3)
-        if f != j
-    )
-    add, mul, div = field.add, field.mul, field.div
-
-    def dot(a, b):
-        return add(add(mul(a[0], b[0]), mul(a[1], b[1])), mul(a[2], b[2]))
-
+    f, g = (k for k in range(3) if k != j)
+    add, neg, mul, inv = field.add_table, field.neg_table, field.mul_table, field.inv
+    u, v = (tuple(1 if k == h else neg[point[h]] if k == j else 0 for k in range(3)) for h in (f, g))
+    minus_f, minus_g = mul[neg[point[f]]], mul[neg[point[g]]]
     ts = []
-    for c in others:
-        dv = dot(v, c)
-        ts.append(div(dot(u, c), dv) if dv else None)
+    for c in others:  # u.Y = Y[f] - point[f] Y[j], v.Y = Y[g] - point[g] Y[j]
+        dv = add[c[g]][minus_g[c[j]]]
+        ts.append(mul[add[c[f]][minus_f[c[j]]]][inv(dv)] if dv else None)
     return u, v, ts
 
 
@@ -209,46 +205,60 @@ def tangent_meet(arc: PlaneArc, p1, p2) -> tuple[int, ...]:
     p1, p2 = space.normalize(p1), space.normalize(p2)
     if p1 == p2:
         raise PointNotOnArc("tangent_meet needs two distinct arc points")
-    (a0, a1, a2), (b0, b1, b2) = (_tangent_line(field, arc.coords, p) for p in (p1, p2))
     # the unisecant at p1 meets the arc only in p1, so it is not the one
-    # at p2: two distinct lines of a plane meet in exactly one point, the
-    # nonzero cross product of their dual coordinates
-    sub, mul = field.sub, field.mul
-    meet = (
-        sub(mul(a1, b2), mul(a2, b1)),
-        sub(mul(a2, b0), mul(a0, b2)),
-        sub(mul(a0, b1), mul(a1, b0)),
+    # at p2, and the cross product of their duals is nonzero
+    tangents = (_tangent_line(field, arc.coords, p) for p in (p1, p2))
+    return arc.plane.point_from_coords(_cross(field, *tangents))
+
+
+def _cross(field, a, b) -> tuple[int, int, int]:
+    """The cross product a x b of two 3-vectors.
+
+    In a plane it is the one vector orthogonal to both: the dual of the
+    line through distinct points a and b, and the point where distinct
+    lines with duals a and b meet.  It is zero exactly when a and b are
+    proportional, so for two lines it also tells whether they are equal.
+    """
+    add, neg, mul = field.add_table, field.neg_table, field.mul_table
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (
+        add[mul[a1][b2]][neg[mul[a2][b1]]],
+        add[mul[a2][b0]][neg[mul[a0][b2]]],
+        add[mul[a0][b1]][neg[mul[a1][b0]]],
     )
-    return arc.plane.point_from_coords(meet)
 
 
 def lemma_h6_set(sigma: SemilinearMap, p0) -> frozenset:
     """Single intersection points of plane lines through p0 with their images.
 
     Requires a plane collineation moving p0 and not fixing the line
-    joining p0 to its image.
+    joining p0 to its image.  Every line and meet is a cross product
+    (see `_cross`), so no elimination is made.  With j the leading
+    column of p0, each line through p0 holds exactly one point x with
+    x[j] = 0, as in `ProjectiveSpace.lines_through`; the line has dual
+    p0 x x, its image the dual sigma(p0) x sigma(x), and the two lines
+    meet in the cross product of those duals.  That is never zero: a
+    line through p0 that sigma fixed would hold sigma(p0) too, so it
+    would be the joining line.
     """
     space = sigma.space
     if space.n != 2:
         raise DimensionMismatch("this construction lives in a plane")
+    field = space.field
     p0 = space.normalize(p0)
     p2 = sigma.apply(p0)
     if p2 == p0:
         raise SigmaFixesP0(f"collineation fixes {p0}")
-    joining = space.span((p0, p2))
-    if space.span(tuple(sigma.images(joining.rows))) == joining:
+    (p3,) = sigma.images((p2,))
+    if not any(_cross(field, _cross(field, p0, p2), _cross(field, p2, p3))):
         raise SigmaFixesLine("collineation fixes the joining line")
-    out = set()
-    lines = space.lines_through(p0)
-    images = sigma.images(row for line in lines for row in line.rows)
-    for line in lines:
-        image = space.span((next(images), next(images)))
-        if image == line:
-            continue
-        meet = space.meet(line, image)
-        if meet.dim == 0:
-            out.add(meet.rows[0])  # a reduced row leads with its pivot 1
-    return frozenset(out)
+    j = p0.index(1)
+    section = [x for x in space.points() if not x[j]]
+    return frozenset(
+        linalg.canonical(field, _cross(field, _cross(field, p0, x), _cross(field, p2, image)))
+        for x, image in zip(section, sigma.images(section))
+    )
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,36 @@ def reduce_residuals(field: GaloisField, res: list, p: int) -> list:
     return out
 
 
+def subset_ranks(field: GaloisField, rows, max_size: int) -> dict:
+    """Sorted index tuple idx of at most max_size entries -> the rank of
+    the rows at idx, for every such tuple, without an elimination.
+
+    rank(S + c) = rank(S) + [the residual of c modulo span S is
+    nonzero], so a depth-first walk over the prefixes finds them all: at
+    each prefix it holds the residuals of the later rows modulo its span
+    and, when the prefix grew by a nonzero residual, takes one
+    `reduce_residuals` step to extend them (a zero one leaves the span
+    and the residuals as they were).  Rows may be zero or repeated.
+    """
+    canon = [canonical(field, r) for r in rows]
+    packed = iter(residual_rows(field, [c for c in canon if c is not None]))
+    ranks = {(): 0}
+
+    def walk(prefix, rank, res, start):
+        # res[i]: the residual of rows[start + i] modulo span rows[prefix]
+        for i, w in enumerate(res):
+            idx = prefix + (start + i,)
+            grown = rank + (w is not None)
+            ranks[idx] = grown
+            if len(idx) < max_size and i + 1 < len(res):
+                tail = res[i + 1 :] if w is None else reduce_residuals(field, res, i)
+                walk(idx, grown, tail, start + i + 1)
+
+    if max_size > 0:
+        walk((), 0, [c and next(packed) for c in canon], 0)  # zero rows stay None
+    return ranks
+
+
 def residual_classes(res: list) -> dict:
     """Nonzero residual -> bitmask of the positions holding it."""
     cls = {}

@@ -156,26 +156,37 @@ def _suite_prop_3_9():
 
 
 def _suite_eq_immsing():
+    """rank(T u M)^rho = rank T^rho + the rank of M^rho reduced modulo
+    span T^rho: the reduction is linear with kernel span T^rho.  So one
+    `rref` of the hyperplane rows and two `linalg.subset_ranks` walks
+    per hyperplane give every subset's two sides."""
     params = {"space": [2, 3], "max_subset": 3}
     witnesses = []
     space = space_for(2, 3)
+    field = space.field
     ver = veronese_for(space)
     shift = delta(space.n - 1)  # rank of a hyperplane image
     for hp in space.hyperplanes():
-        hp_rows = [ver.apply(x) for x in hp.points()]
+        pivots, rrows = linalg.rref(field, [ver.apply(x) for x in hp.points()])
         affine = [p for p in space.points() if p not in set(hp.points())]
+        reduced = [linalg.residual(field, pivots, rrows, ver.apply(x)) for x in affine]
+        image_ranks = linalg.subset_ranks(field, reduced, params["max_subset"])
+        source_ranks = linalg.subset_ranks(field, affine, params["max_subset"])
         for size in range(params["max_subset"] + 1):
-            for subset in combinations(affine, size):
-                lhs = linalg.rank(space.field, hp_rows + [ver.apply(x) for x in subset]) - 1
-                rhs = shift + linalg.rank(space.field, list(subset)) - 1
+            for idx in combinations(range(len(affine)), size):
+                lhs = len(pivots) + image_ranks[idx] - 1
+                rhs = shift + source_ranks[idx] - 1
                 if lhs != rhs:
                     witnesses.append(
-                        {"hyperplane": _pts(hp.points()), "subset": _pts(subset), "lhs": lhs, "rhs": rhs}
+                        {"hyperplane": _pts(hp.points()), "subset": _pts(affine[i] for i in idx), "lhs": lhs, "rhs": rhs}
                     )
     return params, witnesses
 
 
 def _suite_prop_h2():
+    """The ranks of both sides come from `linalg.subset_ranks`: the
+    source ranks once per hyperplane, the iota-image ranks once per
+    complement."""
     params = {"space": [2, 3], "complements_per_hyperplane": 3, "seed": 1082, "max_subset": 4}
     witnesses = []
     space = space_for(2, 3)
@@ -185,18 +196,22 @@ def _suite_prop_h2():
     for hp in space.hyperplanes():
         base = ver.target.span([nu.table[x] for x in hp.points()])
         affine = [p for p in space.points() if p not in set(hp.points())]
+        source_ranks = linalg.subset_ranks(space.field, affine, params["max_subset"])
         for _ in range(params["complements_per_hyperplane"]):
             complement = random_complement(ver.target, base, rng)
             iota = build_iota(nu, hp, complement)
+            image_ranks = linalg.subset_ranks(
+                ver.target.field, [iota[x] for x in affine], params["max_subset"]
+            )
             for size in range(params["max_subset"] + 1):
-                for subset in combinations(affine, size):
-                    want = linalg.rank(space.field, list(subset)) - 1
-                    got = linalg.rank(ver.target.field, [iota[x] for x in subset]) - 1
+                for idx in combinations(range(len(affine)), size):
+                    want = source_ranks[idx] - 1
+                    got = image_ranks[idx] - 1
                     if got != want:
                         witnesses.append(
                             {
                                 "hyperplane": _pts(hp.points()),
-                                "subset": _pts(subset),
+                                "subset": _pts(affine[i] for i in idx),
                                 "dim_source": want,
                                 "dim_image": got,
                             }

@@ -421,6 +421,54 @@ def test_lemma_h6_rejects_bad_sigma():
         lemma_h6_set(swap, (1, 0, 0))
 
 
+def _literal_lemma_h6_set(sigma, p0):
+    """`lemma_h6_set` by spans and `meet`: the joining line, then each
+    line through p0, its image and their meet."""
+    space = sigma.space
+    p0 = space.normalize(p0)
+    p2 = sigma.apply(p0)
+    if p2 == p0:
+        raise SigmaFixesP0(f"collineation fixes {p0}")
+    joining = space.span((p0, p2))
+    if space.span(tuple(sigma.images(joining.rows))) == joining:
+        raise SigmaFixesLine("collineation fixes the joining line")
+    out = set()
+    for line in space.lines_through(p0):
+        image = space.span(tuple(sigma.images(line.rows)))
+        if image == line:
+            continue
+        meet = space.meet(line, image)
+        if meet.dim == 0:
+            out.add(meet.rows[0])
+    return frozenset(out)
+
+
+def _h6_outcome(construct, sigma, p0):
+    try:
+        return construct(sigma, p0)
+    except (SigmaFixesP0, SigmaFixesLine) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_lemma_h6_set_matches_span_and_meet(q):
+    # the cross products give the literal construction's set, and raise
+    # on the same draws, at every p0
+    space = space_for(2, q)
+    rng = SplitMix64(q + 700)
+    twists = (0, 1) if space.field.k > 1 else (0,)
+    sigmas = [random_semilinear(space, rng, alpha=a) for a in twists for _ in range(2)]
+    # the swap of the outer coordinates fixes points and the line x1 = 0
+    sigmas.append(SemilinearMap(space, ((0, 0, 1), (0, 1, 0), (1, 0, 0)), 0))
+    outcomes = set()
+    for sigma in sigmas:
+        for p0 in space.points():
+            got = _h6_outcome(lemma_h6_set, sigma, p0)
+            assert got == _h6_outcome(_literal_lemma_h6_set, sigma, p0), (sigma, p0)
+            outcomes.add(got if isinstance(got, type) else frozenset)
+    assert outcomes == {frozenset, SigmaFixesP0, SigmaFixesLine}
+
+
 def test_segre_scan_small():
     r2 = segre_scan(2)
     assert (r2.ovals, r2.conics, r2.non_conic_ovals) == (28, 28, ())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -68,6 +68,44 @@ def test_forward_rank_matches_rref(q):
         assert got == len(linalg.rref(field, rows)[0])
         if field.q ** len(rows) <= 4096:  # rank and rref share one loop
             assert got == _rank_oracle(field, rows, len(rows[0]) if rows else 0)
+
+
+def _subset_rank_cases(field, rng):
+    """Seeded tall, wide, zero-row and repeated-row matrices, small
+    enough for the enumeration oracle on most index tuples."""
+    row = _random_matrix(field, 1, 3, rng)[0]
+    scaled = tuple(field.mul(rng.randbelow(field.q - 1) + 1, x) for x in row)
+    with_zero = _random_matrix(field, 4, 3, rng)
+    with_zero[rng.randbelow(4)] = (0,) * 3
+    return [
+        [],
+        [(0,) * 4] * 3,
+        _random_matrix(field, 5, 3, rng),  # tall
+        _random_matrix(field, 3, 6, rng),  # wide
+        with_zero,
+        [row, scaled, (0,) * 3, _random_matrix(field, 1, 3, rng)[0], row],  # repeated rows
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_subset_ranks_match_rank_on_every_index_tuple(q):
+    # one residual walk gives the rank of every subset; each must equal
+    # the elimination's rank, and the enumeration's where q^rows <= 4096
+    field = create_field(*prime_power(q))
+    rng = SplitMix64(q + 600)
+    for rows in _subset_rank_cases(field, rng):
+        full = linalg.subset_ranks(field, rows, len(rows) + 2)
+        assert set(full) == {
+            idx for size in range(len(rows) + 1) for idx in combinations(range(len(rows)), size)
+        }
+        for idx, got in full.items():
+            sub = [rows[i] for i in idx]
+            assert got == linalg.rank(field, sub), (rows, idx)
+            if field.q ** len(idx) <= 4096:
+                assert got == _rank_oracle(field, sub, len(sub[0]) if sub else 0), (rows, idx)
+        for max_size in (0, 1, 2):
+            want = {idx: r for idx, r in full.items() if len(idx) <= max_size}
+            assert linalg.subset_ranks(field, rows, max_size) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
