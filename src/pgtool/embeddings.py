@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from . import linalg
-from .arcs import PlaneArc, is_arc, tangent_meet
+from .arcs import PlaneArc, _cross, is_arc, tangent_meet
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -531,43 +531,81 @@ def random_complement(space: ProjectiveSpace, sub: Subspace, rng: SplitMix64) ->
 def _greedy_complement(space: ProjectiveSpace, sub: Subspace, candidates) -> Subspace:
     """Span of the candidates that raise the rank of sub's rows.
 
-    The rank is checked for full before each candidate is drawn, so no
-    candidate is drawn once the complement is complete, nor any when sub
-    is already the whole space.  The candidates must reach full rank.
+    A candidate raises the rank exactly when its residual modulo the
+    rows gathered so far is nonzero.  Sub's reduced rows come first, and
+    each accepted residual, scaled to lead with 1, is zero at every
+    earlier pivot, so `linalg.residual` over the rows in that order
+    clears each pivot for good and leaves 0 exactly on the span.  No
+    elimination is made before the final span.  The rank is checked for
+    full before each candidate is drawn, so no candidate is drawn once
+    the complement is complete, nor any when sub is already the whole
+    space.  The candidates must reach full rank.
     """
-    rows = list(sub.rows)
-    base = len(rows)
+    field = space.field
+    pivots, rows = list(sub.pivots), list(sub.rows)
+    added = []
     while len(rows) < space.n + 1:
         cand = next(candidates)
-        if linalg.rank(space.field, rows + [cand]) > len(rows):
-            rows.append(cand)
-    return space.span(rows[base:])
+        res = linalg.canonical(field, linalg.residual(field, pivots, rows, cand))
+        if res is not None:
+            pivots.append(res.index(1))
+            rows.append(res)
+            added.append(cand)
+    return space.span(added)
+
+
+def _check_hyperplane(source: ProjectiveSpace, hyperplane: Subspace):
+    if hyperplane.dim != source.n - 1:
+        raise DimensionMismatch("expected a hyperplane of the source")
+    source._check_sub(hyperplane)
 
 
 def build_iota(nu: PointMap, hyperplane: Subspace, complement: Subspace) -> dict:
     """Map each point outside the hyperplane to a point of the complement.
 
-    The image of a point A is the intersection of the complement with
-    the span of the images of the hyperplane together with A; for a
-    quadratic embedding this cut is a single point.
+    The image of a point A is the intersection of the complement C with
+    the span of T = span nu(hyperplane) and nu(A); for a quadratic
+    embedding this cut is a single point.
+
+    One elimination of the columns [nu(H) | C's rows | nu(A) for each A]
+    gives every cut (`_iota_coords`).  T and C are complementary exactly
+    when every C column is a pivot and the left two blocks hold n'+1
+    pivots: the C rows are then independent modulo T, and with T they
+    span the target.  These pivot columns are a basis, so A's column
+    reduces to nu(A)'s coordinates on it, and the C-block of them, in
+    the last rows, writes nu(A) = t + c with t in T and c in C, the
+    direct sum.  span(T, nu(A)) meets C in <c> exactly: t' + s nu(A)
+    lies in C only when t' + s t, in T and in C, is 0.  So the cut is
+    the point whose coordinates on C's reduced basis are the C-block,
+    and a zero C-block, nu(A) in T, is the only way it fails to be a
+    point: it is empty, of dimension -1.
     """
+    cuts = _iota_coords(nu, hyperplane, complement)
+    return {a: complement.point_from_coords(c) for a, c in cuts.items()}
+
+
+def _iota_coords(nu: PointMap, hyperplane: Subspace, complement: Subspace) -> dict:
+    """`build_iota` in complement coordinates: each point outside the
+    hyperplane -> the canonical coordinates of its cut on C's basis."""
     source, target = nu.source, nu.target
-    if hyperplane.dim != source.n - 1:
-        raise DimensionMismatch("expected a hyperplane of the source")
-    base = target.span([nu.table[x] for x in hyperplane.points()])
-    if target.meet(base, complement).dim != -1 or target.join(base, complement).dim != target.n:
+    _check_hyperplane(source, hyperplane)
+    target._check_sub(complement)
+    field, hyper_pts = target.field, hyperplane.points()
+    in_hyper = set(hyper_pts)
+    affine = [a for a in source.points() if a not in in_hyper]
+    columns = [nu.table[x] for x in hyper_pts] + list(complement.rows)
+    columns += [nu.table[a] for a in affine]
+    pivots, rows = linalg.rref(field, linalg.transpose(columns))
+    h, k = len(hyper_pts), len(complement.rows)
+    if len(pivots) != target.n + 1 or [c for c in pivots if c >= h] != list(range(h, h + k)):
         raise NotComplementary("complement does not complement the image span")
+    c_rows = rows[len(rows) - k:]
     out = {}
-    hyper_pts = set(hyperplane.points())
-    for a in source.points():
-        if a in hyper_pts:
-            continue
-        cut = target.meet(target.subspace(base.rows + (nu.table[a],)), complement)
-        if cut.dim != 0:
-            raise ImageNotAPoint(
-                f"image of {a} cuts the complement in dimension {cut.dim}"
-            )
-        out[a] = cut.rows[0]  # a reduced row leads with its pivot 1
+    for col, a in enumerate(affine, h + k):
+        coords = linalg.canonical(field, [row[col] for row in c_rows])
+        if coords is None:
+            raise ImageNotAPoint(f"image of {a} cuts the complement in dimension -1")
+        out[a] = coords
     return out
 
 
@@ -654,6 +692,16 @@ def extend_beta(
     becomes the image of P.  The finished table is fitted to a matrix
     plus Frobenius exponent and verified point by point.
 
+    All of it runs in complement coordinates: C's reduced basis gives a
+    linear isomorphism of GF(q)^(dim C + 1) onto C, so spans, meets and
+    their dimensions are those of the target, the refusals and messages
+    are the same, and the coordinates iota and the meets give are the
+    ones `_fit_semilinear` fits.  Only the finished table is mapped to
+    target points.  The lines through P are those of the cached
+    `source.lines()` holding P and no other hyperplane point, in that
+    order, which is the order of `lines_through`.  `_concurrence` takes
+    their spans and meets.
+
     Without ``complement`` the image span of the hyperplane is
     complemented by `default_complement`.  Passing another complement
     checks the paper's claim that neither the hyperplane image nor the
@@ -662,32 +710,83 @@ def extend_beta(
     source, target = nu.source, nu.target
     if source.n < 2:
         raise DimensionMismatch("extension needs source dimension >= 2")
+    _check_hyperplane(source, hyperplane)
     if complement is None:
         complement = default_complement(target, target.span(
             [nu.table[x] for x in hyperplane.points()]
         ))
-    iota = build_iota(nu, hyperplane, complement)
-    table = dict(iota)
-    for p in hyperplane.points():
+    coords = _iota_coords(nu, hyperplane, complement)
+    # a line outside the hyperplane meets it in one point, a line inside in q + 1
+    pencils = {p: [] for p in hyperplane.points()}
+    for g in source.lines():
+        on = [x for x in g.points() if x in pencils]
+        if len(on) == 1:
+            pencils[on[0]].append(g)
+    field, k = target.field, len(complement.rows)
+    for p, lines in pencils.items():
         # n >= 2, so q^(n-1) >= 2 lines through p lie outside the hyperplane
-        carrier = None
-        for g in source.lines_through(p):
-            if g.is_subspace_of(hyperplane):
-                continue
-            span_img = target.span([iota[x] for x in g.points() if x != p])
-            if span_img.dim != 1:
-                raise LinesNotConcurrent(
-                    f"iota image of a punctured line spans dimension {span_img.dim}"
-                )
-            carrier = span_img if carrier is None else target.meet(carrier, span_img)
-        if carrier.dim != 0:
+        punctured = ([coords[x] for x in g.points() if x != p] for g in lines)
+        point = _concurrence(field, k, punctured)
+        if point is None:
             raise LinesNotConcurrent(
                 f"candidate lines at {p} do not meet in a single point"
             )
-        table[p] = carrier.rows[0]  # a reduced row leads with its pivot 1
-    coords_of = {x: complement.coords_of(y) for x, y in table.items()}
-    fitted = _fit_semilinear(source, coords_of)
+        coords[p] = point
+    fitted = _fit_semilinear(source, coords)
+    table = {x: complement.point_from_coords(c) for x, c in coords.items()}
     return AffineExtension(table=table, map=fitted)
+
+
+def _concurrence(field, k: int, punctured) -> tuple[int, ...] | None:
+    """The one point where the spans of the point sets meet, in
+    GF(q)^k, or None when they do not meet in a single point.
+
+    Each set must span a line, else LinesNotConcurrent names the first
+    that does not.  The lines all meet in one point exactly when some
+    line differs from the first, the two meet in a point, and every line
+    holds it: so one meet is taken, and membership tests do the rest.
+    Each span and the meet are one elimination of k-entry rows, or none
+    in a plane (`_plane_concurrence`).  k = 1 spans no line, so its
+    space PG(0, q), which cannot be built, is never used.
+    """
+    if k == 3:
+        return _plane_concurrence(field, punctured)
+    space = ProjectiveSpace(field, k - 1) if k > 1 else None
+    lines = []
+    for pts in punctured:
+        pivots, rows = linalg.rref(field, pts)
+        _check_line(len(rows) - 1)
+        lines.append(Subspace(space, pivots, rows))
+    other = next((g for g in lines if g != lines[0]), None)
+    meet = None if other is None else space.meet(lines[0], other)
+    if meet is None or meet.dim != 0:
+        return None
+    (point,) = meet.rows
+    return point if all(linalg.in_rowspace(field, g.pivots, g.rows, point) for g in lines) else None
+
+
+def _plane_concurrence(field, punctured) -> tuple[int, ...] | None:
+    """`_concurrence` for k = 3 by cross products (`arcs._cross`): the
+    line through distinct points a and b has the dual a x b, a point is
+    on it when their product is 0, and two lines meet in the cross
+    product of their duals, which is 0 when they are equal."""
+    duals = []
+    for pts in punctured:
+        other = next((x for x in pts if x != pts[0]), None)
+        if other is None:
+            _check_line(0)
+        dual = _cross(field, pts[0], other)
+        _check_line(2 if any(linalg.mat_vec(field, pts, dual)) else 1)
+        duals.append(dual)
+    point = next((m for d in duals if any(m := _cross(field, duals[0], d))), None)
+    if point is None or any(linalg.mat_vec(field, duals, point)):
+        return None
+    return linalg.canonical(field, point)
+
+
+def _check_line(span_dim: int):
+    if span_dim != 1:
+        raise LinesNotConcurrent(f"iota image of a punctured line spans dimension {span_dim}")
 
 
 # -- quotient embeddings and hyperplane images ---------------------------------

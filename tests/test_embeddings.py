@@ -48,6 +48,7 @@ from pgtool.errors import (
     NotRegular,
     NotTotal,
     PgtoolError,
+    SpaceMismatch,
     UsageError,
     VerificationFailed,
 )
@@ -873,24 +874,6 @@ def test_extend_beta_q2():
     assert len(beta.table) == 7
 
 
-def test_extend_beta_refusals_on_broken_maps():
-    # a broken table either extends or is refused by one of the three
-    # property types, none of which is bad input
-    refusals = (ImageNotAPoint, LinesNotConcurrent, NotACollineation)
-    for cls in refusals:
-        assert not issubclass(cls, UsageError)
-    raised = set()
-    for n, q in ((2, 2), (2, 3), (3, 2)):
-        for seed in range(15):
-            nu = broken_map(n, q, seed)
-            for hyper in nu.source.hyperplanes():
-                try:
-                    extend_beta(nu, hyper)
-                except refusals as exc:
-                    raised.add(type(exc))
-    assert raised == set(refusals)
-
-
 def test_extension_independent_of_complement():
     # neither the induced hyperplane image nor the quotient map may
     # depend on the complement choice
@@ -921,6 +904,268 @@ def test_nu_t_bijection():
     for sub in values:
         assert sub.dim == base.dim + 1
         assert base.is_subspace_of(sub)
+
+
+# `build_iota` and `extend_beta` as first written, kept as oracles: each
+# cut a `meet` of span(T, nu(A)) with the complement after a `meet` and a
+# `join` test, and the extension by target-space spans and meets over
+# `lines_through` pencils, with a `coords_of` pass before the fit.
+
+
+def _literal_build_iota(nu, hyperplane, complement):
+    source, target = nu.source, nu.target
+    if hyperplane.dim != source.n - 1:
+        raise DimensionMismatch("expected a hyperplane of the source")
+    base = target.span([nu.table[x] for x in hyperplane.points()])
+    if target.meet(base, complement).dim != -1 or target.join(base, complement).dim != target.n:
+        raise NotComplementary("complement does not complement the image span")
+    out = {}
+    hyper_pts = set(hyperplane.points())
+    for a in source.points():
+        if a in hyper_pts:
+            continue
+        cut = target.meet(target.subspace(base.rows + (nu.table[a],)), complement)
+        if cut.dim != 0:
+            raise ImageNotAPoint(f"image of {a} cuts the complement in dimension {cut.dim}")
+        out[a] = cut.rows[0]
+    return out
+
+
+def _literal_extend_beta(nu, hyperplane, complement=None, iota=None):
+    # iota, when given, is what _literal_build_iota returns
+    source, target = nu.source, nu.target
+    if source.n < 2:
+        raise DimensionMismatch("extension needs source dimension >= 2")
+    if complement is None:
+        complement = _literal_default_complement(
+            target, target.span([nu.table[x] for x in hyperplane.points()])
+        )
+    if iota is None:
+        iota = _literal_build_iota(nu, hyperplane, complement)
+    table = dict(iota)
+    for p in hyperplane.points():
+        carrier = None
+        for g in source.lines_through(p):
+            if g.is_subspace_of(hyperplane):
+                continue
+            span_img = target.span([iota[x] for x in g.points() if x != p])
+            if span_img.dim != 1:
+                raise LinesNotConcurrent(
+                    f"iota image of a punctured line spans dimension {span_img.dim}"
+                )
+            carrier = span_img if carrier is None else target.meet(carrier, span_img)
+        if carrier.dim != 0:
+            raise LinesNotConcurrent(f"candidate lines at {p} do not meet in a single point")
+        table[p] = carrier.rows[0]
+    coords_of = {x: complement.coords_of(y) for x, y in table.items()}
+    return embeddings.AffineExtension(table, embeddings._fit_semilinear(source, coords_of))
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of the pgtool error it raises."""
+    try:
+        return fn(*args)
+    except PgtoolError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_like_literal(nu, hyper, complement=None):
+    """build_iota and extend_beta agree with the oracles; returns the
+    extension outcome.  Without a complement, build_iota gets the
+    default one, which extend_beta takes."""
+    target = nu.target
+    if complement is None:
+        base = target.span([nu.table[x] for x in hyper.points()])
+        iota_complement = _literal_default_complement(target, base)
+    else:
+        iota_complement = complement
+    iota = _outcome(_literal_build_iota, nu, hyper, iota_complement)
+    assert _outcome(build_iota, nu, hyper, iota_complement) == iota
+    got = _outcome(extend_beta, nu, hyper, complement)
+    if type(iota) is tuple:
+        assert got == iota
+    else:
+        assert got == _outcome(_literal_extend_beta, nu, hyper, iota_complement, iota)
+    return got
+
+
+def _twisted_veronese(q):
+    ver = veronese_for(space_for(2, q))
+    size = ver.target.n + 1
+    ident = tuple(tuple(int(j == i) for j in range(size)) for i in range(size))
+    twist = SemilinearMap(ver.target, ident, 1)
+    return PointMap.from_function(ver.source, ver.target, lambda x: twist.apply(ver.apply(x)))
+
+
+def test_iota_and_beta_match_literal_on_kappa_rho():
+    tables = [veronese_kappa_map(n, q, seed)[0] for n, q in ((2, 3), (2, 4), (3, 2)) for seed in range(2)]
+    tables.append(_twisted_veronese(4))
+    for nu in tables:
+        for hyper in nu.source.hyperplanes():
+            beta = _assert_like_literal(nu, hyper)
+            assert isinstance(beta, embeddings.AffineExtension)
+    assert beta.map.alpha == 1  # the twist is read off the complement coordinates
+
+
+def test_extend_beta_refusals_on_broken_maps():
+    # a broken table either extends or is refused by one of the three
+    # property types, none of which is bad input, as the oracles are
+    for cls in (ImageNotAPoint, LinesNotConcurrent, NotACollineation):
+        assert not issubclass(cls, UsageError)
+    outcomes = {}
+    for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)):
+        for seed in range(30):
+            nu = broken_map(n, q, seed)
+            for hyper in nu.source.hyperplanes():
+                got = _assert_like_literal(nu, hyper)
+                kind = type(got).__name__ if type(got) is not tuple else got[0].__name__
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes == {
+        "LinesNotConcurrent": 2786,
+        "ImageNotAPoint": 780,
+        "NotACollineation": 70,
+        "AffineExtension": 174,
+    }
+
+
+def test_iota_and_beta_match_literal_on_frame_injections():
+    for seed in range(10):
+        nu = frame_injection_map(seed)
+        for hyper in nu.source.hyperplanes():
+            _assert_like_literal(nu, hyper)
+
+
+def test_iota_and_beta_match_literal_on_chosen_complements():
+    # random complements, and random subspaces, which mostly fail to
+    # complement the image span (NotComplementary on both sides)
+    rng = SplitMix64(23)
+    tables = [veronese_kappa_map(2, 3, 5)[0], veronese_point_map(3, 2), broken_map(2, 3, 4)]
+    refused = 0
+    for nu in tables:
+        target, pts = nu.target, nu.target.points()
+        for hyper in nu.source.hyperplanes():
+            base = target.span([nu.table[x] for x in hyper.points()])
+            _assert_like_literal(nu, hyper, random_complement(target, base, rng))
+            size = 1 + rng.randbelow(target.n + 1)
+            other = target.span([pts[rng.randbelow(len(pts))] for _ in range(size)])
+            got = _assert_like_literal(nu, hyper, other)
+            refused += got == (NotComplementary, "complement does not complement the image span")
+    assert refused > 20
+
+
+def _literal_concurrence(space, punctured):
+    carrier = None
+    for pts in punctured:
+        span = space.span(pts)
+        if span.dim != 1:
+            raise LinesNotConcurrent(f"iota image of a punctured line spans dimension {span.dim}")
+        carrier = span if carrier is None else space.meet(carrier, span)
+    return carrier.rows[0] if carrier.dim == 0 else None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_concurrence_matches_span_and_meet(k):
+    # lines through one center, with now and then a line off it, a
+    # repeated line, a set of equal points or q random points; k = 3
+    # takes the cross-product path
+    for q in (2, 3, 4, 5):
+        space = space_for(k - 1, q)
+        pts = space.points()
+        rng = SplitMix64(100 * k + q)
+        outcomes = set()
+        for _ in range(60):
+            center = pts[rng.randbelow(len(pts))]
+            sets = []
+            for _ in range(2 + rng.randbelow(3)):
+                kind = rng.randbelow(10)
+                if kind == 0:
+                    sets.append([pts[rng.randbelow(len(pts))] for _ in range(q)])
+                elif kind == 1:
+                    sets.append([center] * q)
+                elif kind == 2 and sets:
+                    sets.append(list(sets[-1]))
+                else:
+                    through = center if kind > 3 else pts[rng.randbelow(len(pts))]
+                    others = [x for x in pts if x != through]
+                    line = list(space.span([through, others[rng.randbelow(len(others))]]).points())
+                    rng.shuffle(line)
+                    sets.append(line[:q])
+            got = _outcome(embeddings._concurrence, space.field, k, sets)
+            assert got == _outcome(_literal_concurrence, space, sets)
+            outcomes.add("point" if type(got) is tuple and type(got[0]) is int else str(got)[:40])
+        # on PG(1, q) every line is the whole space, so lines never meet in a point
+        assert "None" in outcomes and ("point" in outcomes) == (k > 2)
+
+
+def _table_with_hyperplane_rank(q, rank, seed):
+    """An injective PG(2, q) -> PG(5, q) table whose first hyperplane has
+    images spanning a subspace of the given rank, and the other points
+    random images off that subspace, so that each cuts the complement."""
+    ver = veronese_for(space_for(2, q))
+    source, target = ver.source, ver.target
+    rng = SplitMix64(seed)
+    pts = target.points()
+    hyper = source.hyperplanes()[0]
+    while True:
+        sub = target.span([pts[rng.randbelow(len(pts))] for _ in range(rank)])
+        chosen = list(sub.points())
+        rng.shuffle(chosen)
+        chosen = chosen[: len(hyper.points())]
+        if sub.dim == rank - 1 and target.span(chosen) == sub:
+            break
+    rest = [y for y in pts if not sub.contains(y)]
+    rng.shuffle(rest)
+    table = dict(zip(hyper.points(), chosen))
+    table.update(zip((x for x in source.points() if x not in table), rest))
+    return PointMap(source, target, table), hyper
+
+
+def test_iota_and_beta_match_literal_for_every_complement_dimension():
+    # complements of dimension n - 1, n, n + 1 and 0 for n = 2: C is a
+    # line, a plane, a solid or a point.  A point is PG(0, q), which
+    # cannot be built; its punctured lines span dimension 0 on both sides.
+    seen = {}
+    for q in (4, 5):  # q + 1 hyperplane points can span a rank of 5
+        for rank in (2, 3, 4, 5):
+            for seed in range(4):
+                nu, hyper = _table_with_hyperplane_rank(q, rank, seed)
+                got = _assert_like_literal(nu, hyper)
+                dim = nu.target.n - rank
+                seen.setdefault(dim, set()).add(got[0].__name__ if type(got) is tuple else "extended")
+    assert sorted(seen) == [0, 1, 2, 3]
+    assert seen[0] == {"LinesNotConcurrent"}
+
+
+def test_iota_and_beta_refuse_a_foreign_hyperplane():
+    # a line of PG(2, 4) holds codes a PG(2, 3) table has no entry for,
+    # and a line of PG(2, 2) names PG(2, 3) points but is no line there
+    nu = veronese_point_map(2, 3)
+    complement = embeddings.default_complement(
+        nu.target, nu.target.span([nu.table[x] for x in nu.source.hyperplanes()[0].points()])
+    )
+    for q in (4, 2):
+        hyper = space_for(2, q).hyperplanes()[0]
+        with pytest.raises(SpaceMismatch):
+            build_iota(nu, hyper, complement)
+        for args in ((), (complement,)):
+            with pytest.raises(SpaceMismatch):
+                extend_beta(nu, hyper, *args)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2)])
+def test_random_complement_draws_like_the_rank_loop(n, q):
+    # the residual test accepts the candidates the rank loop accepts, so
+    # the complement and the rng state after it are the same
+    nu = veronese_point_map(n, q)
+    target = nu.target
+    for seed, hyper in enumerate(nu.source.hyperplanes()):
+        base = target.span([nu.table[x] for x in hyper.points()])
+        ours, theirs = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(3):
+            assert random_complement(target, base, ours) == _literal_random_complement(
+                target, base, theirs
+            )
+            assert ours.state == theirs.state
 
 
 # -- distinguished frame and reconstruction ----------------------------------

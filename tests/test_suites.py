@@ -119,15 +119,19 @@ def eliminations(monkeypatch):
 
 
 def test_rank_suite_elimination_count(eliminations, monkeypatch):
-    # On warm spaces these are all the eliminations of the three suites.
+    # On warm spaces these are all the eliminations of the four suites.
     # `hyperplanes` makes two per hyperplane.  prop-h2 adds one span per
-    # hyperplane and, per complement, the rank tests of
-    # `random_complement` and 21 in `build_iota`; eq-immsing one `rref`
-    # of the hyperplane rows per hyperplane; lemma-h6 the invertibility
-    # test of each drawn collineation, and none in `lemma_h6_set`.  No
-    # suite makes an elimination per subset: prop-h2 made 19,968 and
-    # eq-immsing 3,380 of those.
-    lemma_h6_set = suites.lemma_h6_set
+    # hyperplane and, per complement, the final span of
+    # `random_complement` and the one elimination of `build_iota`;
+    # eq-immsing one `rref` of the hyperplane rows per hyperplane;
+    # lemma-h6 the invertibility test of each drawn collineation, and
+    # none in `lemma_h6_set`; props-h3-h4, per hyperplane, the spans of
+    # the image and of the default complement, `build_iota`'s
+    # elimination, two in the fit and one for the image of H, and over
+    # PG(3, 2), where the complement is a solid, one per punctured-line
+    # span and one meet per point of H.  No suite makes an elimination
+    # per subset: prop-h2 made 19,968 and eq-immsing 3,380 of those.
+    lemma_h6_set, build_iota = suites.lemma_h6_set, suites.build_iota
 
     def no_elimination(sigma, p0):
         before = eliminations[0]
@@ -136,12 +140,20 @@ def test_rank_suite_elimination_count(eliminations, monkeypatch):
         finally:
             assert eliminations[0] == before
 
+    def at_most_two(nu, hyperplane, complement):
+        before = eliminations[0]
+        try:
+            return build_iota(nu, hyperplane, complement)
+        finally:
+            assert eliminations[0] - before <= 2
+
     monkeypatch.setattr(suites, "lemma_h6_set", no_elimination)
+    monkeypatch.setattr(suites, "build_iota", at_most_two)
     counts = {}
-    for suite_id in ("prop-h2", "eq-immsing", "lemma-h6"):
+    for suite_id in ("prop-h2", "props-h3-h4", "eq-immsing", "lemma-h6"):
         (result,) = run_suite(suite_id)  # warms the caches
         assert result.passed
         eliminations[0] = 0
         run_suite(suite_id)
         counts[suite_id] = eliminations[0]
-    assert counts == {"prop-h2": 1042, "eq-immsing": 39, "lemma-h6": 320}
+    assert counts == {"prop-h2": 117, "props-h3-h4": 805, "eq-immsing": 39, "lemma-h6": 320}
