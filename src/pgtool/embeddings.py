@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from . import linalg
-from .arcs import PlaneArc, _cross, is_arc, tangent_meet
+from .arcs import PlaneArc, is_arc, tangent_meet
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -745,17 +745,18 @@ def _concurrence(field, k: int, punctured) -> tuple[int, ...] | None:
     that does not.  The lines all meet in one point exactly when some
     line differs from the first, the two meet in a point, and every line
     holds it: so one meet is taken, and membership tests do the rest.
-    Each span and the meet are one elimination of k-entry rows, or none
-    in a plane (`_plane_concurrence`).  k = 1 spans no line, so its
-    space PG(0, q), which cannot be built, is never used.
+    Each span and the meet are one elimination of k-entry rows.  k = 1
+    spans no line, so its space PG(0, q), which cannot be built, is
+    never used.
     """
-    if k == 3:
-        return _plane_concurrence(field, punctured)
     space = ProjectiveSpace(field, k - 1) if k > 1 else None
     lines = []
     for pts in punctured:
         pivots, rows = linalg.rref(field, pts)
-        _check_line(len(rows) - 1)
+        if len(rows) != 2:
+            raise LinesNotConcurrent(
+                f"iota image of a punctured line spans dimension {len(rows) - 1}"
+            )
         lines.append(Subspace(space, pivots, rows))
     other = next((g for g in lines if g != lines[0]), None)
     meet = None if other is None else space.meet(lines[0], other)
@@ -763,30 +764,6 @@ def _concurrence(field, k: int, punctured) -> tuple[int, ...] | None:
         return None
     (point,) = meet.rows
     return point if all(linalg.in_rowspace(field, g.pivots, g.rows, point) for g in lines) else None
-
-
-def _plane_concurrence(field, punctured) -> tuple[int, ...] | None:
-    """`_concurrence` for k = 3 by cross products (`arcs._cross`): the
-    line through distinct points a and b has the dual a x b, a point is
-    on it when their product is 0, and two lines meet in the cross
-    product of their duals, which is 0 when they are equal."""
-    duals = []
-    for pts in punctured:
-        other = next((x for x in pts if x != pts[0]), None)
-        if other is None:
-            _check_line(0)
-        dual = _cross(field, pts[0], other)
-        _check_line(2 if any(linalg.mat_vec(field, pts, dual)) else 1)
-        duals.append(dual)
-    point = next((m for d in duals if any(m := _cross(field, duals[0], d))), None)
-    if point is None or any(linalg.mat_vec(field, duals, point)):
-        return None
-    return linalg.canonical(field, point)
-
-
-def _check_line(span_dim: int):
-    if span_dim != 1:
-        raise LinesNotConcurrent(f"iota image of a punctured line spans dimension {span_dim}")
 
 
 # -- quotient embeddings and hyperplane images ---------------------------------

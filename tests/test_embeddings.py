@@ -1012,19 +1012,20 @@ def test_extend_beta_refusals_on_broken_maps():
     # property types, none of which is bad input, as the oracles are
     for cls in (ImageNotAPoint, LinesNotConcurrent, NotACollineation):
         assert not issubclass(cls, UsageError)
+    # PG(3, 3) has 40 hyperplanes, so it runs on 5 seeds, the others on 30
     outcomes = {}
     for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)):
-        for seed in range(30):
+        for seed in range(5 if (n, q) == (3, 3) else 30):
             nu = broken_map(n, q, seed)
             for hyper in nu.source.hyperplanes():
                 got = _assert_like_literal(nu, hyper)
                 kind = type(got).__name__ if type(got) is not tuple else got[0].__name__
                 outcomes[kind] = outcomes.get(kind, 0) + 1
     assert outcomes == {
-        "LinesNotConcurrent": 2786,
-        "ImageNotAPoint": 780,
+        "LinesNotConcurrent": 2050,
+        "ImageNotAPoint": 547,
         "NotACollineation": 70,
-        "AffineExtension": 174,
+        "AffineExtension": 143,
     }
 
 
@@ -1066,8 +1067,7 @@ def _literal_concurrence(space, punctured):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_concurrence_matches_span_and_meet(k):
     # lines through one center, with now and then a line off it, a
-    # repeated line, a set of equal points or q random points; k = 3
-    # takes the cross-product path
+    # repeated line, a set of equal points or q random points
     for q in (2, 3, 4, 5):
         space = space_for(k - 1, q)
         pts = space.points()
@@ -1150,22 +1150,6 @@ def test_iota_and_beta_refuse_a_foreign_hyperplane():
         for args in ((), (complement,)):
             with pytest.raises(SpaceMismatch):
                 extend_beta(nu, hyper, *args)
-
-
-@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2)])
-def test_random_complement_draws_like_the_rank_loop(n, q):
-    # the residual test accepts the candidates the rank loop accepts, so
-    # the complement and the rng state after it are the same
-    nu = veronese_point_map(n, q)
-    target = nu.target
-    for seed, hyper in enumerate(nu.source.hyperplanes()):
-        base = target.span([nu.table[x] for x in hyper.points()])
-        ours, theirs = SplitMix64(seed), SplitMix64(seed)
-        for _ in range(3):
-            assert random_complement(target, base, ours) == _literal_random_complement(
-                target, base, theirs
-            )
-            assert ours.state == theirs.state
 
 
 # -- distinguished frame and reconstruction ----------------------------------
@@ -1635,10 +1619,13 @@ def _literal_default_complement(space, sub):
     return space.span(added)
 
 
-@pytest.mark.parametrize("n,q", [(5, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("n,q", [(5, 2), (3, 3), (2, 4), (2, 3), (3, 2)])
 def test_complements_draw_like_literal_loops(n, q):
     # a shared rng must leave each complement in the state the literal
-    # loop leaves it, so later draws (prop-h2 shares one rng) agree
+    # loop leaves it, so later draws (prop-h2 shares one rng) agree.
+    # For n <= 3 the hyperplane images of the Veronese map of PG(n, q)
+    # are complemented too, in turn from one rng per seed, as prop-h2
+    # draws them; the Veronese target of PG(5, 2) is too large to list.
     space = space_for(n, q)
     pts = space.points()
     pick = SplitMix64(7)
@@ -1654,3 +1641,15 @@ def test_complements_draw_like_literal_loops(n, q):
         assert embeddings.default_complement(space, sub) == _literal_default_complement(
             space, sub
         )
+    if n > 3:
+        return
+    nu = veronese_point_map(n, q)
+    target = nu.target
+    bases = [target.span([nu.table[x] for x in h.points()]) for h in nu.source.hyperplanes()]
+    for seed in range(3):
+        ours, theirs = SplitMix64(seed), SplitMix64(seed)
+        for base in bases:
+            assert random_complement(target, base, ours) == _literal_random_complement(
+                target, base, theirs
+            )
+            assert ours.state == theirs.state

@@ -127,9 +127,9 @@ def test_rank_suite_elimination_count(eliminations, monkeypatch):
     # lemma-h6 the invertibility test of each drawn collineation, and
     # none in `lemma_h6_set`; props-h3-h4, per hyperplane, the spans of
     # the image and of the default complement, `build_iota`'s
-    # elimination, two in the fit and one for the image of H, and over
-    # PG(3, 2), where the complement is a solid, one per punctured-line
-    # span and one meet per point of H.  No suite makes an elimination
+    # elimination, two in the fit and one for the image of H, and one
+    # per punctured-line span and one meet per point of H, in the
+    # complement's coordinates.  No suite makes an elimination
     # per subset: prop-h2 made 19,968 and eq-immsing 3,380 of those.
     lemma_h6_set, build_iota = suites.lemma_h6_set, suites.build_iota
 
@@ -156,4 +156,4 @@ def test_rank_suite_elimination_count(eliminations, monkeypatch):
         eliminations[0] = 0
         run_suite(suite_id)
         counts[suite_id] = eliminations[0]
-    assert counts == {"prop-h2": 117, "props-h3-h4": 805, "eq-immsing": 39, "lemma-h6": 320}
+    assert counts == {"prop-h2": 117, "props-h3-h4": 1076, "eq-immsing": 39, "lemma-h6": 320}
