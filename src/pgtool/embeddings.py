@@ -80,8 +80,33 @@ class PointMap:
         self._fit = None  # (kappa or None, certified), set once by _certified
 
     @classmethod
-    def from_function(cls, source, target, fn) -> "PointMap":
-        return cls(source, target, {p: fn(p) for p in source.points()})
+    def from_images(cls, source: ProjectiveSpace, target: ProjectiveSpace, images) -> "PointMap":
+        """The map sending `source.points()` to images, in that order,
+        without the table checks.
+
+        Only for images known to be canonical target points, pairwise
+        distinct, one per source point, over a field shared with the
+        source, where `_bulk_checked` would find nothing.  The callers,
+        the generators in `generate`:
+
+        - `veronese_point_map`: the rows of `VeroneseMap.image`, which are
+          canonical (see `VeroneseMap.apply`) and distinct, since rho is
+          injective;
+        - `compose_with_veronese`: `kappa_rho`, canonical by
+          `linalg.canonical` and distinct, since kappa is a collineation;
+        - `frame_injection_map`: a shuffled image of the standard frame
+          under a collineation, canonical and distinct the same way;
+        - `broken_map`: a Veronese image with one entry replaced by a
+          `point_at` point, canonical and drawn off the image.
+
+        Every table from outside the program (`point_map_from_dict`,
+        `load_point_map`) goes through the constructor.
+        """
+        pm = object.__new__(cls)
+        pm.source, pm.target = source, target
+        pm.table = types.MappingProxyType(dict(zip(source.points(), images)))
+        pm._fit = None
+        return pm
 
     def apply(self, point):
         return self.table[self.source.normalize(point)]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from . import linalg
 from .embeddings import PointMap, kappa_rho
-from .errors import ParamOutOfRange, SingularMatrix
+from .errors import ParamOutOfRange
 from .fields import create_field, prime_power
 from .prng import SplitMix64
-from .projective import ProjectiveSpace, SemilinearMap, standard_frame
+from .projective import ProjectiveSpace, SemilinearMap, checked_alpha, standard_frame
 from .veronese import VeroneseMap, veronese_for
 
 
@@ -18,26 +19,33 @@ def space_for(n: int, q: int) -> ProjectiveSpace:
 def random_semilinear(
     space: ProjectiveSpace, rng: SplitMix64, alpha: int | None = None
 ) -> SemilinearMap:
-    """Random collineation; the matrix is redrawn until it is invertible."""
-    if alpha is None:
-        alpha = rng.randbelow(space.field.k)
-    q, size = space.field.q, space.n + 1
+    """Random collineation; the matrix is redrawn until it is invertible.
+
+    None draws alpha first; any other alpha goes through `checked_alpha`
+    before the first draw, as the `SemilinearMap` constructor takes it.
+    Each attempt draws the (n+1)^2 matrix codes row by row with
+    `randbelow(q)` and makes one `linalg.rank` test.  An invertible
+    matrix goes to `SemilinearMap.from_basis`: its codes are integers in
+    [0, q) and the rank test is the constructor's own, so the
+    constructor's checks could not fail.  Callers: `veronese_kappa_map`,
+    `frame_injection_map` and the suites.
+    """
+    field = space.field
+    alpha = rng.randbelow(field.k) if alpha is None else checked_alpha(field, alpha)
+    q, size = field.q, space.n + 1
     while True:
-        matrix = tuple(tuple(rng.randbelow(q) for _ in range(size)) for _ in range(size))
-        try:
-            return SemilinearMap(space, matrix, alpha)
-        except SingularMatrix:
-            pass
+        matrix = [[rng.randbelow(q) for _ in range(size)] for _ in range(size)]
+        if linalg.rank(field, matrix) == size:
+            return SemilinearMap.from_basis(space, linalg.transpose(matrix), alpha)
 
 
 def veronese_point_map(n: int, q: int) -> PointMap:
     ver = veronese_for(space_for(n, q))
-    return PointMap.from_function(ver.source, ver.target, ver.apply)
+    return PointMap.from_images(ver.source, ver.target, ver.image())
 
 
 def compose_with_veronese(ver: VeroneseMap, kappa: SemilinearMap) -> PointMap:
-    source = ver.source
-    return PointMap(source, ver.target, dict(zip(source.points(), kappa_rho(source, kappa))))
+    return PointMap.from_images(ver.source, ver.target, kappa_rho(ver.source, kappa))
 
 
 def veronese_kappa_map(n: int, q: int, seed: int) -> tuple[PointMap, SemilinearMap]:
@@ -60,8 +68,7 @@ def frame_injection_map(seed: int) -> PointMap:
     kappa = random_semilinear(target, rng)
     frame = list(kappa.images(standard_frame(target)))
     rng.shuffle(frame)
-    table = {src: frame[i] for i, src in enumerate(source.points())}
-    return PointMap(source, target, table)
+    return PointMap.from_images(source, target, frame)
 
 
 def broken_map(n: int, q: int, seed: int) -> PointMap:
@@ -73,17 +80,16 @@ def broken_map(n: int, q: int, seed: int) -> PointMap:
     """
     base = veronese_point_map(n, q)
     rng = SplitMix64(seed)
-    src_pts = base.source.points()
+    images = base.image()
     target = base.target
-    image = set(base.image())
-    victim = src_pts[rng.randbelow(len(src_pts))]
+    image = set(images)
+    victim = rng.randbelow(len(images))
     while True:
         replacement = target.point_at(rng.randbelow(target.point_count))
         if replacement not in image:
             break
-    table = dict(base.table)
-    table[victim] = replacement
-    return PointMap(base.source, base.target, table)
+    images[victim] = replacement
+    return PointMap.from_images(base.source, target, images)
 
 
 def generate_embedding(kind: str, n: int, q: int, seed: int | None = None) -> PointMap:

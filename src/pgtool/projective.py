@@ -349,6 +349,14 @@ def scale_frame(space: ProjectiveSpace, frame_points) -> list[tuple[int, ...]] |
 # -- semilinear maps ---------------------------------------------------------
 
 
+def checked_alpha(field: GaloisField, alpha) -> int:
+    """A Frobenius exponent reduced mod k; one that is not an int, such
+    as True or 1.0, raises SpaceMismatch."""
+    if type(alpha) is not int:
+        raise SpaceMismatch(f"alpha must be an integer, got {alpha!r}")
+    return alpha % field.k
+
+
 @dataclass(frozen=True)
 class SemilinearMap:
     """x -> matrix . (x with the Frobenius power alpha applied entrywise)."""
@@ -365,22 +373,31 @@ class SemilinearMap:
         q = self.space.field.q
         if any(type(x) is not int or not 0 <= x < q for r in mat for x in r):
             raise SpaceMismatch(f"matrix entries must be integer codes in [0, {q})")
-        if type(self.alpha) is not int:
-            raise SpaceMismatch(f"alpha must be an integer, got {self.alpha!r}")
+        alpha = checked_alpha(self.space.field, self.alpha)
         if linalg.rank(self.space.field, mat) != n1:
             raise SingularMatrix("matrix is not invertible")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "alpha", self.alpha % self.space.field.k)
+        object.__setattr__(self, "alpha", alpha)
 
     @classmethod
     def from_basis(cls, space: ProjectiveSpace, columns, alpha: int) -> "SemilinearMap":
         """The map whose matrix has the given columns, without the
         constructor's checks.
 
-        Only for columns known to be a basis and computed by field
-        operations, such as those of `scale_frame`, and an alpha from
-        `automorphism_exponents`: the rank test and the code checks would
-        find nothing there.
+        Only for columns known to be a basis of field codes and an alpha
+        in [0, k), where the code checks and the rank test would find
+        nothing.  The callers:
+
+        - `embeddings._fit_semilinear` and `embeddings._reconstruct`:
+          the columns come from `scale_frame`, which returns a basis or
+          None, and alpha from `_probe_exponent`, one of
+          `automorphism_exponents`;
+        - `embeddings._fit_kappa`: the columns are K = b diag(c) T with
+          b a basis (its pivot test), no c zero and T invertible, and
+          alpha 0 or from `_frobenius_exponent`;
+        - `generate.random_semilinear`: the columns are `randbelow(q)`
+          codes that passed the constructor's own `linalg.rank` test, and
+          alpha went through `checked_alpha`.
         """
         kappa = object.__new__(cls)
         object.__setattr__(kappa, "space", space)

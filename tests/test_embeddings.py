@@ -852,16 +852,8 @@ def test_extend_beta_veronese():
 
 
 def test_extend_beta_recovers_frobenius():
-    ver = veronese_for(space_for(2, 4))
-    from pgtool import SemilinearMap
-
-    size = ver.target.n + 1
-    ident = tuple(tuple(1 if j == i else 0 for j in range(size)) for i in range(size))
-    twist = SemilinearMap(ver.target, ident, 1)
-    nu = PointMap.from_function(
-        ver.source, ver.target, lambda x: twist.apply(ver.apply(x))
-    )
-    hyper = ver.source.span([(0, 1, 0), (0, 0, 1)])
+    nu = _twisted_veronese(4)
+    hyper = nu.source.span([(0, 1, 0), (0, 0, 1)])
     beta = extend_beta(nu, hyper)
     assert beta.map.alpha == 1
 
@@ -994,7 +986,9 @@ def _twisted_veronese(q):
     size = ver.target.n + 1
     ident = tuple(tuple(int(j == i) for j in range(size)) for i in range(size))
     twist = SemilinearMap(ver.target, ident, 1)
-    return PointMap.from_function(ver.source, ver.target, lambda x: twist.apply(ver.apply(x)))
+    return PointMap(
+        ver.source, ver.target, {x: twist.apply(ver.apply(x)) for x in ver.source.points()}
+    )
 
 
 def test_iota_and_beta_match_literal_on_kappa_rho():
@@ -1176,8 +1170,8 @@ def test_q_frame_equivariance_under_projective_kappa():
     ver = veronese_for(space_for(2, 3))
     rng = SplitMix64(17)
     kappa = random_semilinear(ver.target, rng, alpha=0)
-    nu = PointMap.from_function(
-        ver.source, ver.target, lambda x: kappa.apply(ver.apply(x))
+    nu = PointMap(
+        ver.source, ver.target, {x: kappa.apply(ver.apply(x)) for x in ver.source.points()}
     )
     field = ver.target.field
     base, base_total = _canonical_columns_and_sum(field, build_Q_frame(veronese_point_map(2, 3)))
@@ -1191,15 +1185,7 @@ def test_recover_automorphism():
     assert recover_automorphism(nu, build_Q_frame(nu)) == 0
     nu22 = veronese_point_map(2, 2)
     assert recover_automorphism(nu22, build_Q_frame(nu22)) == 0
-    ver = veronese_for(space_for(2, 4))
-    from pgtool import SemilinearMap
-
-    size = ver.target.n + 1
-    ident = tuple(tuple(1 if j == i else 0 for j in range(size)) for i in range(size))
-    twist = SemilinearMap(ver.target, ident, 1)
-    nu4 = PointMap.from_function(
-        ver.source, ver.target, lambda x: twist.apply(ver.apply(x))
-    )
+    nu4 = _twisted_veronese(4)
     assert recover_automorphism(nu4, build_Q_frame(nu4)) == 1
     # every Frobenius twist over GF(8) and GF(9), read off one elimination
     for q in (8, 9):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from pgtool import (
+    PointMap,
+    SemilinearMap,
     SplitMix64,
     broken_map,
     frame_injection_map,
@@ -24,8 +27,9 @@ from pgtool import (
     veronese_kappa_map,
     veronese_point_map,
 )
+from pgtool import linalg
 from pgtool.cli import main
-from pgtool.errors import ParamOutOfRange, SpaceMismatch, UnknownSuite
+from pgtool.errors import ParamOutOfRange, SingularMatrix, SpaceMismatch, UnknownSuite
 from pgtool.generate import compose_with_veronese
 from pgtool.projective import scale_frame
 from pgtool.suites import BUDGETS, SUITE_ORDER, run_suite
@@ -113,6 +117,108 @@ def test_generators_deterministic():
     assert a.table == b.table and ka.matrix == kb.matrix and ka.alpha == kb.alpha
     assert frame_injection_map(4).table == frame_injection_map(4).table
     assert broken_map(2, 3, 5).table == broken_map(2, 3, 5).table
+
+
+# sha256 of the files `pgtool gen` writes on GEN_GRID, concatenated in
+# grid order; recorded while every generated table still went through
+# the table checks, so building them without the checks changes no byte
+GEN_DIGEST = "ea7131c0a2f410234ad50eeae458cd3ad5b7151a8488de94df300ae2c8d84410"
+GEN_GRID = (
+    [("veronese", n, q, None) for n, q in [(1, 3), (2, 2), (2, 4), (3, 3)]]
+    + [("veronese-kappa", n, q, s) for n, q in [(1, 4), (2, 2), (2, 3), (2, 9), (3, 2)]
+       for s in (0, 1, (1 << 64) - 1)]
+    + [("frame-injection", 2, 2, s) for s in (0, 1, (1 << 64) - 1)]
+    + [("broken", n, q, s) for n, q in [(2, 2), (2, 3), (2, 4), (3, 2)] for s in (0, 1)]
+)
+
+
+def test_cli_gen_bytes_match_pinned_digest(tmp_path, capsys):
+    # the reproducibility contract of pgtool.prng, end to end: the same
+    # seed writes the same map file, for every kind
+    digest = hashlib.sha256()
+    out = tmp_path / "nu.json"
+    for kind, n, q, seed in GEN_GRID:
+        argv = ["gen", "--kind", kind, "--n", str(n), "--q", str(q), "--out", str(out)]
+        assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+        digest.update(out.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == GEN_DIGEST
+
+
+def _literal_random_semilinear(space, rng, alpha=None):
+    """The draw-and-retry loop through the checked constructor: (the map,
+    the number of draws of a matrix)."""
+    if alpha is None:
+        alpha = rng.randbelow(space.field.k)
+    q, size = space.field.q, space.n + 1
+    attempts = 0
+    while True:
+        attempts += 1
+        matrix = tuple(tuple(rng.randbelow(q) for _ in range(size)) for _ in range(size))
+        try:
+            return SemilinearMap(space, matrix, alpha), attempts
+        except SingularMatrix:
+            pass
+
+
+def test_random_semilinear_draws_like_the_literal_loop(monkeypatch):
+    # the same map, alpha and RNG state, with one elimination per drawn
+    # matrix; singular draws are frequent over GF(2)
+    echelons = []
+    echelon = linalg._echelon
+
+    def counted(*args):
+        echelons.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    for q in (2, 3, 4, 5, 8, 9):
+        for n in (1, 2, 5, 9) if q <= 3 else (1, 2, 5):
+            space = space_for(n, q)
+            k = space.field.k
+            for alpha in (None, 0, k - 1, k, -1):
+                for seed in range(10):
+                    want_rng, got_rng = SplitMix64(seed), SplitMix64(seed)
+                    want, attempts = _literal_random_semilinear(space, want_rng, alpha)
+                    echelons.clear()
+                    got = random_semilinear(space, got_rng, alpha)
+                    assert (got, got.alpha, got_rng.state) == (want, want.alpha, want_rng.state)
+                    assert len(echelons) == attempts
+    space = space_for(2, 4)
+    for alpha, want in ((-1, 1), (5, 1)):
+        assert random_semilinear(space, SplitMix64(0), alpha).alpha == want
+    for alpha in (1.0, True, "1"):
+        with pytest.raises(SpaceMismatch) as exc:
+            random_semilinear(space, SplitMix64(0), alpha)
+        with pytest.raises(SpaceMismatch) as literal:
+            _literal_random_semilinear(space, SplitMix64(0), alpha)
+        assert str(exc.value) == str(literal.value) == f"alpha must be an integer, got {alpha!r}"
+
+
+def _generated_tables(n, q):
+    yield veronese_point_map(n, q)
+    for seed in range(10):
+        yield veronese_kappa_map(n, q, seed)[0]
+        yield broken_map(n, q, seed)
+        if (n, q) == (2, 2):
+            yield frame_injection_map(seed)
+
+
+@pytest.mark.parametrize(
+    "n, q",
+    [(1, q) for q in (2, 3, 4, 5)] + [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(3, 2), (3, 3)],
+)
+def test_generated_tables_equal_validated_ones(n, q):
+    # the generators build their tables without the table checks
+    # (PointMap.from_images); the checked constructor must return each
+    # table unchanged, in points() order with canonical tuple values
+    for nu in _generated_tables(n, q):
+        assert PointMap(nu.source, nu.target, dict(nu.table)) == nu
+        assert list(nu.table) == nu.source.points()
+        field = nu.target.field
+        for y in nu.table.values():
+            assert type(y) is tuple and {*map(type, y)} == {int}
+            assert linalg.canonical(field, y) == y
 
 
 def _broken_map_by_enumeration(n, q, seed):
