@@ -92,8 +92,10 @@ class PointMap:
         - `veronese_point_map`: the rows of `VeroneseMap.image`, which are
           canonical (see `VeroneseMap.apply`) and distinct, since rho is
           injective;
-        - `compose_with_veronese`: `kappa_rho`, canonical by
-          `linalg.canonical` and distinct, since kappa is a collineation;
+        - `compose_with_veronese`: `kappa_rho`, canonical since
+          `linalg.canonical_products` scales each point by the inverse of
+          its first nonzero coordinate, and distinct, since rho is
+          injective and kappa a collineation;
         - `frame_injection_map`: a shuffled image of the standard frame
           under a collineation, canonical and distinct the same way;
         - `broken_map`: a Veronese image with one entry replaced by a
@@ -327,8 +329,9 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
     line, so every line image of a quadratic embedding is a plane
     (q+1)-arc, which is regular by the tangent count in `is_regular`;
     by the paper's main theorem a regular embedding is kappa rho, which
-    `_certified` certifies.  A rejected table pays for the fit and the
-    certificate up to its first mismatch, and no Q-frame, before the scan.
+    `_certified` certifies.  Before the scan, a rejected table pays for
+    the fit, one whole kappa rho table (`kappa_rho`) and the comparison
+    up to its first mismatch, and no Q-frame.
     """
     source, target = nu.source, nu.target
     src_pts = source.points()
@@ -892,7 +895,9 @@ def _certified(nu: PointMap) -> bool:
     whether `_mismatched` is empty, drawn only up to its first item: the
     decision behind `is_regular`, reduced verification and
     `reconstruct_kappa`, made once per table and kept as nu's fit record
-    (kappa, certified).  A table outside the main theorem gets no kappa."""
+    (kappa, certified).  A table outside the main theorem gets no kappa.
+    A fitted table costs one whole kappa rho table, certified or not; only
+    the comparison stops at the first mismatch."""
     if nu._fit is None:
         kappa = _fit_kappa(nu)
         nu._fit = kappa, kappa is not None and next(_mismatched(nu, kappa), None) is None
@@ -901,7 +906,13 @@ def _certified(nu: PointMap) -> bool:
 
 def _mismatched(nu: PointMap, kappa: SemilinearMap):
     """The points x with nu(x) != kappa rho(x), lazily in `points()`
-    order: the one comparison of a table with kappa rho."""
+    order: the one comparison of a table with kappa rho.
+
+    `kappa_rho` builds the whole kappa rho table, in one kernel call, when
+    `_mismatched` is called; the comparison then zips it with the table
+    point by point, so it goes only as far as the caller draws: up to the
+    first mismatch for `_certified` and for `_reconstruct`'s
+    VerificationFailed point, over every point for D (`_mismatches`)."""
     source, table = nu.source, nu.table
     return (x for x, y in zip(source.points(), kappa_rho(source, kappa)) if y != table[x])
 
@@ -1043,72 +1054,24 @@ def _reconstruct(nu: PointMap) -> Reconstruction:
     return Reconstruction(kappa=kappa, alpha=alpha, points_checked=source.point_count)
 
 
-def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap):
-    """The points kappa(rho(x)) for the source points x, lazily and in
+def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap) -> list[tuple[int, ...]]:
+    """The points kappa(rho(x)) for the source points x, in
     `source.points()` order: the one computation of a kappa rho table,
     for `_mismatched` and `generate.compose_with_veronese`.
 
-    Over GF(2) each point is `kappa.images` of its row of
-    `VeroneseMap.image`; the rows are canonical, so that is
-    `kappa.apply(rho(x))` without validation.  Over a larger field the
-    table goes along lines (`_kappa_rho_by_lines`), which holds over
-    GF(2) too but is slower there: a line has only the points t = 0 and
-    1, so it saves no product and adds set-up.  Timed per table
-    (`kappa_rho_paths` in BENCH_pr18.json), the line routine ran at
-    0.73-0.90x the speed of `kappa.images` at PG(2, 2) and PG(3, 2),
-    0.93-1.01x at PG(4, 2), 0.98-1.01x at PG(2, 3), and 1.19-1.27x at
-    PG(3, 3), PG(2, 4) and PG(2, 5).
+    With K the matrix of kappa and sigma its field automorphism,
+    kappa rho(x) is the canonical multiple of K rho(x)^sigma, and
+    rho(x)^sigma = rho(x^sigma), as rho's monomials have coefficient 1.
+    So the columns of rho(P) (`VeroneseMap.columns`), each twisted by
+    sigma in one `bytes.translate`, go through
+    `linalg.canonical_products` in one call, which gives the points
+    `kappa.images` gives for the rows of `VeroneseMap.image`.
     """
     ver = veronese_for(source)
     if kappa.space != ver.target:
         raise SpaceMismatch(f"kappa acts on {kappa.space}, not on the Veronese target")
-    if source.field.q == 2:
-        return kappa.images(ver.image())
-    return _kappa_rho_by_lines(source, kappa, ver.image())
-
-
-def _kappa_rho_by_lines(source: ProjectiveSpace, kappa: SemilinearMap, rows):
-    """kappa rho along the affine lines that `source.points()` lists.
-
-    `points()` of PG(n, q) is e_n followed by (x', t) for x' in
-    `points()` of PG(n-1, q) and t in field order (see `point_at`).
-    With K the matrix of kappa, its columns k_ij, and sigma its field
-    automorphism, kappa rho(x) ~ K rho(x)^sigma = K rho(x^sigma), since
-    rho's monomials have coefficient 1.  Write (y, s) = (x', t)^sigma.
-    rho(y, s) holds y_i y_j on the pairs (i, j) with j < n, y_i s on
-    (i, n) with i < n, and s^2 on (n, n), so
-
-        K rho(y, s) = a + s b + s^2 c,
-
-    with a = K rho(y, 0), b = the sum over i < n of y_i k_in, and
-    c = k_nn.  So e_n goes to c.  On the line of x', a is the product of
-    K with the row rho(x', 0) under sigma, b the product of the n
-    columns k_in with y, and each t != 0 costs one m-term combination,
-    with the vectors s^2 c tabulated once per kappa.  These vectors are
-    the K rho(x)^sigma that `kappa.images` computes, so their canonical
-    multiples are its points.
-    """
-    field, n, matrix = source.field, source.n, kappa.matrix
-    add, mul = field.add_table, field.mul_table
-    frob = field.frobenius_table[kappa.alpha]
-    c = [row[-1] for row in matrix]
-    at_n = [r for r, (i, j) in enumerate(monomial_pairs(n)) if j == n != i]
-    k_n = [[row[r] for r in at_n] for row in matrix]  # the columns k_in, i < n
-    steps = []  # for t = 1, ..., q - 1: the products by s and the add rows of s^2 c
-    for t in range(1, field.q):
-        s = frob[t]
-        s2 = mul[mul[s][s]]
-        steps.append((mul[s], [add[s2[x]] for x in c]))
-    yield linalg.canonical(field, c)
-    pts = source.points()
-    for r in range(1, len(rows), field.q):
-        rho0, y = rows[r], pts[r][:n]
-        if kappa.alpha:
-            rho0, y = [frob[v] for v in rho0], [frob[v] for v in y]
-        a = linalg.mat_vec(field, matrix, rho0)
-        yield linalg.canonical(field, a)
-        b = linalg.mat_vec(field, k_n, y)
-        for times_s, plus_s2c in steps:
-            yield linalg.canonical(
-                field, [plus[add[x][times_s[z]]] for x, z, plus in zip(a, b, plus_s2c)]
-            )
+    field, columns = source.field, ver.columns
+    if kappa.alpha:
+        twist = field.byte_tables.frobenius[kappa.alpha]
+        columns = [col.translate(twist) for col in columns]
+    return linalg.canonical_products(field, kappa.matrix, columns)

@@ -12,6 +12,7 @@ go up to ``SIZE_CAP``, and every operation is a dense-table lookup.
 from __future__ import annotations
 
 import functools
+import types
 from itertools import product
 
 from .errors import (
@@ -184,6 +185,40 @@ class GaloisField:
             if e:
                 a = mul(a, a)
         return r
+
+    @functools.cached_property
+    def byte_tables(self) -> types.SimpleNamespace:
+        """Tables for `bytes.translate`, built on first use from the op
+        tables, for `linalg.canonical_products`, which holds one element
+        code per byte.  Each has 256 entries; the bytes q to 255 are no
+        codes and map to 0 in the product and Frobenius tables.
+
+        - ``digits[j][a]``: x -> digit j of a x.  Addition is digitwise
+          mod p in base p, so the digits are added apart; over
+          characteristic 2 it is XOR on the whole code, which is then the
+          one digit (``digits[0][a]``: x -> a x);
+        - ``unscale[a]``: x -> x / a (None at 0);
+        - ``frobenius[m]``: x -> x^(p^m);
+        - ``residue``: v -> v mod p, for every byte v;
+        - ``nonzero``: x -> 255 if x != 0 else 0, and ``equal[a]``:
+          x -> 255 if x == a else 0.
+        """
+        p, k, q = self.p, self.k, self.q
+        pad = bytes(256 - q)
+        mul = tuple(bytes(row) + pad for row in self.mul_table)
+        if p == 2:
+            digits = (mul,)
+        else:
+            planes = [bytes(v // p**j % p for v in range(256)) for j in range(k)]
+            digits = tuple(tuple(t.translate(plane) for t in mul) for plane in planes)
+        return types.SimpleNamespace(
+            unscale=(None,) + tuple(mul[self.inv(a)] for a in range(1, q)),
+            frobenius=tuple(bytes(t) + pad for t in self.frobenius_table),
+            digits=digits,
+            residue=bytes(v % p for v in range(256)),
+            nonzero=bytes([0] + [255] * 255),
+            equal=tuple(bytes(a) + b"\xff" + bytes(255 - a) for a in range(q)),
+        )
 
     # -- public API ------------------------------------------------------
 

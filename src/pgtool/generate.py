@@ -78,10 +78,10 @@ def broken_map(n: int, q: int, seed: int) -> PointMap:
     the target, which can be far larger than the source, is never
     enumerated.
     """
-    base = veronese_point_map(n, q)
+    ver = veronese_for(space_for(n, q))
     rng = SplitMix64(seed)
-    images = base.image()
-    target = base.target
+    images = list(ver.image())
+    target = ver.target
     image = set(images)
     victim = rng.randbelow(len(images))
     while True:
@@ -89,7 +89,7 @@ def broken_map(n: int, q: int, seed: int) -> PointMap:
         if replacement not in image:
             break
     images[victim] = replacement
-    return PointMap.from_images(base.source, target, images)
+    return PointMap.from_images(ver.source, target, images)
 
 
 def generate_embedding(kind: str, n: int, q: int, seed: int | None = None) -> PointMap:

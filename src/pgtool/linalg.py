@@ -11,6 +11,9 @@ reduced forms are identical.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from .fields import GaloisField
 
 
@@ -275,6 +278,94 @@ def mat_vec(field: GaloisField, matrix, vec) -> tuple[int, ...]:
             acc = add[acc][times_x[row[j]]]
         out.append(acc)
     return tuple(out)
+
+
+def canonical_products(field: GaloisField, matrix, columns) -> list[tuple[int, ...]]:
+    """canonical(matrix . v) for many vectors v at once, in their order.
+
+    ``columns[c]`` is a bytes object holding coordinate c of every v, one
+    code per byte.  No product may be zero.  The work is done column by
+    column with `bytes.translate` and integer arithmetic, each call one
+    C-level pass over every vector, through ``field.byte_tables``:
+
+    1. Products.  For each column c and each row r, translating the
+       column by ``digits[j][a_rc]`` gives digit j of every a_rc v_c.
+       The pieces are joined in (digit, row, vector) order and read as
+       one little-endian int.  Each vector's digit then sits in a lane of
+       W bytes, its own for every (digit, row).
+    2. Sums.  Over characteristic 2 the ints are XORed, and a lane is the
+       code of the sum: b = 0 below.  Otherwise they are added, so a lane
+       sums one base-p digit of m = len(columns) products, at most
+       b = m(p - 1).  W is 1 when b < 256.  Otherwise W is the least
+       width with b < 2^(8W - 1), and each column is first spread to
+       W-byte lanes; ``translate`` keeps the padding 0, since every
+       table maps 0 to 0.  So no lane carries into the next.  For
+       `embeddings.kappa_rho`, m = C(n+2, 2) and POINT_ENUM_CAP bounds
+       n.  An odd q has N > q^n >= 3^n points, so n <= 12 under
+       N <= 10^6, and b <= 91 * 250 < 2^15: W is 1 or 2.
+    3. Reduction mod p.  While b > 255, one step subtracts M, the
+       largest p 2^j <= b, from each lane holding s >= M.  Adding
+       2^(8W-1) - M to a lane sets its top bit exactly when s >= M.  The
+       sum stays in the lane, since s <= b < 2^(8W-1) and M <= b.  The
+       bound becomes max(b - M, M - 1), and the steps stop when it is
+       at most 255.  The low byte of each lane, mapped through
+       ``residue``, is then the digit mod p.  Over GF(p^k) with p odd,
+       the code is the sum of p^j times digit j, at most q - 1 < 256 in
+       a byte lane.
+    4. Canonical multiples.  A lead mask takes each vector's first
+       nonzero coordinate, row by row, while some vector is still open.
+       Each lead value a then names a class: the vectors leading with a.
+       All the rows are scaled by 1/a in one ``translate``, and the mask
+       of the class keeps that class's vectors.  One ``zip`` gives the
+       tuples.
+    """
+    tables, p = field.byte_tables, field.p
+    npts, nrows = len(columns[0]), len(matrix)
+    bound = 0 if p == 2 else len(columns) * (p - 1)
+    width = 1 if bound < 256 else (bound.bit_length() + 8) // 8
+    if width > 1:
+        padded, spread = bytearray(width * npts), []
+        for col in columns:
+            padded[::width] = col
+            spread.append(bytes(padded))
+        columns = spread
+    acc = functools.reduce(
+        operator.xor if p == 2 else operator.add,
+        (
+            int.from_bytes(b"".join([col.translate(d[a]) for d in tables.digits for a in coefs]), "little")
+            for col, coefs in zip(columns, zip(*matrix))
+        ),
+    )
+    size = nrows * npts  # codes per digit
+    lanes = size * len(tables.digits)
+    if bound > 255:
+        top = 8 * width - 1
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * lanes, "little")
+        while bound > 255:
+            step = p << (bound // p).bit_length() - 1
+            acc -= ((acc + ones * ((1 << top) - step)) >> top & ones) * step
+            bound = max(bound - step, step - 1)
+    codes = acc.to_bytes(width * lanes, "little")[::width]
+    if p != 2:
+        codes = codes.translate(tables.residue)
+        if field.k > 1:
+            acc = 0
+            for j in reversed(range(field.k)):
+                acc = acc * p + int.from_bytes(codes[j * size:(j + 1) * size], "little")
+            codes = acc.to_bytes(size, "little")
+    rows = [codes[r:r + npts] for r in range(0, size, npts)]
+    lead, open_ = 0, (1 << 8 * npts) - 1
+    for row in rows:
+        lead |= int.from_bytes(row, "little") & open_
+        open_ &= ~int.from_bytes(row.translate(tables.nonzero), "little")
+        if not open_:
+            break
+    leads, whole, out = lead.to_bytes(npts, "little"), int.from_bytes(codes, "little"), 0
+    for a in set(leads):
+        scaled = whole if a == 1 else int.from_bytes(codes.translate(tables.unscale[a]), "little")
+        out |= scaled & int.from_bytes(leads.translate(tables.equal[a]) * nrows, "little")
+    codes = out.to_bytes(size, "little")
+    return list(zip(*(codes[r:r + npts] for r in range(0, size, npts))))
 
 
 def transpose(rows) -> tuple[tuple[int, ...], ...]:

@@ -59,6 +59,13 @@ class VeroneseMap:
             self._image = tuple(self.apply(p) for p in self.source.points())
         return self._image
 
+    @functools.cached_property
+    def columns(self) -> tuple[bytes, ...]:
+        """The columns of `image`, one byte per point, in `source.points()`
+        order: the operand of `linalg.canonical_products` for every
+        kappa rho table of the source."""
+        return tuple(map(bytes, zip(*self.image())))
+
 
 @functools.lru_cache(maxsize=None)
 def veronese_for(space: ProjectiveSpace) -> VeroneseMap:

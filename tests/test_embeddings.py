@@ -1450,35 +1450,34 @@ def test_certificate_stops_at_first_mismatch(n, q, monkeypatch):
 
 @pytest.mark.parametrize(
     "n, q",
-    [(1, 2), (1, 3), (1, 4), (1, 8), (1, 9), (1, 16), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7),
-     (2, 8), (2, 9), (2, 16), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)],
+    [(1, 2), (1, 3), (1, 4), (1, 8), (1, 9), (1, 16), (1, 121), (1, 125), (1, 128), (1, 243),
+     (1, 251), (1, 256), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (2, 16),
+     (2, 27), (2, 32), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)],
 )
 def test_kappa_rho_is_the_literal_composition(n, q, monkeypatch):
-    # every point, every Frobenius twist, through kappa_rho and through
-    # the line routine; drawn lazily, at most one mat_vec call per point
-    # drawn
+    # every point, every Frobenius twist, against kappa.apply(rho(x)); each
+    # kappa_rho call is one kernel call and no per-point product.  GF(251)
+    # sums past a byte lane, GF(121), GF(125) and GF(243) add base-p digits
     ver = veronese_for(space_for(n, q))
-    pts = ver.source.points()
-    calls = 0
-    mat_vec = linalg.mat_vec
+    pts, _ = ver.source.points(), ver.columns  # rho(P) and its columns, before the count
+    calls = {}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return mat_vec(*args)
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args)
+        return wrapper
 
     for alpha in ver.source.field.automorphism_exponents():
         kappa = random_semilinear(ver.target, SplitMix64(q + n + alpha), alpha)
         literal = [kappa.apply(ver.apply(x)) for x in pts]
-        assert list(embeddings.kappa_rho(ver.source, kappa)) == literal
-        # the line routine holds over GF(2) too, where kappa_rho does not take it
-        assert list(embeddings._kappa_rho_by_lines(ver.source, kappa, ver.image())) == literal
-        monkeypatch.setattr(linalg, "mat_vec", counted)
-        images, calls = embeddings.kappa_rho(ver.source, kappa), 0
-        for drawn in range(1, min(len(pts), 2 * q + 2) + 1):
-            next(images)
-            assert calls <= drawn
-        monkeypatch.setattr(linalg, "mat_vec", mat_vec)
+        calls.clear()
+        with monkeypatch.context() as patched:
+            for name in ("canonical_products", "mat_vec", "canonical"):
+                patched.setattr(linalg, name, counted(getattr(linalg, name)))
+            images = embeddings.kappa_rho(ver.source, kappa)
+        assert calls == {"canonical_products": 1}
+        assert images == literal
 
 
 @pytest.mark.parametrize(

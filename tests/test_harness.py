@@ -21,6 +21,7 @@ from pgtool import (
     generate_embedding,
     load_point_map,
     random_semilinear,
+    reconstruct_kappa,
     save_point_map,
     space_for,
     veronese_for,
@@ -73,7 +74,12 @@ def test_generate_kinds():
     pm = generate_embedding("veronese", 2, 3)
     assert len(pm.table) == 13 and pm.target.n == 5
     pm2 = generate_embedding("veronese_kappa", 2, 3, seed=0)
-    assert pm2.table != pm.table or pm2.table == pm.table  # total either way
+    assert pm2.table != pm.table
+    assert generate_embedding("veronese_kappa", 2, 3, seed=0) == pm2
+    kappa, rec = veronese_kappa_map(2, 3, 0)[1], reconstruct_kappa(pm2)
+    assert rec.alpha == kappa.alpha
+    # the generating matrix up to a scalar: the flattened matrices have rank 1
+    assert linalg.rank(kappa.space.field, [sum(kappa.matrix, ()), sum(rec.kappa.matrix, ())]) == 1
     fi = generate_embedding("frame_injection", 2, 2, seed=0)
     assert scale_frame(fi.target, fi.image()) is not None
     bm = generate_embedding("broken", 2, 3, seed=0)

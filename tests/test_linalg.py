@@ -251,3 +251,34 @@ def test_table_arithmetic_matches_literal_field_ops(q):
             g = field.neg(v[c])
             v = [field.add(x, field.mul(g, y)) for x, y in zip(v, row)]
         assert res == tuple(v)
+
+
+@pytest.mark.parametrize(
+    "q, ncols",
+    [(2, 40), (2, 300), (3, 1), (3, 200), (9, 30), (16, 12), (121, 5), (243, 8), (251, 1),
+     (251, 2), (251, 40), (251, 200), (256, 6)],
+)
+def test_canonical_products_matches_mat_vec(q, ncols):
+    # lane widths 1, 2 (GF(251), 40 columns: b = 10,000) and 3 (200 columns:
+    # b = 50,000 >= 2^15), XOR lanes past 255 terms (GF(2), 300 columns),
+    # and 1, 2 and 5 base-p digits.  Row r of the matrix reads
+    # only the first (r + 1) ncols / nrows coordinates, and a vector starts
+    # with a random number of zeros, so the leads fall in every row that
+    # reads a coordinate the rows above it do not
+    field = create_field(*prime_power(q))
+    rng = SplitMix64(q * 1000 + ncols)
+    nrows = 2 + rng.randbelow(7)
+    matrix = [
+        [x if c < (r + 1) * ncols // nrows else 0 for c, x in enumerate(row)]
+        for r, row in enumerate(_random_matrix(field, nrows, ncols, rng))
+    ]
+    vecs = []
+    for _ in range(300):
+        zeros = rng.randbelow(ncols)
+        vecs.append((0,) * zeros + tuple(rng.randbelow(q) for _ in range(ncols - zeros)))
+    vecs = [v for v in vecs if any(linalg.mat_vec(field, matrix, v))]
+    columns = [bytes(col) for col in zip(*vecs)]
+    want = [linalg.canonical(field, linalg.mat_vec(field, matrix, v)) for v in vecs]
+    reads = [(r + 1) * ncols // nrows for r in range(-1, nrows)]
+    assert {w.index(1) for w in want} >= {r for r in range(nrows) if reads[r + 1] > reads[r]}
+    assert linalg.canonical_products(field, matrix, columns) == want
