@@ -29,7 +29,6 @@ from .embeddings import (
     is_quadratic_embedding,
     is_regular,
     load_point_map,
-    nu_T,
     random_complement,
     reconstruct_kappa,
     recover_automorphism,

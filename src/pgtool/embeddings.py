@@ -7,10 +7,10 @@ closure on the source, for every subset in the selected mode, and that
 the image spans the whole target.  Reconstruction fits the unique
 collineation whose composition with the Veronese map reproduces the
 table from the images of points with 0/1 coordinates, in one
-elimination, and certifies it point by point.  The paper's pipeline, a
-distinguished target frame from tangent intersections of image conics
-and the field automorphism read off probe points, runs only to name
-why a table is refused.
+elimination, compares its composition with the table at every point,
+and refuses from that fit alone.  The paper's pipeline, a distinguished target frame
+from tangent intersections of image conics and the field automorphism
+read off probe points, runs only in the `prop-x33` suite, against the fit.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class PointMap:
     entry, so every exception and message is that of the per-entry check.
 
     The table is read-only, so the map keeps one fit record: the pair
-    (kappa or None, certified) that `_certified` sets.
+    (kappa, D) that `_certified` sets, with D = None when there is no kappa.
     """
 
     def __init__(self, source: ProjectiveSpace, target: ProjectiveSpace, table: dict):
@@ -77,7 +77,7 @@ class PointMap:
         if norm is None:
             norm = _entry_checked(source, target, table)
         self.table = types.MappingProxyType(norm)
-        self._fit = None  # (kappa or None, certified), set once by _certified
+        self._fit = None  # (kappa, D) or (None, None), set once by _certified
 
     @classmethod
     def from_images(cls, source: ProjectiveSpace, target: ProjectiveSpace, images) -> "PointMap":
@@ -330,8 +330,8 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
     (q+1)-arc, which is regular by the tangent count in `is_regular`;
     by the paper's main theorem a regular embedding is kappa rho, which
     `_certified` certifies.  Before the scan, a rejected table pays for
-    the fit, one whole kappa rho table (`kappa_rho`) and the comparison
-    up to its first mismatch, and no Q-frame.
+    the fit and, when it gives a kappa, one kappa rho table (`kappa_rho`)
+    compared with the table at every point.
     """
     source, target = nu.source, nu.target
     src_pts = source.points()
@@ -509,10 +509,10 @@ def is_regular(nu: PointMap) -> bool:
     plane its Veronese image spans, so a plane (q+1)-arc; kappa maps
     planes to planes and lines to lines, so every line image is again a
     plane (q+1)-arc, regular by the tangent count.  The fit record is
-    kept on nu, so a `reconstruct_kappa` after a True fits nothing again.
+    kept on nu, so a later `reconstruct_kappa` compares nothing again.
 
-    A failed certificate proves nothing, so the line scan decides then,
-    with no Q-frame built first.  The scan stays: regularity asks only
+    A failed certificate proves nothing, so the line scan decides then.
+    The scan stays: regularity asks only
     that line images be arcs, and the paper's main theorem identifies
     kappa rho among quadratic embeddings alone.  A table can be regular
     without being kappa rho: a random injection PG(2, 2) -> PG(5, 2)
@@ -536,7 +536,7 @@ def is_regular(nu: PointMap) -> bool:
 def _lines_to_scan(nu: PointMap):
     """The lines of `source.lines()`, in that order, that the scan of
     `is_regular` tests: those that meet D, or all when no kappa was fitted."""
-    lines, d = nu.source.lines(), _mismatches(nu)
+    lines, d = nu.source.lines(), nu._fit[1]
     return lines if d is None else (line for line in lines if not d.isdisjoint(line.points()))
 
 
@@ -794,24 +794,6 @@ def _concurrence(field, k: int, punctured) -> tuple[int, ...] | None:
     return point if all(linalg.in_rowspace(field, g.pivots, g.rows, point) for g in lines) else None
 
 
-# -- quotient embeddings and hyperplane images ---------------------------------
-
-
-def nu_T(nu: PointMap, hyperplane: Subspace, beta: AffineExtension) -> dict:
-    """Each source point joined over the image span of the hyperplane.
-
-    The quotient embedding of the paper, with `quotient_point` giving
-    the points of the quotient.  No command or suite builds it; it stays
-    so that the tests can check the paper's claim that it does not
-    depend on the complement `extend_beta` was given.
-    """
-    target = nu.target
-    base = target.span([nu.table[x] for x in hyperplane.points()])
-    return {
-        x: target.quotient_point(base, beta.table[x]) for x in nu.source.points()
-    }
-
-
 # -- distinguished frame and reconstruction ------------------------------------
 
 
@@ -831,7 +813,8 @@ def build_Q_frame(nu: PointMap) -> list[tuple[int, ...]]:
     image plane (`line_arc`); the tangent meet is a closed form.
     Scaling the frame costs one more, so the frame takes C(n+1, 2) + 1
     eliminations whatever q is, and with the one of the automorphism
-    probes a reconstruction takes C(n+1, 2) + 2.
+    probes the paper's reconstruction takes C(n+1, 2) + 2.  Only the
+    `prop-x33` suite runs it, against the fitted kappa.
     """
     source = nu.source
     if source.n < 2:
@@ -872,56 +855,56 @@ class Reconstruction:
 def reconstruct_kappa(nu: PointMap) -> Reconstruction:
     """Produce the collineation composing with the Veronese map to give nu.
 
-    A table that `_certified` certifies gets the Reconstruction of the
-    kappa in its fit record.  Any other table is refused, and the paper's
-    construction names the refusal: `_reconstruct` builds the Q-frame
-    (`build_Q_frame`), reads the automorphism (`recover_automorphism`)
-    and runs its own certificate, and what it raises is raised here:
-    NotRegular for a frame or automorphism it cannot read,
-    VerificationFailed with its first mismatched point, or ForeignTarget
-    or DimensionMismatch for a table outside the main theorem.  By
-    `_fit_kappa` it cannot certify a table the fit refused.  No refusal
-    is kept, so each call on a refused table names the same one anew.
+    A table outside the main theorem is refused first, as bad input:
+    ForeignTarget for two fields, DimensionMismatch for a source of
+    dimension below 2 or a target of another dimension than C(n+2, 2) - 1.
+    Every other table is decided by its fit record (`_certified`).  A
+    certified table gets the Reconstruction of the fitted kappa.  When
+    the images of the points with 0/1 coordinates fit no collineation,
+    FrameCheckFailed, a NotRegular, refuses the table with no point;
+    otherwise VerificationFailed names the first point of D in
+    `points()` order.  The record is kept, so a second call on the same
+    table fits and compares nothing and raises the same refusal.
     """
-    if not _certified(nu):
-        rec = _reconstruct(nu)
-        raise AssertionError(f"the Q-frame certified a table the fit refused: {rec}")
-    kappa = nu._fit[0]
-    return Reconstruction(kappa, kappa.alpha, nu.source.point_count)
+    source, target = nu.source, nu.target
+    if source.field != target.field:
+        raise ForeignTarget("reconstruction needs one common field")
+    if source.n < 2:
+        raise DimensionMismatch("reconstruction needs source dimension >= 2")
+    if target.n != delta(source.n) - 1:
+        raise DimensionMismatch(
+            f"target dimension {target.n} differs from expected {delta(source.n) - 1}"
+        )
+    certified = _certified(nu)
+    kappa, d = nu._fit
+    if kappa is None:
+        raise FrameCheckFailed("the images of the points with 0/1 coordinates fit no collineation")
+    if not certified:
+        x = next(x for x in source.points() if x in d)
+        raise VerificationFailed(f"certificate fails at {x}", point=x)
+    return Reconstruction(kappa, kappa.alpha, source.point_count)
 
 
 def _certified(nu: PointMap) -> bool:
-    """Whether nu = kappa rho for the kappa of `_fit_kappa`, that is,
-    whether `_mismatched` is empty, drawn only up to its first item: the
-    decision behind `is_regular`, reduced verification and
-    `reconstruct_kappa`, made once per table and kept as nu's fit record
-    (kappa, certified).  A table outside the main theorem gets no kappa.
-    A fitted table costs one whole kappa rho table, certified or not; only
-    the comparison stops at the first mismatch."""
+    """Whether nu = kappa rho for the kappa of `_fit_kappa`: the decision
+    behind `is_regular`, reduced verification and `reconstruct_kappa`,
+    made once per table.
+
+    The fit record (kappa, D) is kept on nu, with D the frozenset
+    {x : nu(x) != kappa rho(x)} from one comparison of the table with the
+    `kappa_rho` list at every point, or None when the fit gives no kappa,
+    as for every table outside the main theorem.
+    """
     if nu._fit is None:
-        kappa = _fit_kappa(nu)
-        nu._fit = kappa, kappa is not None and next(_mismatched(nu, kappa), None) is None
-    return nu._fit[1]
-
-
-def _mismatched(nu: PointMap, kappa: SemilinearMap):
-    """The points x with nu(x) != kappa rho(x), lazily in `points()`
-    order: the one comparison of a table with kappa rho.
-
-    `kappa_rho` builds the whole kappa rho table, in one kernel call, when
-    `_mismatched` is called; the comparison then zips it with the table
-    point by point, so it goes only as far as the caller draws: up to the
-    first mismatch for `_certified` and for `_reconstruct`'s
-    VerificationFailed point, over every point for D (`_mismatches`)."""
-    source, table = nu.source, nu.table
-    return (x for x, y in zip(source.points(), kappa_rho(source, kappa)) if y != table[x])
-
-
-def _mismatches(nu: PointMap) -> frozenset | None:
-    """D = {x : nu(x) != kappa rho(x)} for the kappa in nu's fit record,
-    or None when the fit gave none; read after `_certified`."""
-    kappa = nu._fit[0]
-    return None if kappa is None else frozenset(_mismatched(nu, kappa))
+        kappa, d = _fit_kappa(nu), None
+        if kappa is not None:
+            source, table = nu.source, nu.table
+            d = frozenset(
+                x for x, y in zip(source.points(), kappa_rho(source, kappa)) if y != table[x]
+            )
+        nu._fit = kappa, d
+    kappa, d = nu._fit
+    return kappa is not None and not d
 
 
 def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
@@ -970,11 +953,12 @@ def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
     `scale_frame` does for `build_Q_frame`, whose frame points on such a
     table are K's columns by the paper's construction.  A certificate
     that passes proves nu = kappa rho.  So the fit with the certificate
-    (`_certified`) and `_reconstruct` both certify exactly the kappa rho
-    tables, with the same kappa, alpha and points_checked, and the paper
-    path cannot certify a table the fit refused.  Unlike the Q-frame,
-    the fit needs no frame in rho(P): for n = 3 over GF(2), rho(PG(3, 2))
-    holds none.
+    (`_certified`) certifies exactly the kappa rho tables, and on them the
+    paper's Q-frame and probe exponent give the same kappa and alpha,
+    which the `prop-x33` suite checks.  A table the fit refuses is not
+    kappa rho, so no second construction is needed to refuse it.  Unlike
+    the Q-frame, the fit needs no frame in rho(P): for n = 3 over GF(2),
+    rho(PG(3, 2)) holds none.
 
     The basis, scalar and probe images share one elimination; the rest
     is field arithmetic on m = C(n+2, 2) vectors.  `_certified` calls the
@@ -1036,28 +1020,10 @@ def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
     return SemilinearMap.from_basis(target, cols, alpha)
 
 
-def _reconstruct(nu: PointMap) -> Reconstruction:
-    source, target = nu.source, nu.target
-    if source.field != target.field:
-        raise ForeignTarget("reconstruction needs one common field")
-    if source.n < 2:
-        raise DimensionMismatch("reconstruction needs source dimension >= 2")
-    if target.n != delta(source.n) - 1:
-        raise DimensionMismatch(
-            f"target dimension {target.n} differs from expected {delta(source.n) - 1}"
-        )
-    scaled = build_Q_frame(nu)
-    alpha = recover_automorphism(nu, scaled)
-    kappa = SemilinearMap.from_basis(target, scaled, alpha)
-    if (x := next(_mismatched(nu, kappa), None)) is not None:
-        raise VerificationFailed(f"certificate fails at {x}", point=x)
-    return Reconstruction(kappa=kappa, alpha=alpha, points_checked=source.point_count)
-
-
 def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap) -> list[tuple[int, ...]]:
     """The points kappa(rho(x)) for the source points x, in
     `source.points()` order: the one computation of a kappa rho table,
-    for `_mismatched` and `generate.compose_with_veronese`.
+    for `_certified` and `generate.compose_with_veronese`.
 
     With K the matrix of kappa and sigma its field automorphism,
     kappa rho(x) is the canonical multiple of K rho(x)^sigma, and

@@ -4,13 +4,14 @@ Every error raised by the library derives from :class:`PgtoolError`.
 Errors that indicate bad input (rather than a violated geometric
 property) additionally derive from :class:`UsageError`; the CLI maps
 these to exit code 2, property violations to exit code 1.
-Reconstruction refusals derive from :class:`NotRegular`: a table whose
-frame, unisecants or Frobenius exponent cannot be read off is refused
-through that one type, and a failed pointwise certificate raises
-:class:`VerificationFailed`.  These are the paper path's refusals: a
-table is certified by a fit that raises nothing, and only a table the
-fit refuses goes through the Q-frame, to name its refusal with one of
-these types.
+Reconstruction refusals come from the fit record of the table: a table
+whose images of the points with 0/1 coordinates fit no collineation is
+refused with :class:`FrameCheckFailed`, a :class:`NotRegular`, and a
+fitted table that differs from kappa rho somewhere raises
+:class:`VerificationFailed` at its first such point.  The paper's
+Q-frame and probe exponent, which only the `prop-x33` suite runs, raise
+:class:`FrameCheckFailed` and :class:`NoAutomorphismMatch` for a frame
+or an automorphism they cannot read off.
 """
 
 
@@ -55,10 +56,6 @@ class SingularMatrix(UsageError):
 
 
 class PointNotInSubspace(UsageError):
-    pass
-
-
-class PointInBase(UsageError):
     pass
 
 

@@ -16,7 +16,6 @@ from itertools import combinations, product
 from . import linalg
 from .errors import (
     DimensionMismatch,
-    PointInBase,
     PointNotInSubspace,
     SingularMatrix,
     SizeCapExceeded,
@@ -198,21 +197,6 @@ class ProjectiveSpace:
         pencil = [self.span((point, x)) for x in inside.points() if not x[j]]
         return sorted(pencil, key=lambda line: line.rows)
 
-    def quotient_point(self, base: "Subspace", point) -> "Subspace":
-        """The subspace spanned by base and one extra point.
-
-        Two calls give equal results exactly when the extensions agree,
-        so these subspaces serve as the points of the quotient modulo
-        base, from which the quotient embedding is built.  PointInBase
-        refuses a point of the base, which has no quotient point.
-        """
-        self._check_sub(base)
-        point = self.normalize(point)
-        # the point is normalized already, so test membership directly
-        if linalg.in_rowspace(self.field, base.pivots, base.rows, point):
-            raise PointInBase(f"{point} lies in the base subspace")
-        return self.subspace(base.rows + (point,))
-
     def __repr__(self):
         return f"PG({self.n},{self.field.q})"
 
@@ -291,12 +275,6 @@ class Subspace:
 
     def points(self) -> tuple[tuple[int, ...], ...]:
         return _subspace_points(self)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(
-            linalg.in_rowspace(self.space.field, other.pivots, other.rows, r)
-            for r in self.rows
-        )
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, rows={self.rows})"
@@ -388,10 +366,9 @@ class SemilinearMap:
         in [0, k), where the code checks and the rank test would find
         nothing.  The callers:
 
-        - `embeddings._fit_semilinear` and `embeddings._reconstruct`:
-          the columns come from `scale_frame`, which returns a basis or
-          None, and alpha from `_probe_exponent`, one of
-          `automorphism_exponents`;
+        - `embeddings._fit_semilinear`: the columns come from
+          `scale_frame`, which returns a basis or None, and alpha from
+          `_probe_exponent`, one of `automorphism_exponents`;
         - `embeddings._fit_kappa`: the columns are K = b diag(c) T with
           b a basis (its pivot test), no c zero and T invertible, and
           alpha 0 or from `_frobenius_exponent`;

@@ -23,6 +23,7 @@ from .embeddings import (
     line_arc,
     random_complement,
     reconstruct_kappa,
+    recover_automorphism,
     span_preimage,
 )
 from .errors import PgtoolError, SigmaFixesLine, SigmaFixesP0, UnknownSuite
@@ -303,14 +304,18 @@ def _suite_prop_x33():
     for n, q in grid:
         for s in params["seeds"]:
             nu, _ = veronese_kappa_map(n, q, s)
+            # the paper's frame and probe exponent against the fitted kappa
             try:
                 frame = build_Q_frame(nu)
-                columns = linalg.transpose(reconstruct_kappa(nu).kappa.matrix)
+                alpha = recover_automorphism(nu, frame)
+                kappa = reconstruct_kappa(nu).kappa
             except PgtoolError as exc:
                 witnesses.append({"space": [n, q], "seed": s, "error": str(exc)})
                 continue
-            if tuple(frame) != columns:  # the frame must be kappa's columns
+            if tuple(frame) != linalg.transpose(kappa.matrix):
                 witnesses.append({"space": [n, q], "seed": s, "error": "frame is not kappa's columns"})
+            elif alpha != kappa.alpha:
+                witnesses.append({"space": [n, q], "seed": s, "error": "probe exponent is not kappa's"})
     return params, witnesses
 
 

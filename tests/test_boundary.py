@@ -36,7 +36,6 @@ MALFORMED = [(1, 0), (3, 0, 0), (1.0, 0, 0), (0, 0, 0), (-1, 0, 0), (True, 0, 0)
 def _entry_points():
     space = space_for(2, 3)
     full = space.full_subspace()
-    base = space.span([(1, 0, 0)])
     ident = SemilinearMap(space, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     form = QuadraticForm(space, (1, 0, 0, 0, 0, 0))
     conic = PlaneArc(full, frozenset([(1, 0, 0), (1, 1, 1), (1, 2, 1), (0, 0, 1)]))
@@ -45,7 +44,6 @@ def _entry_points():
         "Subspace.contains": full.contains,
         "coords_of": full.coords_of,
         "lines_through": space.lines_through,
-        "quotient_point": lambda p: space.quotient_point(base, p),
         "SemilinearMap.apply": ident.apply,
         "VeroneseMap.apply": veronese_for(space).apply,
         "PointMap.apply": veronese_point_map(2, 3).apply,

@@ -19,7 +19,6 @@ from pgtool import (
     is_quadratic_embedding,
     is_regular,
     frame_injection_map,
-    nu_T,
     random_complement,
     random_semilinear,
     reconstruct_kappa,
@@ -787,7 +786,7 @@ def test_is_regular_scans_only_lines_through_d(n, q, monkeypatch):
         if embeddings._certified(fresh):  # frame injections are kappa rho
             assert full is None and not tested
             continue
-        d = embeddings._mismatches(fresh)
+        d = fresh._fit[1]
         if kappa is None:
             assert d is None
             expect = lines
@@ -866,6 +865,19 @@ def test_extend_beta_q2():
     assert len(beta.table) == 7
 
 
+def _nu_T(nu, hyperplane, beta):
+    """The quotient embedding of the paper: each source point joined to
+    the image span of the hyperplane by its extension image."""
+    target = nu.target
+    base = target.span([nu.table[x] for x in hyperplane.points()])
+    return {x: target.subspace(base.rows + (beta.table[x],)) for x in nu.source.points()}
+
+
+def _is_subspace_of(sub, other):
+    field = sub.space.field
+    return all(linalg.in_rowspace(field, other.pivots, other.rows, r) for r in sub.rows)
+
+
 def test_extension_independent_of_complement():
     # neither the induced hyperplane image nor the quotient map may
     # depend on the complement choice
@@ -881,7 +893,7 @@ def test_extension_independent_of_complement():
             + [beta.table[x] for x in hyper.points()]
         )
         h_images.add(h)
-        quotients.append(nu_T(nu, hyper, beta))
+        quotients.append(_nu_T(nu, hyper, beta))
     assert len(h_images) == 1
     assert quotients[0] == quotients[1]
 
@@ -889,13 +901,15 @@ def test_extension_independent_of_complement():
 def test_nu_t_bijection():
     nu, src, tgt, hyper, eprime = _tee_setup()
     beta = extend_beta(nu, hyper, eprime)
-    quotient = nu_T(nu, hyper, beta)
+    quotient = _nu_T(nu, hyper, beta)
     values = set(quotient.values())
     assert len(values) == len(src.points())
     base = tgt.span([nu.table[x] for x in hyper.points()])
-    for sub in values:
+    assert base.dim == 2  # rho maps the hyperplane, a line, onto a conic's plane
+    for x, sub in quotient.items():
+        # no extension image lies in the base, so each join is a point of the quotient
         assert sub.dim == base.dim + 1
-        assert base.is_subspace_of(sub)
+        assert _is_subspace_of(base, sub) and sub.contains(beta.table[x])
 
 
 # `build_iota` and `extend_beta` as first written, kept as oracles: each
@@ -938,7 +952,7 @@ def _literal_extend_beta(nu, hyperplane, complement=None, iota=None):
     for p in hyperplane.points():
         carrier = None
         for g in source.lines_through(p):
-            if g.is_subspace_of(hyperplane):
+            if _is_subspace_of(g, hyperplane):
                 continue
             span_img = target.span([iota[x] for x in g.points() if x != p])
             if span_img.dim != 1:
@@ -1300,10 +1314,10 @@ def test_reconstruction_elimination_count(monkeypatch):
     # A certified table costs one elimination: `_fit_kappa` solves the
     # scalar images and, when q is not prime, the automorphism probes
     # against the basis images in one `rref`, and the certificate makes
-    # none.  The Q-frame runs only to name a refusal.  So a warm
-    # reconstruction, with the point lists and the Veronese map cached,
-    # makes 1 elimination whatever n and q are, and the verdicts of
-    # `is_regular` and reduced verification share it.
+    # none, and no Q-frame is built.  So a warm reconstruction, with the
+    # point lists and the Veronese map cached, makes 1 elimination
+    # whatever n and q are, and the verdicts of `is_regular` and reduced
+    # verification share it.
     calls = 0
     rref = linalg.rref
 
@@ -1373,21 +1387,20 @@ def test_reconstruct_rejects_broken():
 
 @pytest.mark.parametrize("n, q", [(2, 3), (2, 4), (3, 2)])
 def test_certificate_witness_is_first_literal_mismatch(n, q):
+    ver = veronese_for(space_for(n, q))
     failed = 0
     for seed in range(12):
         nu = broken_map(n, q, seed)
+        kappa = embeddings._fit_kappa(nu)
         try:
             reconstruct_kappa(nu)
-        except NotRegular:
-            continue  # refused before the certificate
+        except FrameCheckFailed:
+            assert kappa is None
+            continue  # no kappa, so no certificate
         except VerificationFailed as exc:
             witness = exc.point
         else:
             pytest.fail(f"broken table {seed} certified")
-        scaled = build_Q_frame(nu)
-        alpha = recover_automorphism(nu, scaled)
-        kappa = SemilinearMap(nu.target, linalg.transpose(scaled), alpha)
-        ver = veronese_for(nu.source)
         assert witness == next(
             x for x in nu.source.points() if kappa.apply(ver.apply(x)) != nu.table[x]
         )
@@ -1400,52 +1413,45 @@ def test_certificate_witness_is_first_literal_mismatch(n, q):
 
 @pytest.mark.parametrize("n, q", [(2, 3), (2, 4), (3, 2)])
 def test_certificate_stops_at_first_mismatch(n, q, monkeypatch):
-    # count the kappa rho points each certificate draws from kappa_rho,
-    # which neither the fit nor the Q-frame and automorphism steps call;
-    # the fit's certificate and the paper path's each stop at their own
-    # kappa's first mismatch
+    # the certificate compares the whole kappa rho table, once per table,
+    # and its refusal names the first mismatch in points() order: on one
+    # fresh table, is_regular, reduced verification and two
+    # reconstructions make one kappa_rho call when the fit gives a kappa
+    # and none when it does not
     calls = 0
     kappa_rho = embeddings.kappa_rho
 
     def counted(source, kappa):
         nonlocal calls
-        for y in kappa_rho(source, kappa):
-            calls += 1
-            yield y
+        calls += 1
+        return kappa_rho(source, kappa)
 
     ver = veronese_for(space_for(n, q))
     pts = ver.source.points()
-
-    def first_mismatch(nu, kappa):
-        return next(x for x in pts if kappa.apply(ver.apply(x)) != nu.table[x])
-
     monkeypatch.setattr(embeddings, "kappa_rho", counted)
-    fit_stops, paper_stops = [], []
-    for seed in range(12):
-        nu = broken_map(n, q, seed)
-        kappa = embeddings._fit_kappa(nu)
-        want = None if kappa is None else first_mismatch(nu, kappa)
+    fitted = unfitted = 0
+    for gate in [make(n, q, s) for make in (broken_map, _swapped_map) for s in range(12)]:
+        kappa = embeddings._fit_kappa(gate)
+        nu = PointMap(gate.source, gate.target, dict(gate.table))
         calls = 0
-        assert not embeddings._certified(nu)
-        assert calls == (0 if want is None else 1 + pts.index(want))
-        if want is not None:
-            fit_stops.append(calls)
-        calls = 0
-        try:
-            embeddings._reconstruct(nu)
-        except VerificationFailed as exc:
-            assert calls == 1 + pts.index(exc.point)
-            paper_stops.append(calls)
-        except NotRegular:
-            assert calls == 0  # refused before the certificate
-        else:
-            pytest.fail(f"broken table {seed} certified")
-    for stops in (fit_stops, paper_stops):
-        assert stops and min(stops) < len(pts)  # some certificate stopped early
+        is_regular(nu)
+        is_quadratic_embedding(nu)
+        refusals = [_reconstruction_outcome(reconstruct_kappa, nu) for _ in range(2)]
+        if kappa is None:
+            assert calls == 0
+            assert refusals[0] == refusals[1] and refusals[0][0] is FrameCheckFailed
+            unfitted += 1
+            continue
+        assert calls == 1
+        first = next(x for x in pts if kappa.apply(ver.apply(x)) != gate.table[x])
+        assert refusals == [(VerificationFailed, f"certificate fails at {first}", first)] * 2
+        fitted += 1
+    assert fitted and unfitted
     nu, _ = veronese_kappa_map(n, q, 0)
+    fresh = PointMap(nu.source, nu.target, dict(nu.table))
     calls = 0
-    assert embeddings._certified(nu) and calls == len(pts)
-    assert reconstruct_kappa(nu).points_checked == calls == len(pts)
+    assert is_regular(fresh) and is_quadratic_embedding(fresh).path == "certificate"
+    assert reconstruct_kappa(fresh).points_checked == len(pts) and calls == 1
 
 
 @pytest.mark.parametrize(
@@ -1505,22 +1511,59 @@ def _reconstruction_outcome(reconstruct, nu):
     return rec.kappa.matrix, rec.alpha, rec.points_checked
 
 
-@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+def _paper_kappa(nu):
+    """The paper's reconstruction spelled out: the Q-frame, the probe
+    exponent, the collineation they give, and a literal comparison of its
+    composition with the Veronese map at every point; None when a step
+    refuses or the comparison fails."""
+    try:
+        scaled = build_Q_frame(nu)
+        alpha = recover_automorphism(nu, scaled)
+    except NotRegular:
+        return None
+    kappa = SemilinearMap(nu.target, linalg.transpose(scaled), alpha)
+    ver = veronese_for(nu.source)
+    if any(kappa.apply(ver.apply(x)) != nu.table[x] for x in nu.source.points()):
+        return None
+    return kappa
+
+
+@pytest.mark.parametrize(
+    "n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4), (4, 2)]
+)
 def test_fit_certifies_exactly_what_the_q_frame_certifies(n, q):
-    # _certified holds exactly when the paper path returns; otherwise
-    # reconstruct_kappa raises the paper path's refusal, and raises it again
-    maps = [make(n, q, s) for make in (broken_map, _swapped_map, _random_injection) for s in range(4)]
+    # the paper path is the oracle for which tables are certified, with
+    # which kappa; a refused table raises FrameCheckFailed exactly when the
+    # fit gives no kappa, and otherwise VerificationFailed at the first
+    # point of D, which is the literal mismatch set in points() order
+    ver = veronese_for(space_for(n, q))
+    pts = ver.source.points()
+    maps = [
+        make(n, q, s) for make in (broken_map, _swapped_map, _sampled_injection) for s in range(4)
+    ]
     if (n, q) == (2, 2):
         maps += [frame_injection_map(s) for s in range(5, 15)]
     maps += _kappa_rho_gate_maps(n, q)
     certified = 0
     for nu in maps:
-        copy = PointMap(nu.source, nu.target, nu.table)
-        paper = _reconstruction_outcome(embeddings._reconstruct, copy)
-        assert embeddings._certified(nu) == (type(paper[0]) is tuple)  # a matrix, not a refusal type
-        assert _reconstruction_outcome(reconstruct_kappa, nu) == paper
-        assert _reconstruction_outcome(reconstruct_kappa, nu) == paper
-        certified += embeddings._certified(nu)
+        paper = _paper_kappa(nu)
+        kappa = embeddings._fit_kappa(nu)
+        outcome = _reconstruction_outcome(reconstruct_kappa, nu)
+        assert _reconstruction_outcome(reconstruct_kappa, nu) == outcome
+        if paper is not None:
+            assert outcome == (paper.matrix, paper.alpha, len(pts))
+            certified += 1
+        elif kappa is None:
+            assert nu._fit == (None, None)
+            assert outcome == (
+                FrameCheckFailed,
+                "the images of the points with 0/1 coordinates fit no collineation",
+                None,
+            )
+        else:
+            d = [x for x in pts if kappa.apply(ver.apply(x)) != nu.table[x]]
+            assert d and nu._fit == (kappa, set(d))  # the fit certifies no table the paper refuses
+            assert outcome == (VerificationFailed, f"certificate fails at {d[0]}", d[0])
     assert 0 < certified < len(maps)
 
 
@@ -1548,7 +1591,7 @@ def test_each_table_is_fitted_once(n, q, monkeypatch):
 def test_certificate_refusals_are_not_regular():
     for cls in (FrameCheckFailed, NoUniqueUnisecant, NoAutomorphismMatch):
         assert issubclass(cls, NotRegular) and not issubclass(cls, UsageError)
-    # the frame step's own type reaches the caller, with no re-raise
+    # a table the fit refuses is refused as not regular
     with pytest.raises(FrameCheckFailed):
         reconstruct_kappa(broken_map(2, 3, 2))
 

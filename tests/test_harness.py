@@ -417,7 +417,7 @@ def test_cli_verify_rejects_broken(tmp_path, capsys):
 
 
 def test_cli_reconstruct_exit_codes(tmp_path, capsys):
-    # broken PG(2,3) seed 0 fails the certificate, seed 2 the frame step;
+    # broken PG(2,3) seed 0 fails the certificate, seed 2 the fit;
     # stdout names the refusal as reconstruct_kappa raises it
     for seed, refusal, point in ((0, "VerificationFailed", [1, 1, 2]),
                                  (2, "FrameCheckFailed", None)):
@@ -691,9 +691,7 @@ def test_traced_names_resolve_in_pgtool():
 
 def test_every_export_is_used_outside_the_tests():
     # an exported name must appear, off its own def or class line, in
-    # another pgtool module or in the benchmark; nu_T is the exception,
-    # kept to check that the quotient embedding does not depend on the
-    # complement (test_extension_independent_of_complement)
+    # another pgtool module or in the benchmark
     root = Path(__file__).resolve().parents[1]
     init = root / "src" / "pgtool" / "__init__.py"
     exported = [
@@ -711,4 +709,32 @@ def test_every_export_is_used_outside_the_tests():
         own = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
-    assert exported and unused == ["nu_T"]
+    assert exported and unused == []
+
+
+def test_the_paper_reconstruction_runs_only_in_prop_x33():
+    # in src, the Q-frame, its probe exponent and the tangent meet are
+    # referenced only inside build_Q_frame and in suites.py, where
+    # prop-x33 checks them against the fitted kappa: no other code
+    # reconstructs a table a second time
+    names = {"build_Q_frame", "recover_automorphism", "tangent_meet"}
+    root = Path(__file__).resolve().parents[1] / "src" / "pgtool"
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in names and isinstance(node, (ast.Name, ast.Attribute)):
+            found.append((path.name, scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    outside = [ref for ref in found if ref[0] != "suites.py" and ref[1] != "build_Q_frame"]
+    assert outside == []
+    assert ("embeddings.py", "build_Q_frame", "tangent_meet") in found
+    assert {name for file, _, name in found if file == "suites.py"} == {
+        "build_Q_frame", "recover_automorphism"
+    }

@@ -18,7 +18,6 @@ from pgtool import linalg, projective
 from pgtool.fields import prime_power
 from pgtool.projective import scale_frame
 from pgtool.errors import (
-    PointInBase,
     PointNotInSubspace,
     SingularMatrix,
     SizeCapExceeded,
@@ -284,28 +283,6 @@ def test_pencil_size_in_solid():
     space = space_for(3, 3)
     pencil = space.lines_through((1, 0, 0, 0))
     assert len(pencil) == (3**3 - 1) // 2  # (q^d - 1)/(q - 1), d = 3
-
-
-def test_quotient_point():
-    space = space_for(2, 3)
-    x = (1, 1, 2)
-    assert space.quotient_point(space.subspace([]), x).dim == 0
-    q = space.span([(1, 0, 0)])
-    line = space.quotient_point(q, x)
-    assert line.dim == 1 and line.contains((1, 0, 0)) and line.contains(x)
-    with pytest.raises(PointInBase):
-        space.quotient_point(q, (2, 0, 0))
-
-
-def test_quotient_point_over_hyperplane_image():
-    from pgtool import veronese_for
-
-    s23 = space_for(2, 3)
-    ver = veronese_for(s23)
-    t_line = s23.span([(0, 1, 0), (0, 0, 1)])
-    base = ver.target.span([ver.apply(x) for x in t_line.points()])
-    ext = ver.target.quotient_point(base, ver.apply((1, 1, 1)))
-    assert ext.dim == 3
 
 
 def test_points_refuses_a_huge_space_without_counting():

@@ -157,3 +157,32 @@ def test_rank_suite_elimination_count(eliminations, monkeypatch):
         run_suite(suite_id)
         counts[suite_id] = eliminations[0]
     assert counts == {"prop-h2": 117, "props-h3-h4": 1076, "eq-immsing": 39, "lemma-h6": 320}
+
+
+def test_prop_x33_checks_frame_and_exponent_against_kappa(monkeypatch):
+    # the paper's frame must be kappa's columns and its probe exponent
+    # kappa's alpha: a frame scaled by 2 over GF(3), or an exponent moved
+    # off kappa's over GF(4), fails the suite at those spaces only
+    (result,) = run_suite("prop-x33")
+    assert result.passed and result.witnesses == []
+    build_q_frame, recover = suites.build_Q_frame, suites.recover_automorphism
+
+    def scaled_over_gf3(nu):
+        frame = build_q_frame(nu)
+        return [tuple(2 * x % 3 for x in col) for col in frame] if nu.source.field.q == 3 else frame
+
+    def moved_over_gf4(nu, scaled):
+        alpha = recover(nu, scaled)
+        return 1 - alpha if nu.source.field.q == 4 else alpha
+
+    for name, wrong, space, error in (
+        ("build_Q_frame", scaled_over_gf3, [2, 3], "frame is not kappa's columns"),
+        ("recover_automorphism", moved_over_gf4, [2, 4], "probe exponent is not kappa's"),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(suites, name, wrong)
+            (result,) = run_suite("prop-x33")
+        assert not result.passed
+        assert result.witnesses == [
+            {"space": space, "seed": s, "error": error} for s in result.params["seeds"]
+        ]
