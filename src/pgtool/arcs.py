@@ -9,6 +9,7 @@ so results do not depend on how the plane was presented.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -29,16 +30,10 @@ from .veronese import veronese_for
 
 @dataclass(frozen=True)
 class PlaneArc:
-    """A point set inside a dim-2 subspace of some PG(n, q).
-
-    ``coords`` maps each point, in sorted order, to its coordinates
-    against the plane's reduced basis: a vector of a reduced-basis row
-    space is the combination of the rows with its own pivot entries.
-    """
+    """A point set inside a dim-2 subspace of some PG(n, q)."""
 
     plane: Subspace
     points: frozenset
-    coords: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.plane.dim != 2:
@@ -49,7 +44,6 @@ class PlaneArc:
             if not linalg.in_rowspace(space.field, pivots, rows, p):
                 raise PointOutsidePlane(f"{p} is outside the plane")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "coords", _plane_coords(pivots, pts))
 
     @classmethod
     def from_span(cls, plane: Subspace, points) -> "PlaneArc":
@@ -62,15 +56,16 @@ class PlaneArc:
         The normalization and membership tests would find nothing there.
         """
         arc = object.__new__(cls)
-        pts = frozenset(points)
         object.__setattr__(arc, "plane", plane)
-        object.__setattr__(arc, "points", pts)
-        object.__setattr__(arc, "coords", _plane_coords(plane.pivots, pts))
+        object.__setattr__(arc, "points", frozenset(points))
         return arc
 
-
-def _plane_coords(pivots, points) -> dict:
-    return {p: tuple(p[c] for c in pivots) for p in sorted(points)}
+    @functools.cached_property
+    def coords(self) -> dict:
+        """Each point, in sorted order, mapped to its coordinates against
+        the plane's reduced basis: a vector of a reduced-basis row space
+        is the combination of the rows with its own pivot entries."""
+        return {p: tuple(p[c] for c in self.plane.pivots) for p in sorted(self.points)}
 
 
 def is_arc(arc: PlaneArc) -> bool:

@@ -8,9 +8,11 @@ the image spans the whole target.  Reconstruction fits the unique
 collineation whose composition with the Veronese map reproduces the
 table from the images of points with 0/1 coordinates, in one
 elimination, compares its composition with the table at every point,
-and refuses from that fit alone.  The paper's pipeline, a distinguished target frame
-from tangent intersections of image conics and the field automorphism
-read off probe points, runs only in the `prop-x33` suite, against the fit.
+and refuses from that fit alone; the map keeps the result as its fit
+record, so each table is fitted once.  The paper's pipeline, a
+distinguished target frame from tangent intersections of image conics
+and the field automorphism read off probe points, runs only in the
+`prop-x33` suite, against the fit.
 """
 
 from __future__ import annotations
@@ -65,8 +67,7 @@ class PointMap:
     (`_entry_checked`), which accepts it or raises on its first bad
     entry, so every exception and message is that of the per-entry check.
 
-    The table is read-only, so the map keeps one fit record: the pair
-    (kappa, D) that `_certified` sets, with D = None when there is no kappa.
+    The table is read-only, so the map keeps one fit record, `_fit`.
     """
 
     def __init__(self, source: ProjectiveSpace, target: ProjectiveSpace, table: dict):
@@ -77,7 +78,6 @@ class PointMap:
         if norm is None:
             norm = _entry_checked(source, target, table)
         self.table = types.MappingProxyType(norm)
-        self._fit = None  # (kappa, D) or (None, None), set once by _certified
 
     @classmethod
     def from_images(cls, source: ProjectiveSpace, target: ProjectiveSpace, images) -> "PointMap":
@@ -107,14 +107,28 @@ class PointMap:
         pm = object.__new__(cls)
         pm.source, pm.target = source, target
         pm.table = types.MappingProxyType(dict(zip(source.points(), images)))
-        pm._fit = None
         return pm
-
-    def apply(self, point):
-        return self.table[self.source.normalize(point)]
 
     def image(self) -> list:
         return [self.table[p] for p in self.source.points()]
+
+    @functools.cached_property
+    def _fit(self) -> tuple[SemilinearMap | None, frozenset | None]:
+        """The fit record (kappa, D): kappa from `_fit_kappa` and D the
+        frozenset {x : nu(x) != kappa rho(x)} from one comparison of the
+        table with the `kappa_rho` list at every point, or (None, None)
+        when the fit gives no kappa, as for every table outside the main
+        theorem.  nu = kappa rho exactly when D is empty: the decision
+        behind `is_regular`, reduced verification and `reconstruct_kappa`,
+        made once per table.
+        """
+        kappa = _fit_kappa(self)
+        if kappa is None:
+            return None, None
+        source, table = self.source, self.table
+        return kappa, frozenset(
+            x for x, y in zip(source.points(), kappa_rho(source, kappa)) if y != table[x]
+        )
 
     def __eq__(self, other):
         return (
@@ -303,10 +317,10 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
     ``exhaustive`` compares every subset of the source (at most
     EXHAUSTIVE_CAP points), one at a time; it is the literal oracle.
 
-    ``reduced`` first asks `_certified` for a certificate
-    nu = kappa rho, with kappa a collineation of the target fitted in
-    one elimination (`_fit_kappa`).  A collineation preserves spans, so
-    for every subset M the span preimage of nu(M) is
+    ``reduced`` first reads the fit record (`PointMap._fit`) for a
+    certificate nu = kappa rho, with kappa a collineation of the target
+    fitted in one elimination (`_fit_kappa`).  A collineation preserves
+    spans, so for every subset M the span preimage of nu(M) is
     {x : kappa rho(x) in span kappa rho(M)} = {x : rho(x) in span rho(M)}
     = clos M, and nu(P) = kappa(rho(P)) spans the target because rho(P)
     does.  A certified table is therefore accepted without a scan.
@@ -329,25 +343,27 @@ def is_quadratic_embedding(nu: PointMap, mode: str = "reduced") -> EmbeddingRepo
     line, so every line image of a quadratic embedding is a plane
     (q+1)-arc, which is regular by the tangent count in `is_regular`;
     by the paper's main theorem a regular embedding is kappa rho, which
-    `_certified` certifies.  Before the scan, a rejected table pays for
+    the fit record certifies.  Before the scan, a rejected table pays for
     the fit and, when it gives a kappa, one kappa rho table (`kappa_rho`)
     compared with the table at every point.
     """
     source, target = nu.source, nu.target
     src_pts = source.points()
     npts = len(src_pts)
+    fitted = False  # whether a fit found n' + 1 independent images
     if mode == "exhaustive":
         if npts > EXHAUSTIVE_CAP:
             raise ModeInfeasible(f"{npts} points exceed exhaustive cap {EXHAUSTIVE_CAP}")
     elif mode == "reduced":
-        if _certified(nu):
+        kappa, d = nu._fit
+        if kappa is not None and not d:
             return EmbeddingReport(True, mode, None, True, "certificate")
+        fitted = kappa is not None
     else:
         raise ModeInfeasible(f"unknown mode {mode!r}")
 
     field = target.field
     images = nu.image()
-    fitted = mode == "reduced" and nu._fit[0] is not None  # a fit found n' + 1 independent images
     rank = target.n + 1 if fitted else linalg.rank(field, images)
     span_ok = rank == target.n + 1
     if mode == "exhaustive":
@@ -503,12 +519,12 @@ def is_regular(nu: PointMap) -> bool:
     a larger field is allowed, and then no image point has a unique
     unisecant.  So the unisecants need not be enumerated.
 
-    The certificate decides first.  When `_certified` fits kappa in one
-    elimination and certifies nu = kappa rho, nu is regular: rho maps a
-    line onto a conic, the q+1 zeros of a nondegenerate form in the
-    plane its Veronese image spans, so a plane (q+1)-arc; kappa maps
-    planes to planes and lines to lines, so every line image is again a
-    plane (q+1)-arc, regular by the tangent count.  The fit record is
+    The certificate decides first.  When the fit record holds a kappa
+    fitted in one elimination and an empty D, so that nu = kappa rho, nu
+    is regular: rho maps a line onto a conic, the q+1 zeros of a
+    nondegenerate form in the plane its Veronese image spans, so a plane
+    (q+1)-arc; kappa maps planes to planes and lines to lines, so every
+    line image is again a plane (q+1)-arc, regular by the tangent count.  The fit record is
     kept on nu, so a later `reconstruct_kappa` compares nothing again.
 
     A failed certificate proves nothing, so the line scan decides then.
@@ -520,8 +536,8 @@ def is_regular(nu: PointMap) -> bool:
     source (n = 1) or a target of another dimension is outside the
     theorem.
 
-    The scan tests only the lines `_lines_to_scan` gives: those that
-    meet D = {x : nu(x) != kappa rho(x)} when the fit gave a kappa.  A
+    The scan tests only the lines that meet D = {x : nu(x) != kappa rho(x)}
+    when the fit gave a kappa, and every line when it gave none.  A
     line that misses D has nu(line) = kappa rho(line), a plane
     (q+1)-arc by the argument above for any collineation kappa, so it
     passes.  So the scan over the lines that meet D, in `lines()` order,
@@ -530,14 +546,14 @@ def is_regular(nu: PointMap) -> bool:
     """
     if nu.source.field != nu.target.field:
         return False
-    return _certified(nu) or all(_line_image_is_arc(nu, line) for line in _lines_to_scan(nu))
-
-
-def _lines_to_scan(nu: PointMap):
-    """The lines of `source.lines()`, in that order, that the scan of
-    `is_regular` tests: those that meet D, or all when no kappa was fitted."""
-    lines, d = nu.source.lines(), nu._fit[1]
-    return lines if d is None else (line for line in lines if not d.isdisjoint(line.points()))
+    kappa, d = nu._fit
+    if kappa is not None and not d:
+        return True
+    return all(
+        _line_image_is_arc(nu, line)
+        for line in nu.source.lines()
+        if d is None or not d.isdisjoint(line.points())
+    )
 
 
 # -- the affine restriction and its extension ---------------------------------
@@ -858,7 +874,7 @@ def reconstruct_kappa(nu: PointMap) -> Reconstruction:
     A table outside the main theorem is refused first, as bad input:
     ForeignTarget for two fields, DimensionMismatch for a source of
     dimension below 2 or a target of another dimension than C(n+2, 2) - 1.
-    Every other table is decided by its fit record (`_certified`).  A
+    Every other table is decided by its fit record (`PointMap._fit`).  A
     certified table gets the Reconstruction of the fitted kappa.  When
     the images of the points with 0/1 coordinates fit no collineation,
     FrameCheckFailed, a NotRegular, refuses the table with no point;
@@ -875,36 +891,13 @@ def reconstruct_kappa(nu: PointMap) -> Reconstruction:
         raise DimensionMismatch(
             f"target dimension {target.n} differs from expected {delta(source.n) - 1}"
         )
-    certified = _certified(nu)
     kappa, d = nu._fit
     if kappa is None:
         raise FrameCheckFailed("the images of the points with 0/1 coordinates fit no collineation")
-    if not certified:
+    if d:
         x = next(x for x in source.points() if x in d)
         raise VerificationFailed(f"certificate fails at {x}", point=x)
     return Reconstruction(kappa, kappa.alpha, source.point_count)
-
-
-def _certified(nu: PointMap) -> bool:
-    """Whether nu = kappa rho for the kappa of `_fit_kappa`: the decision
-    behind `is_regular`, reduced verification and `reconstruct_kappa`,
-    made once per table.
-
-    The fit record (kappa, D) is kept on nu, with D the frozenset
-    {x : nu(x) != kappa rho(x)} from one comparison of the table with the
-    `kappa_rho` list at every point, or None when the fit gives no kappa,
-    as for every table outside the main theorem.
-    """
-    if nu._fit is None:
-        kappa, d = _fit_kappa(nu), None
-        if kappa is not None:
-            source, table = nu.source, nu.table
-            d = frozenset(
-                x for x, y in zip(source.points(), kappa_rho(source, kappa)) if y != table[x]
-            )
-        nu._fit = kappa, d
-    kappa, d = nu._fit
-    return kappa is not None and not d
 
 
 def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
@@ -953,16 +946,16 @@ def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
     `scale_frame` does for `build_Q_frame`, whose frame points on such a
     table are K's columns by the paper's construction.  A certificate
     that passes proves nu = kappa rho.  So the fit with the certificate
-    (`_certified`) certifies exactly the kappa rho tables, and on them the
-    paper's Q-frame and probe exponent give the same kappa and alpha,
-    which the `prop-x33` suite checks.  A table the fit refuses is not
+    (the fit record `PointMap._fit`) certifies exactly the kappa rho
+    tables, and on them the paper's Q-frame and probe exponent give the
+    same kappa and alpha, which the `prop-x33` suite checks.  A table the fit refuses is not
     kappa rho, so no second construction is needed to refuse it.  Unlike
     the Q-frame, the fit needs no frame in rho(P): for n = 3 over GF(2),
     rho(PG(3, 2)) holds none.
 
     The basis, scalar and probe images share one elimination; the rest
-    is field arithmetic on m = C(n+2, 2) vectors.  `_certified` calls the
-    fit once per table and keeps its kappa in nu's fit record.
+    is field arithmetic on m = C(n+2, 2) vectors.  The fit record
+    `PointMap._fit` calls the fit once per table and keeps its kappa.
     """
     source, target = nu.source, nu.target
     field, n = source.field, source.n
@@ -1023,7 +1016,7 @@ def _fit_kappa(nu: PointMap) -> SemilinearMap | None:
 def kappa_rho(source: ProjectiveSpace, kappa: SemilinearMap) -> list[tuple[int, ...]]:
     """The points kappa(rho(x)) for the source points x, in
     `source.points()` order: the one computation of a kappa rho table,
-    for `_certified` and `generate.compose_with_veronese`.
+    for the fit record `PointMap._fit` and `generate.compose_with_veronese`.
 
     With K the matrix of kappa and sigma its field automorphism,
     kappa rho(x) is the canonical multiple of K rho(x)^sigma, and

@@ -26,16 +26,22 @@ from .fields import GaloisField
 POINT_ENUM_CAP = 10**6
 
 
+@dataclass(frozen=True)
 class ProjectiveSpace:
-    """PG(n, q): immutable descriptor plus exact geometry operations."""
+    """PG(n, q): a value compared and hashed by (field, n), with exact
+    geometry operations.
 
-    def __init__(self, field: GaloisField, n: int):
-        if n < 1:
-            raise DimensionMismatch(f"projective dimension must be >= 1, got {n}")
-        self.field = field
-        self.n = n
-        self._points: list[tuple[int, ...]] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
+    Equal spaces share one point table and one line table, built on
+    first use (`_point_table`, `_lines_cached`), so a space rebuilt from
+    a map file enumerates nothing that an equal space has enumerated.
+    """
+
+    field: GaloisField
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise DimensionMismatch(f"projective dimension must be >= 1, got {self.n}")
 
     # -- points ----------------------------------------------------------
 
@@ -66,18 +72,12 @@ class ProjectiveSpace:
         return out
 
     def points(self) -> list[tuple[int, ...]]:
-        """All points in lexicographic order of their coordinate codes."""
-        if self._points is None:
-            # q^n >= 2^n, so the count is not needed to refuse a large n
-            if self.n >= POINT_ENUM_CAP.bit_length() or self.point_count > POINT_ENUM_CAP:
-                raise SizeCapExceeded(f"{self} has more points than the cap {POINT_ENUM_CAP}")
-            self._points = _coefficient_reps(self.field, self.n + 1)
-            self._index = {pt: i for i, pt in enumerate(self._points)}
-        return self._points
+        """All points in lexicographic order of their coordinate codes:
+        the list shared by every equal space, not to be mutated."""
+        return _point_table(self)[0]
 
     def point_index(self, pt: tuple[int, ...]) -> int:
-        self.points()
-        return self._index[pt]
+        return _point_table(self)[1][pt]
 
     def point_at(self, i: int) -> tuple[int, ...]:
         """The point at position i of `points()`, without enumerating them.
@@ -148,11 +148,6 @@ class ProjectiveSpace:
         k = next((i for i, c in enumerate(pivots) if c >= n1), len(pivots))
         return Subspace(self, tuple(c - n1 for c in pivots[k:]), tuple(row[n1:] for row in rows[k:]))
 
-    def join(self, a: "Subspace", b: "Subspace") -> "Subspace":
-        self._check_sub(a)
-        self._check_sub(b)
-        return self.subspace(a.rows + b.rows)
-
     def _check_sub(self, s: "Subspace"):
         if s.space != self:
             raise SpaceMismatch("subspace belongs to a different space")
@@ -200,19 +195,20 @@ class ProjectiveSpace:
     def __repr__(self):
         return f"PG({self.n},{self.field.q})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjectiveSpace)
-            and self.field == other.field
-            and self.n == other.n
-        )
 
-    def __hash__(self):
-        return hash((self.field, self.n))
+@functools.lru_cache(maxsize=None)
+def _point_table(space: ProjectiveSpace) -> tuple[list, dict]:
+    """The points of `space` and their positions, once per (field, n)."""
+    # q^n >= 2^n, so the count is not needed to refuse a large n
+    if space.n >= POINT_ENUM_CAP.bit_length() or space.point_count > POINT_ENUM_CAP:
+        raise SizeCapExceeded(f"{space} has more points than the cap {POINT_ENUM_CAP}")
+    points = list(_coefficient_reps(space.field, space.n + 1))
+    return points, {pt: i for i, pt in enumerate(points)}
 
 
 @functools.lru_cache(maxsize=None)
-def _coeff_reps_cached(field: GaloisField, length: int) -> tuple[tuple[int, ...], ...]:
+def _coefficient_reps(field: GaloisField, length: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical nonzero coefficient tuples (first nonzero = 1), lex order."""
     reps = []
     for lead in range(length - 1, -1, -1):
         prefix = (0,) * lead
@@ -239,11 +235,6 @@ def _lines_cached(space: ProjectiveSpace) -> tuple["Subspace", ...]:
     return tuple(Subspace(space, pivots, rows) for rows, pivots in bases)
 
 
-def _coefficient_reps(field: GaloisField, length: int) -> list[tuple[int, ...]]:
-    """Canonical nonzero coefficient tuples (first nonzero = 1), lex order."""
-    return list(_coeff_reps_cached(field, length))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace held as its reduced-row-echelon basis. dim = rank - 1."""
@@ -259,13 +250,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         vec = self.space.normalize(vec)
         return linalg.in_rowspace(self.space.field, self.pivots, self.rows, vec)
-
-    def coords_of(self, vec) -> tuple[int, ...]:
-        """Coefficients of a member point against the reduced basis."""
-        vec = self.space.normalize(vec)
-        if not linalg.in_rowspace(self.space.field, self.pivots, self.rows, vec):
-            raise PointNotInSubspace(f"{vec} is not in the subspace")
-        return tuple(vec[c] for c in self.pivots)
 
     def point_from_coords(self, coeffs) -> tuple[int, ...]:
         """The point with the given coefficients (not all 0) on the basis."""

@@ -34,7 +34,6 @@ class VeroneseMap:
     def __init__(self, source: ProjectiveSpace):
         self.source = source
         self.target = ProjectiveSpace(source.field, delta(source.n) - 1)
-        self._image: tuple[tuple[int, ...], ...] | None = None
 
     @functools.cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -55,9 +54,11 @@ class VeroneseMap:
         """rho(P): the rows rho(x) in `source.points()` order, built once
         per map and shared by the closure, the subset scan and the
         certificate."""
-        if self._image is None:
-            self._image = tuple(self.apply(p) for p in self.source.points())
         return self._image
+
+    @functools.cached_property
+    def _image(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.apply(p) for p in self.source.points())
 
     @functools.cached_property
     def columns(self) -> tuple[bytes, ...]:

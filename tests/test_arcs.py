@@ -78,6 +78,19 @@ def test_is_arc_examples():
         PlaneArc(plane_in_solid, frozenset([(1, 0, 0, 0), (0, 0, 0, 1)]))
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_plane_arc_coords_read_pivots_in_sorted_order(q):
+    # from either constructor, coords maps each point, in sorted order,
+    # to its entries at the plane's pivot columns
+    nu, _ = veronese_kappa_map(2, q, 1)
+    for line in nu.source.lines()[:6]:
+        imgs = [nu.table[x] for x in line.points()]
+        plane = nu.target.span(imgs)
+        expect = [(p, tuple(p[c] for c in plane.pivots)) for p in sorted(imgs)]
+        for arc in (PlaneArc(plane, frozenset(imgs)), PlaneArc.from_span(plane, imgs)):
+            assert list(arc.coords.items()) == expect
+
+
 def test_unisecants_on_conic_pg23():
     space = space_for(2, 3)
     arc = _plane_arc(space, _conic_points(space))
@@ -116,7 +129,7 @@ def test_conic_is_regular_conic(q):
 
     zeros = set()
     for pt in space.points():
-        coords = arc.plane.coords_of(pt)
+        coords = tuple(pt[c] for c in arc.plane.pivots)  # the plane is all of PG(2, q)
         acc = 0
         for (i, j), c in zip(monomial_pairs(2), witness):
             acc = field.add(acc, field.mul(c, field.mul(coords[i], coords[j])))

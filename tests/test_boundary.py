@@ -42,11 +42,9 @@ def _entry_points():
     return {
         "normalize": space.normalize,
         "Subspace.contains": full.contains,
-        "coords_of": full.coords_of,
         "lines_through": space.lines_through,
         "SemilinearMap.apply": ident.apply,
         "VeroneseMap.apply": veronese_for(space).apply,
-        "PointMap.apply": veronese_point_map(2, 3).apply,
         "closure_points": lambda p: closure_points(space, [p]),
         "QuadraticForm.evaluate": form.evaluate,
         "PlaneArc": lambda p: PlaneArc(full, frozenset([p])),

@@ -47,6 +47,7 @@ from pgtool.errors import (
     NotRegular,
     NotTotal,
     PgtoolError,
+    PointNotInSubspace,
     SpaceMismatch,
     UsageError,
     VerificationFailed,
@@ -783,7 +784,7 @@ def test_is_regular_scans_only_lines_through_d(n, q, monkeypatch):
         monkeypatch.setattr(embeddings, "_line_image_is_arc", recorded)
         assert is_regular(fresh) == (full is None)
         monkeypatch.setattr(embeddings, "_line_image_is_arc", line_image_is_arc)
-        if embeddings._certified(fresh):  # frame injections are kappa rho
+        if fresh._fit[1] == frozenset():  # frame injections are kappa rho
             assert full is None and not tested
             continue
         d = fresh._fit[1]
@@ -915,7 +916,15 @@ def test_nu_t_bijection():
 # `build_iota` and `extend_beta` as first written, kept as oracles: each
 # cut a `meet` of span(T, nu(A)) with the complement after a `meet` and a
 # `join` test, and the extension by target-space spans and meets over
-# `lines_through` pencils, with a `coords_of` pass before the fit.
+# `lines_through` pencils, with a `_coords_of` pass before the fit.
+
+
+def _coords_of(sub, vec):
+    """Coefficients of a member point against the reduced basis."""
+    vec = sub.space.normalize(vec)
+    if not sub.contains(vec):
+        raise PointNotInSubspace(f"{vec} is not in the subspace")
+    return tuple(vec[c] for c in sub.pivots)
 
 
 def _literal_build_iota(nu, hyperplane, complement):
@@ -923,7 +932,8 @@ def _literal_build_iota(nu, hyperplane, complement):
     if hyperplane.dim != source.n - 1:
         raise DimensionMismatch("expected a hyperplane of the source")
     base = target.span([nu.table[x] for x in hyperplane.points()])
-    if target.meet(base, complement).dim != -1 or target.join(base, complement).dim != target.n:
+    join = target.subspace(base.rows + complement.rows)
+    if target.meet(base, complement).dim != -1 or join.dim != target.n:
         raise NotComplementary("complement does not complement the image span")
     out = {}
     hyper_pts = set(hyperplane.points())
@@ -963,7 +973,7 @@ def _literal_extend_beta(nu, hyperplane, complement=None, iota=None):
         if carrier.dim != 0:
             raise LinesNotConcurrent(f"candidate lines at {p} do not meet in a single point")
         table[p] = carrier.rows[0]
-    coords_of = {x: complement.coords_of(y) for x, y in table.items()}
+    coords_of = {x: _coords_of(complement, y) for x, y in table.items()}
     return embeddings.AffineExtension(table, embeddings._fit_semilinear(source, coords_of))
 
 
@@ -1570,19 +1580,25 @@ def test_fit_certifies_exactly_what_the_q_frame_certifies(n, q):
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
 def test_each_table_is_fitted_once(n, q, monkeypatch):
     # is_regular, reduced verification and two reconstructions on one
-    # fresh table read one fit; a refused table's second reconstruction
-    # raises the first one's type, message and point
+    # fresh table read one fit and, when it gives a kappa, one kappa rho
+    # table; a refused table's second reconstruction raises the first
+    # one's type, message and point
     fit_kappa, fitted = embeddings._fit_kappa, []
     monkeypatch.setattr(embeddings, "_fit_kappa", lambda nu: fitted.append(nu) or fit_kappa(nu))
+    kappa_rho, composed = embeddings.kappa_rho, []
+    monkeypatch.setattr(
+        embeddings, "kappa_rho", lambda source, kappa: composed.append(kappa) or kappa_rho(source, kappa)
+    )
     refusals = []
     for gate in _kappa_rho_gate_maps(n, q) + _refused_gate_maps(n, q):
         nu = PointMap(gate.source, gate.target, dict(gate.table))
-        del fitted[:]
+        del fitted[:], composed[:]
         is_regular(nu)
         is_quadratic_embedding(nu)
         first = _reconstruction_outcome(reconstruct_kappa, nu)
         assert _reconstruction_outcome(reconstruct_kappa, nu) == first
         assert fitted == [nu]
+        assert composed == ([] if nu._fit[0] is None else [nu._fit[0]])
         if type(first[0]) is not tuple:  # a refusal type, not a matrix
             refusals.append(first)
     assert refusals

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations, product
 
 import pytest
@@ -13,11 +14,15 @@ from pgtool import (
     create_field,
     space_for,
     standard_frame,
+    veronese_for,
+    veronese_point_map,
 )
 from pgtool import linalg, projective
+from pgtool.embeddings import point_map_from_dict, point_map_to_dict
 from pgtool.fields import prime_power
 from pgtool.projective import scale_frame
 from pgtool.errors import (
+    DimensionMismatch,
     PointNotInSubspace,
     SingularMatrix,
     SizeCapExceeded,
@@ -106,6 +111,11 @@ def test_span_closure_properties_sampled_pg24():
         assert member <= set(space.span(subset + [pts[0]]).points())
 
 
+def _join(space, a, b):
+    """The span of two subspaces of `space`."""
+    return space.subspace(a.rows + b.rows)
+
+
 def test_meet_join_examples():
     space = space_for(2, 3)
     l1 = space.span([(1, 0, 0), (0, 1, 0)])
@@ -113,7 +123,7 @@ def test_meet_join_examples():
     l2 = space.span([(1, 0, 0), (0, 0, 1)])
     p = space.meet(l1, l2)
     assert p.dim == 0 and p.rows[0] == (1, 0, 0)
-    assert space.join(l1, l2).dim == 2
+    assert _join(space, l1, l2).dim == 2
 
 
 def test_meet_complementary_plane_example():
@@ -148,7 +158,7 @@ def test_grassmann_identity_pg32():
     assert len(subs) == 67  # 1 + 15 + 35 + 15 + 1
     for a in subs:
         for b in subs:
-            j, m = space.join(a, b), space.meet(a, b)
+            j, m = _join(space, a, b), space.meet(a, b)
             assert j.dim + m.dim == a.dim + b.dim
 
 
@@ -181,7 +191,7 @@ def test_meet_matches_complements_on_random_pairs(n, q):
     seen = set()
     for _ in range(60):
         a, c = _random_subspace(space, rng), _random_subspace(space, rng)
-        b = space.join(a, c)
+        b = _join(space, a, c)
         for x, y, case in [
             (a, c, None),
             (a, a, "equal"),
@@ -237,6 +247,31 @@ def test_lines_are_built_once_per_space(n, q):
     first.reverse()
     first.append(None)
     assert again.lines() == list(built)
+
+
+def test_spaces_are_frozen_values():
+    space = space_for(2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        space.n = 3
+    again = ProjectiveSpace(create_field(3, 1), 2)
+    assert again is not space and again == space and hash(again) == hash(space)
+    assert again != space_for(3, 3) and again != space_for(2, 9) and repr(again) == "PG(2,3)"
+    with pytest.raises(DimensionMismatch, match=r"^projective dimension must be >= 1, got 0$"):
+        ProjectiveSpace(create_field(3, 1), 0)
+
+
+def test_equal_spaces_share_one_point_table():
+    # a space rebuilt from a map file reads the points and index an equal
+    # space enumerated, and enumerates nothing itself
+    assert space_for(2, 8).points() is space_for(2, 8).points()
+    source = veronese_for(space_for(2, 8)).source
+    source.points()
+    data = point_map_to_dict(veronese_point_map(2, 8))
+    built = projective._point_table.cache_info().misses
+    nu = point_map_from_dict(data)
+    assert nu.source is not source and nu.source.points() is source.points()
+    assert [nu.source.point_index(p) for p in nu.source.points()] == list(range(73))
+    assert projective._point_table.cache_info().misses == built
 
 
 def _pencil_by_span_and_dedupe(space, point, inside):
