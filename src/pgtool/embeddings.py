@@ -519,41 +519,34 @@ def is_regular(nu: PointMap) -> bool:
     a larger field is allowed, and then no image point has a unique
     unisecant.  So the unisecants need not be enumerated.
 
-    The certificate decides first.  When the fit record holds a kappa
-    fitted in one elimination and an empty D, so that nu = kappa rho, nu
-    is regular: rho maps a line onto a conic, the q+1 zeros of a
-    nondegenerate form in the plane its Veronese image spans, so a plane
-    (q+1)-arc; kappa maps planes to planes and lines to lines, so every
-    line image is again a plane (q+1)-arc, regular by the tangent count.  The fit record is
-    kept on nu, so a later `reconstruct_kappa` compares nothing again.
+    Regularity asks only that line images be arcs, and the paper's main
+    theorem identifies kappa rho among quadratic embeddings alone.  A
+    table can be regular without being kappa rho: a random injection
+    PG(2, 2) -> PG(5, 2) usually sends every line to three
+    non-collinear points, and a line source (n = 1) or a target of
+    another dimension is outside the theorem.  So the lines are scanned.
 
-    A failed certificate proves nothing, so the line scan decides then.
-    The scan stays: regularity asks only
-    that line images be arcs, and the paper's main theorem identifies
-    kappa rho among quadratic embeddings alone.  A table can be regular
-    without being kappa rho: a random injection PG(2, 2) -> PG(5, 2)
-    usually sends every line to three non-collinear points, and a line
-    source (n = 1) or a target of another dimension is outside the
-    theorem.
-
-    The scan tests only the lines that meet D = {x : nu(x) != kappa rho(x)}
-    when the fit gave a kappa, and every line when it gave none.  A
-    line that misses D has nu(line) = kappa rho(line), a plane
-    (q+1)-arc by the argument above for any collineation kappa, so it
-    passes.  So the scan over the lines that meet D, in `lines()` order,
-    has the value of the scan over all lines and stops at the same first
-    failing line.
+    The fit record (kappa, D) of nu says which lines.  When the fit gave no
+    kappa (D is None), every line of `source.lines()` is scanned.
+    Otherwise only the lines through the points of D = {x : nu(x) !=
+    kappa rho(x)} are: the pencils `lines_through` gives at each, with
+    repeats dropped, sorted by their reduced bases as `lines()` is.  A
+    line that misses D has nu(line) = kappa rho(line), and that is a
+    plane (q+1)-arc: rho maps a line onto a conic, the q+1 zeros of a
+    nondegenerate form in the plane its Veronese image spans, and the
+    collineation kappa maps planes to planes and lines to lines.  So the
+    scan has the value of the scan over all lines and stops at the same
+    first failing line; an empty D, nu = kappa rho, scans nothing.  The
+    fit record is kept on nu, so a later `reconstruct_kappa` compares
+    nothing again.
     """
     if nu.source.field != nu.target.field:
         return False
-    kappa, d = nu._fit
-    if kappa is not None and not d:
-        return True
-    return all(
-        _line_image_is_arc(nu, line)
-        for line in nu.source.lines()
-        if d is None or not d.isdisjoint(line.points())
-    )
+    d = nu._fit[1]
+    if d is None:
+        return all(_line_image_is_arc(nu, line) for line in nu.source.lines())
+    pencils = {line.rows: line for p in d for line in nu.source.lines_through(p)}
+    return all(_line_image_is_arc(nu, pencils[rows]) for rows in sorted(pencils))
 
 
 # -- the affine restriction and its extension ---------------------------------
@@ -741,10 +734,10 @@ def extend_beta(
     their dimensions are those of the target, the refusals and messages
     are the same, and the coordinates iota and the meets give are the
     ones `_fit_semilinear` fits.  Only the finished table is mapped to
-    target points.  The lines through P are those of the cached
-    `source.lines()` holding P and no other hyperplane point, in that
-    order, which is the order of `lines_through`.  `_concurrence` takes
-    their spans and meets.
+    target points.  The lines through P are those of `lines_through(P)`
+    not inside the hyperplane, in its order; a line through P outside
+    the hyperplane meets it in P alone.  `_concurrence` takes their
+    spans and meets.
 
     Without ``complement`` the image span of the hyperplane is
     complemented by `default_complement`.  Passing another complement
@@ -760,15 +753,11 @@ def extend_beta(
             [nu.table[x] for x in hyperplane.points()]
         ))
     coords = _iota_coords(nu, hyperplane, complement)
-    # a line outside the hyperplane meets it in one point, a line inside in q + 1
-    pencils = {p: [] for p in hyperplane.points()}
-    for g in source.lines():
-        on = [x for x in g.points() if x in pencils]
-        if len(on) == 1:
-            pencils[on[0]].append(g)
-    field, k = target.field, len(complement.rows)
-    for p, lines in pencils.items():
-        # n >= 2, so q^(n-1) >= 2 lines through p lie outside the hyperplane
+    in_hyper, field, k = set(hyperplane.points()), target.field, len(complement.rows)
+    for p in hyperplane.points():
+        # n >= 2, so q^(n-1) >= 2 lines through p lie outside the hyperplane;
+        # a line lies inside when its reduced rows, two of its points, do
+        lines = (g for g in source.lines_through(p) if not in_hyper.issuperset(g.rows))
         punctured = ([coords[x] for x in g.points() if x != p] for g in lines)
         point = _concurrence(field, k, punctured)
         if point is None:

@@ -110,6 +110,7 @@ class GaloisField:
         self.k = k
         self.q = q
         self.modulus = canonical_modulus(p, k)
+        self._hash = hash((p, k, self.modulus))  # once: spaces and subspaces hash through it
         self._install_ops()
 
     # -- construction of the arithmetic tables ---------------------------
@@ -250,7 +251,7 @@ class GaloisField:
         )
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
 
 @functools.lru_cache(maxsize=None)

@@ -176,20 +176,32 @@ class ProjectiveSpace:
         With j the point's leading column (where it has entry 1), each
         line of the pencil meets the section {x in inside : x[j] = 0} in
         exactly one point: the line is not inside that hyperplane, since
-        the point is not.  So spanning the point with each point of the
-        section gives every line once, with one elimination per line.
+        the point is not.  So each section point x gives one line, whose
+        reduced basis is written down: with k the leading column of x,
+        the rows x and rest = point - point[k] x lead with 1 in columns
+        k and j, and each is 0 in the other's leading column (x[j] = 0,
+        rest[k] = 0).  Ordered by those columns they are the reduced
+        basis; rest is the point itself when k < j.  No line is
+        eliminated.  The section comes from `points()` when no subspace
+        is given.
         """
         point = self.normalize(point)
-        if inside is None:
-            inside = self.full_subspace()
-        self._check_sub(inside)
-        # the point is normalized already, so test membership directly
-        if not linalg.in_rowspace(self.field, inside.pivots, inside.rows, point):
-            raise PointNotInSubspace(f"{point} not in the given subspace")
-        if inside.dim < 1:
-            raise DimensionMismatch("pencil needs a subspace of dimension >= 1")
+        if inside is not None:
+            self._check_sub(inside)
+            # the point is normalized already, so test membership directly
+            if not linalg.in_rowspace(self.field, inside.pivots, inside.rows, point):
+                raise PointNotInSubspace(f"{point} not in the given subspace")
+            if inside.dim < 1:
+                raise DimensionMismatch("pencil needs a subspace of dimension >= 1")
+        section = self.points() if inside is None else inside.points()
         j = point.index(1)
-        pencil = [self.span((point, x)) for x in inside.points() if not x[j]]
+        pencil = []
+        for x in section:
+            if not x[j]:
+                k = x.index(1)
+                rest = linalg.residual(self.field, (k,), (x,), point)
+                pivots, rows = ((k, j), (x, rest)) if k < j else ((j, k), (rest, x))
+                pencil.append(Subspace(self, pivots, rows))
         return sorted(pencil, key=lambda line: line.rows)
 
     def __repr__(self):

@@ -759,7 +759,8 @@ def _first_failing_line(nu, lines):
 
 
 @pytest.mark.parametrize(
-    "n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4)]
+    "n, q",
+    [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4), (4, 2)],
 )
 def test_is_regular_scans_only_lines_through_d(n, q, monkeypatch):
     # D against the literal composition with the fitted kappa, and the
@@ -799,6 +800,36 @@ def test_is_regular_scans_only_lines_through_d(n, q, monkeypatch):
         assert tested == expect[: len(expect) if full is None else expect.index(full) + 1]
     # over GF(2) the fit reads nearly every point, so it refuses these tables
     assert fitted or q == 2
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 5), (2, 8), (3, 3), (3, 4), (4, 2)])
+def test_is_regular_builds_no_line_table_when_d_is_known(n, q, monkeypatch):
+    # a fitted table reads the pencils through D; only a table the fit
+    # refuses builds the space's line table
+    from pgtool import projective
+
+    calls = []
+    lines_cached = projective._lines_cached
+
+    def recorded(space):
+        calls.append(space)
+        return lines_cached(space)
+
+    monkeypatch.setattr(projective, "_lines_cached", recorded)
+    known = unknown = 0
+    for nu in _refused_gate_maps(n, q):
+        fresh = PointMap(nu.source, nu.target, dict(nu.table))
+        d = fresh._fit[1]
+        calls.clear()
+        verdict = is_regular(fresh)
+        if d is None:
+            unknown += 1
+            assert calls == [nu.source]
+        else:
+            known += 1
+            assert calls == []
+        assert verdict == (_first_failing_line(nu, nu.source.lines()) is None)
+    assert known and unknown
 
 
 # -- affine restriction and extension ----------------------------------------
@@ -1045,6 +1076,40 @@ def test_extend_beta_refusals_on_broken_maps():
         "NotACollineation": 70,
         "AffineExtension": 143,
     }
+
+
+def test_extend_beta_meets_lines_in_the_order_of_the_line_table(monkeypatch):
+    # at each hyperplane point p, `_concurrence` reads the lines of
+    # `lines()` holding p and no other hyperplane point, in that order,
+    # so the first refused line, and with it the message, is fixed
+    concurrence = embeddings._concurrence
+    seen = []
+
+    def recorded(field, k, punctured):
+        seen.append(list(punctured))
+        return concurrence(field, k, iter(seen[-1]))
+
+    monkeypatch.setattr(embeddings, "_concurrence", recorded)
+    calls = 0
+    for n, q, seed in ((2, 3, 0), (2, 4, 1), (2, 5, 2), (3, 2, 3), (3, 3, 4)):
+        nu = broken_map(n, q, seed)
+        source, target = nu.source, nu.target
+        for hyper in source.hyperplanes()[:8]:
+            seen.clear()
+            try:
+                extend_beta(nu, hyper)
+            except PgtoolError:
+                pass
+            if not seen:  # refused before any line was met
+                continue
+            base = target.span([nu.table[x] for x in hyper.points()])
+            coords = embeddings._iota_coords(nu, hyper, embeddings.default_complement(target, base))
+            on_hyper = set(hyper.points())
+            for p, got in zip(hyper.points(), seen):
+                lines = [g for g in source.lines() if on_hyper.intersection(g.points()) == {p}]
+                assert got == [[coords[x] for x in g.points() if x != p] for g in lines]
+            calls += len(seen)
+    assert calls > 40
 
 
 def test_iota_and_beta_match_literal_on_frame_injections():

@@ -261,6 +261,17 @@ def test_create_field_deterministic():
     assert field_from_descriptor(a.descriptor()) is a
 
 
+def test_fresh_field_equals_and_hashes_as_the_cached_one():
+    # the hash is computed once at construction, from (p, k, modulus)
+    from pgtool.fields import GaloisField
+
+    fresh, cached = GaloisField(3, 2), create_field(3, 2)
+    assert fresh is not cached and fresh == cached and hash(fresh) == hash(cached)
+    assert hash(fresh) == hash((3, 2, cached.modulus))
+    assert fresh != create_field(3, 1) and fresh != create_field(2, 3)
+    assert {fresh: "GF(9)"}[cached] == "GF(9)"
+
+
 def test_descriptor_rejects_noncanonical_modulus():
     d = create_field(2, 2).descriptor()
     d["modulus"] = [1, 0, 1]

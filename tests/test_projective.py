@@ -314,6 +314,52 @@ def test_lines_through_matches_span_and_dedupe_oracle(n, q, rows):
     assert leads - {0}  # points leading in a column other than 0 were tested
 
 
+def _pencil_by_spans(space, point, inside):
+    """Oracle: span the point with each point of the section x[j] = 0 of
+    the subspace, j the point's leading column, and sort."""
+    point = space.normalize(point)
+    j = point.index(1)
+    return sorted(
+        (space.span((point, x)) for x in inside.points() if not x[j]),
+        key=lambda line: line.rows,
+    )
+
+
+def _plane_of(space):
+    """A plane with points leading in columns 0, 1 and n - 1 (the whole
+    space when n = 2)."""
+    n = space.n
+    if n == 2:
+        return space.full_subspace()
+    unit = [tuple(int(c == i) for c in range(n + 1)) for i in range(n + 1)]
+    add = space.field.add
+    rows = [
+        tuple(add(add(a, b), c) for a, b, c in zip(unit[0], unit[2], unit[n])),
+        tuple(add(a, b) for a, b in zip(unit[1], unit[2])),
+        tuple(add(a, b) for a, b in zip(unit[n - 1], unit[n])),
+    ]
+    return space.span(rows)
+
+
+@pytest.mark.parametrize(
+    "n, q",
+    [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)],
+)
+def test_closed_form_pencils_equal_spanned_pencils(n, q):
+    # every point of the space, and every point of a plane inside it;
+    # the pencils are compared as subspaces, pivots and rows both
+    space = space_for(n, q)
+    plane = _plane_of(space)
+    assert plane.dim == 2
+    full = space.full_subspace()
+    for point in space.points():
+        assert space.lines_through(point) == _pencil_by_spans(space, point, full)
+    for point in plane.points():
+        assert space.lines_through(point, plane) == _pencil_by_spans(space, point, plane)
+    leads = {point.index(1) for point in plane.points()}
+    assert len(leads) == 3  # both k < j and k > j occur inside the plane
+
+
 def test_pencil_size_in_solid():
     space = space_for(3, 3)
     pencil = space.lines_through((1, 0, 0, 0))
