@@ -174,6 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def space_args(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+
     p = sub.add_parser("field", help="describe GF(p^k); optionally run one operation")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
@@ -183,27 +187,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_field)
 
     p = sub.add_parser("enum", help="list the points of PG(n,q)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    space_args(p)
     p.set_defaults(fn=_cmd_enum)
 
     p = sub.add_parser("veronese", help="apply the degree-2 monomial map")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    space_args(p)
     p.add_argument("--point", help="JSON list of coordinate codes")
     p.set_defaults(fn=_cmd_veronese)
 
     p = sub.add_parser("closure", help="quadratic closure of a point set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    space_args(p)
     p.add_argument("--points", required=True, help="JSON list of points")
     p.set_defaults(fn=_cmd_closure)
 
     p = sub.add_parser("gen", help="write a candidate map file")
     p.add_argument("--kind", required=True,
                    choices=["veronese", "veronese-kappa", "frame-injection", "broken"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    space_args(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen)

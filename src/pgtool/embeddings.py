@@ -146,19 +146,15 @@ def _bulk_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> di
     The checks: every key and every value is a tuple of the right
     length; the set of coordinate types is exactly {int}, so no bool,
     which equals 1 and would pass the key check below; the value codes
-    lie in [0, q); the keys are exactly the source points, so they are
-    canonical and in range; and the canonical values, one
+    lie in [0, q) (`GaloisField.are_codes` over the whole table at once);
+    the key set is the set of source points, so the keys are canonical,
+    in range and of the right length; and the canonical values, one
     `linalg.canonical` call each, are nonzero and pairwise distinct.
     A table that passes them is the table `_entry_checked` builds.
     """
     pts = source.points()
     keys, vals = table.keys(), table.values()
-    if (
-        len(keys) != len(pts)
-        or {*map(type, keys), *map(type, vals)} != {tuple}
-        or set(map(len, keys)) != {source.n + 1}
-        or set(map(len, vals)) != {target.n + 1}
-    ):
+    if {*map(type, keys), *map(type, vals)} != {tuple} or set(map(len, vals)) != {target.n + 1}:
         return None
     codes = list(chain.from_iterable(vals))
     if {*map(type, chain.from_iterable(keys)), *map(type, codes)} != {int}:
@@ -175,7 +171,8 @@ def _bulk_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> di
 
 def _entry_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> dict:
     """The table checked entry by entry through `ProjectiveSpace.normalize`:
-    the first bad entry in table order names the error."""
+    the first bad entry in table order names the error.  Each normalized
+    key is a source point, so once none is missing they are all of them."""
     norm = {}
     for key, val in table.items():
         key = source.normalize(key)
@@ -186,9 +183,6 @@ def _entry_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> d
     missing = [p for p in pts if p not in norm]
     if missing:
         raise NotTotal(f"table misses {len(missing)} source points, e.g. {missing[0]}")
-    if len(norm) != len(pts):
-        extra = set(norm) - set(pts)
-        raise InvalidPointMap(f"table has non-source keys, e.g. {next(iter(extra))}")
     seen: dict[tuple, tuple] = {}
     for p in pts:
         img = norm[p]
@@ -245,10 +239,15 @@ def point_map_from_dict(data: dict) -> PointMap:
     return PointMap(source, target, table)
 
 
-def save_point_map(pm: PointMap, path) -> None:
+def _save_json(data, path) -> None:
+    """The one writer of map and collineation files: compact, sorted keys."""
     with open(path, "w") as fh:
-        json.dump(point_map_to_dict(pm), fh, separators=(",", ":"), sort_keys=True)
+        json.dump(data, fh, separators=(",", ":"), sort_keys=True)
         fh.write("\n")
+
+
+def save_point_map(pm: PointMap, path) -> None:
+    _save_json(point_map_to_dict(pm), path)
 
 
 def _load_json(path, error: type[UsageError]):
@@ -269,10 +268,7 @@ def load_point_map(path) -> PointMap:
 
 
 def save_semilinear(kappa: SemilinearMap, path) -> None:
-    data = {"matrix": [list(r) for r in kappa.matrix], "alpha_exponent": kappa.alpha}
-    with open(path, "w") as fh:
-        json.dump(data, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    _save_json({"matrix": [list(r) for r in kappa.matrix], "alpha_exponent": kappa.alpha}, path)
 
 
 def load_semilinear(space: ProjectiveSpace, path) -> SemilinearMap:

@@ -24,6 +24,7 @@ from .errors import (
 )
 
 SIZE_CAP = 256  # every field is served by dense op tables up to this order
+_INT_ONLY = frozenset({int})
 
 
 def is_prime(n: int) -> bool:
@@ -44,8 +45,6 @@ def _poly_trim(c: list[int]) -> list[int]:
 
 
 def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -111,6 +110,7 @@ class GaloisField:
         self.q = q
         self.modulus = canonical_modulus(p, k)
         self._hash = hash((p, k, self.modulus))  # once: spaces and subspaces hash through it
+        self._codes = frozenset(range(q))
         self._install_ops()
 
     # -- construction of the arithmetic tables ---------------------------
@@ -226,6 +226,12 @@ class GaloisField:
     def elements(self) -> range:
         return range(self.q)
 
+    def are_codes(self, values) -> bool:
+        """Whether every entry of the sequence is an element code: an int,
+        never a bool or float, in [0, q).  The types are tested first, so
+        no unhashable entry is looked up."""
+        return _INT_ONLY.issuperset(map(type, values)) and self._codes.issuperset(values)
+
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
@@ -280,22 +286,19 @@ def field_from_descriptor(d: dict) -> GaloisField:
 
 def prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, k) with p prime, or raise; an order over SIZE_CAP
-    is refused before the search for p."""
+    is refused before the search for p, the least divisor of q >= 2
+    (q itself at the latest), which is prime."""
     if q > SIZE_CAP:
         raise SizeCapExceeded(f"field order {q} exceeds cap {SIZE_CAP}")
     if q < 2:
         raise NonPrimeP(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise NonPrimeP(f"{q} is not a prime power")
-            return p, k
-    raise NonPrimeP(f"{q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = 1
+    while p**k < q:
+        k += 1
+    if p**k != q:
+        raise NonPrimeP(f"{q} is not a prime power")
+    return p, k
 
 
 def element_ops(field: GaloisField, kind: str, a: int, b: int | None = None) -> int:
@@ -305,10 +308,9 @@ def element_ops(field: GaloisField, kind: str, a: int, b: int | None = None) -> 
     exponent rather than an element code.  Codes and exponents must be
     of type int exactly, so a bool is refused.
     """
-    if type(a) is not int or not 0 <= a < field.q:
-        raise FieldMismatch(f"code {a} outside [0, {field.q})")
-    if kind in ("add", "mul") and (type(b) is not int or not 0 <= b < field.q):
-        raise FieldMismatch(f"code {b} outside [0, {field.q})")
+    for x in (a, b) if kind in ("add", "mul") else (a,):
+        if not field.are_codes((x,)):
+            raise FieldMismatch(f"code {x} outside [0, {field.q})")
     if kind == "add":
         return field.add(a, b)
     if kind == "mul":

@@ -103,18 +103,15 @@ def generate_embedding(kind: str, n: int, q: int, seed: int | None = None) -> Po
         if seed is not None:
             raise ParamOutOfRange("veronese takes no seed")
         return veronese_point_map(n, q)
-    if kind == "veronese_kappa":
-        if seed is None:
-            raise ParamOutOfRange("veronese_kappa needs a seed")
-        return veronese_kappa_map(n, q, seed)[0]
-    if kind == "frame_injection":
-        if (n, q) != (2, 2):
-            raise ParamOutOfRange("frame_injection is defined for n=2, q=2")
-        if seed is None:
-            raise ParamOutOfRange("frame_injection needs a seed")
-        return frame_injection_map(seed)
-    if kind == "broken":
-        if seed is None:
-            raise ParamOutOfRange("broken needs a seed")
-        return broken_map(n, q, seed)
-    raise ParamOutOfRange(f"unknown kind {kind!r}")
+    seeded = {
+        "veronese_kappa": lambda: veronese_kappa_map(n, q, seed)[0],
+        "frame_injection": lambda: frame_injection_map(seed),
+        "broken": lambda: broken_map(n, q, seed),
+    }
+    if kind not in seeded:
+        raise ParamOutOfRange(f"unknown kind {kind!r}")
+    if kind == "frame_injection" and (n, q) != (2, 2):
+        raise ParamOutOfRange("frame_injection is defined for n=2, q=2")
+    if seed is None:
+        raise ParamOutOfRange(f"{kind} needs a seed")
+    return seeded[kind]()

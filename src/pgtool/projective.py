@@ -63,9 +63,8 @@ class ProjectiveSpace:
             raise DimensionMismatch(
                 f"expected {self.n + 1} coordinates, got {len(vec)}"
             )
-        q = self.field.q
-        if any(type(x) is not int or not 0 <= x < q for x in vec):
-            raise SpaceMismatch(f"coordinate codes must lie in [0, {q})")
+        if not self.field.are_codes(vec):
+            raise SpaceMismatch(f"coordinate codes must lie in [0, {self.field.q})")
         out = linalg.canonical(self.field, vec)
         if out is None:
             raise SpaceMismatch("the zero vector is not a projective point")
@@ -108,13 +107,11 @@ class ProjectiveSpace:
         A boundary validator like `normalize`, except that zero vectors
         are allowed: they span nothing.
         """
-        n1, q = self.n + 1, self.field.q
         for r in rows:
-            if len(r) != n1:
+            if len(r) != self.n + 1:
                 raise DimensionMismatch("spanning vector of wrong length")
-            for x in r:
-                if type(x) is not int or not 0 <= x < q:
-                    raise SpaceMismatch(f"coordinate codes must lie in [0, {q})")
+            if not self.field.are_codes(r):
+                raise SpaceMismatch(f"coordinate codes must lie in [0, {self.field.q})")
         pivots, rrows = linalg.rref(self.field, rows)
         return Subspace(self, pivots, rrows)
 
@@ -344,11 +341,11 @@ class SemilinearMap:
         mat = tuple(tuple(row) for row in self.matrix)
         if len(mat) != n1 or any(len(r) != n1 for r in mat):
             raise DimensionMismatch(f"matrix must be {n1}x{n1}")
-        q = self.space.field.q
-        if any(type(x) is not int or not 0 <= x < q for r in mat for x in r):
-            raise SpaceMismatch(f"matrix entries must be integer codes in [0, {q})")
-        alpha = checked_alpha(self.space.field, self.alpha)
-        if linalg.rank(self.space.field, mat) != n1:
+        field = self.space.field
+        if not all(map(field.are_codes, mat)):
+            raise SpaceMismatch(f"matrix entries must be integer codes in [0, {field.q})")
+        alpha = checked_alpha(field, self.alpha)
+        if linalg.rank(field, mat) != n1:
             raise SingularMatrix("matrix is not invertible")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "alpha", alpha)

@@ -28,8 +28,8 @@ class QuadraticForm:
     """Coefficient vector of a quadratic form, stored modulo scalars.
 
     Coefficients follow the monomial pair order of the Veronese map;
-    the class keeps the first nonzero coefficient scaled to 1.  The
-    all-zero vector is not a form.
+    the class keeps the first nonzero coefficient scaled to 1.  Entries
+    must be element codes (`GaloisField.are_codes`), not all zero.
     """
 
     space: ProjectiveSpace
@@ -41,7 +41,10 @@ class QuadraticForm:
             raise DimensionMismatch(
                 f"expected {delta(self.space.n)} coefficients, got {len(coeffs)}"
             )
-        coeffs = linalg.canonical(self.space.field, coeffs)
+        field = self.space.field
+        if not field.are_codes(coeffs):
+            raise SpaceMismatch(f"form coefficients must be integer codes in [0, {field.q})")
+        coeffs = linalg.canonical(field, coeffs)
         if coeffs is None:
             raise DimensionMismatch("the zero vector is not a quadratic form")
         object.__setattr__(self, "coeffs", coeffs)

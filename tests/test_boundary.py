@@ -2,6 +2,8 @@
 
 Internal code canonicalizes computed vectors without checks, so every
 public function that takes a point must reject a malformed one itself.
+The last section pins the type and message of each refusal, and each
+output, that no other test reaches.
 """
 
 from __future__ import annotations
@@ -10,23 +12,45 @@ import json
 
 import pytest
 
+import pgtool.cli as cli_mod
 from pgtool import (
     PlaneArc,
     PointMap,
     QuadraticForm,
     SemilinearMap,
+    build_iota,
+    build_Q_frame,
     closure_points,
+    create_field,
+    extend_beta,
+    generate_embedding,
     is_arc,
     lemma_h6_set,
+    quadratic_closure,
+    reconstruct_kappa,
+    save_point_map,
     space_for,
     tangent_meet,
     unisecants_at,
     veronese_for,
     veronese_point_map,
 )
+from pgtool import suites
 from pgtool.cli import main
-from pgtool.embeddings import point_map_from_dict, point_map_to_dict
-from pgtool.errors import InvalidPointMap, NotTotal, SpaceMismatch, UsageError
+from pgtool.embeddings import _fit_semilinear, point_map_from_dict, point_map_to_dict
+from pgtool.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    InvalidPointMap,
+    LinesNotConcurrent,
+    NonPrimeP,
+    NotACollineation,
+    NotTotal,
+    ParamOutOfRange,
+    PointNotOnArc,
+    SpaceMismatch,
+    UsageError,
+)
 
 # malformed points of PG(2, 3): too short, code out of range, not an
 # integer, the zero vector, a negative code, a bool (JSON true)
@@ -213,3 +237,144 @@ def test_map_file_pair_errors_match_the_per_pair_read(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         assert main(["regular", "--map", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {want[name]}\n"
+
+
+# -- refusals and outputs no other test reaches ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, 5, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0), (1.0, 0, 0, 0, 0, 0),
+     (0, 0, 0, 0, 0, 7)],
+    ids=repr,
+)
+def test_quadratic_form_refuses_entries_that_are_no_codes(coeffs):
+    # unchecked, (1, 5, ...) raised IndexError in evaluate and (-1, ...)
+    # was stored as (1, ...)
+    with pytest.raises(SpaceMismatch, match=r"^form coefficients must be integer codes in \[0, 3\)$"):
+        QuadraticForm(space_for(2, 3), coeffs)
+
+
+def _raises(exc_type, message, fn, *args):
+    with pytest.raises(exc_type) as exc:
+        fn(*args)
+    assert type(exc.value) is exc_type and str(exc.value) == message
+
+
+def test_projective_refusals_and_repr():
+    space = space_for(2, 3)
+    p = (1, 0, 0)
+    _raises(DimensionMismatch, "pencil needs a subspace of dimension >= 1",
+            space.lines_through, p, space.subspace([p]))
+    _raises(DimensionMismatch, "matrix must be 3x3", SemilinearMap, space, ((1, 0), (0, 1)))
+    assert repr(space.subspace([p])) == "Subspace(dim=0, rows=((1, 0, 0),))"
+    _raises(SpaceMismatch, "point of wrong coordinate length", quadratic_closure, space, [(1, 0)])
+
+
+def test_arc_refusals():
+    space = space_for(2, 3)
+    conic = PlaneArc(space.full_subspace(), frozenset([(1, 0, 0), (1, 1, 1), (1, 2, 1), (0, 0, 1)]))
+    _raises(PointNotOnArc, "tangent_meet needs two distinct arc points",
+            tangent_meet, conic, (1, 0, 0), (2, 0, 0))
+    _raises(PointNotOnArc, "(0, 1, 0) is not on the arc", tangent_meet, conic, (1, 0, 0), (0, 1, 0))
+    solid = space_for(3, 3)
+    ident = SemilinearMap(solid, tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
+    _raises(DimensionMismatch, "this construction lives in a plane", lemma_h6_set, ident, (1, 0, 0, 0))
+
+
+def test_field_refusals_outputs_and_repr(capsys):
+    _raises(NonPrimeP, "p = 1 is not prime", create_field, 1, 1)
+    assert main(["field", "--p", "1"]) == 2
+    assert capsys.readouterr().err == "error: p = 1 is not prime\n"
+    assert main(["enum", "--n", "2", "--q", "1"]) == 2
+    assert capsys.readouterr().err == "error: 1 is not a prime power\n"
+    assert create_field(3, 1).pow(2, -1) == 2
+    assert main(["field", "--p", "3", "--op", "pow", "--a", "2", "--b", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == 2
+    assert repr(create_field(3, 2)) == "GF(9)"
+
+
+def test_generate_refusal_messages():
+    for args, message in [
+        (("veronese", 2, 3, 0), "veronese takes no seed"),
+        (("veronese_kappa", 2, 3), "veronese_kappa needs a seed"),
+        (("frame_injection", 2, 2), "frame_injection needs a seed"),
+        (("frame_injection", 2, 3), "frame_injection is defined for n=2, q=2"),
+        (("broken", 2, 3), "broken needs a seed"),
+        (("nonsense", 2, 3), "unknown kind 'nonsense'"),
+        (("nonsense", 2, 3, 0), "unknown kind 'nonsense'"),
+    ]:
+        _raises(ParamOutOfRange, message, generate_embedding, *args)
+
+
+def test_map_saving_and_loading_refusals(tmp_path, capsys):
+    plane = space_for(2, 2)
+    wider = PointMap(plane, space_for(2, 4), {p: p for p in plane.points()})
+    _raises(FieldMismatch, "map files carry a single field", point_map_to_dict, wider)
+    path = tmp_path / "nu.json"
+    path.write_text("not json")
+    assert main(["verify", "--map", str(path)]) == 2
+    assert capsys.readouterr().err == "error: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_embedding_refusals(tmp_path, capsys):
+    nu = veronese_point_map(3, 2)
+    _raises(DimensionMismatch, "expected a hyperplane of the source",
+            build_iota, nu, nu.source.lines()[0], nu.target.full_subspace())
+    line_map = veronese_point_map(1, 3)
+    _raises(DimensionMismatch, "extension needs source dimension >= 2",
+            extend_beta, line_map, line_map.source.subspace([(1, 0)]))
+    _raises(DimensionMismatch, "frame construction needs source dimension >= 2",
+            build_Q_frame, line_map)
+    plane, wide = space_for(2, 2), space_for(6, 2)
+    units = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    injective = PointMap(plane, wide, dict(zip(plane.points(), units)))
+    message = "target dimension 6 differs from expected 5"
+    _raises(DimensionMismatch, message, reconstruct_kappa, injective)
+    path = tmp_path / "nu.json"
+    save_point_map(injective, path)
+    assert main(["reconstruct", "--map", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fit_semilinear_probe_and_pointwise_refusals():
+    # direct tables: the identity on PG(2,4) with one entry moved
+    space = space_for(2, 4)
+    ident = {x: x for x in space.points()}
+    _raises(NotACollineation, "probe coordinates match no field automorphism",
+            _fit_semilinear, space, {**ident, (1, 2, 0): (1, 3, 0)})
+    _raises(NotACollineation, "table is not semilinear at (0, 1, 1)",
+            _fit_semilinear, space, {**ident, (0, 1, 1): (0, 1, 2)})
+
+
+def test_cli_veronese_without_a_point(capsys):
+    assert main(["veronese", "--n", "1", "--q", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 1, "q": 2, "n_prime": 2,
+        "pairs": [[[0, 1], [0, 0, 1]], [[1, 0], [1, 0, 0]], [[1, 1], [1, 1, 1]]],
+    }
+
+
+def test_cli_failing_suite_prints_its_first_witnesses(capsys, monkeypatch):
+    anchor, _, budget = suites._SUITES["thm-3-7"]
+
+    def failing():
+        return {}, ["w1", "w2", "w3", "w4"]
+
+    monkeypatch.setitem(suites._SUITES, "thm-3-7", (anchor, failing, budget))
+    assert main(["suite", "--id", "thm-3-7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"FAIL thm-3-7 [{anchor}] (")
+    assert lines[1:] == ["  witness: w1", "  witness: w2", "  witness: w3"]
+
+
+def test_cli_violation_inside_a_command_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "nu.json"
+    save_point_map(veronese_point_map(2, 2), path)
+
+    def violated(nu):
+        raise LinesNotConcurrent("lines share no point")
+
+    monkeypatch.setattr(cli_mod, "is_regular", violated)
+    assert main(["regular", "--map", str(path)]) == 1
+    assert capsys.readouterr().err == "violation: lines share no point\n"

@@ -738,3 +738,30 @@ def test_the_paper_reconstruction_runs_only_in_prop_x33():
     assert {name for file, _, name in found if file == "suites.py"} == {
         "build_Q_frame", "recover_automorphism"
     }
+
+
+def _load_tests_module(name):
+    path = Path(__file__).resolve().parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"pgtool_tests_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_names_tests_and_finds_its_old_text_once():
+    # the mutation gates run as their own CI step; a refactor that moves an
+    # old text fails here first, and the entry is updated, not dropped
+    root = Path(__file__).resolve().parents[1]
+    mutants = _load_tests_module("mutants").MUTANTS
+    assert len({m["name"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert m["tests"] and (root / m["file"]).read_text().count(m["old"]) == 1, m["name"]
+
+
+def test_mutant_runner_refuses_a_stale_entry(capsys, monkeypatch):
+    runner = _load_tests_module("run_mutants")
+    stale = {"name": "stale", "file": "src/pgtool/fields.py", "old": "no such text",
+             "new": "", "tests": ["tests/test_fields.py"]}
+    monkeypatch.setattr(runner, "MUTANTS", [stale])
+    assert runner.main([]) == 1
+    assert capsys.readouterr().out == "stale or empty entries:\n  stale\n"
