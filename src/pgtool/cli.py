@@ -27,9 +27,12 @@ from .arcs import segre_scan
 from .veronese import veronese_for
 
 
-def _dump(data) -> None:
-    json.dump(data, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _dump(data, fh=None) -> None:
+    """The one indented-JSON writer: indent 2, sorted keys and a trailing
+    newline, to stdout or to the open file `fh`."""
+    fh = fh or sys.stdout
+    json.dump(data, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _as_list(value, what: str) -> list:
@@ -75,7 +78,7 @@ def _cmd_veronese(args) -> int:
     else:
         _dump({
             "n": args.n, "q": args.q, "n_prime": ver.target.n,
-            "pairs": [[list(p), list(ver.apply(p))] for p in ver.source.points()],
+            "pairs": [[list(p), list(r)] for p, r in zip(ver.source.points(), ver.image())],
         })
     return 0
 
@@ -162,8 +165,7 @@ def _cmd_suite(args) -> int:
                 print(f"  witness: {w}")
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump([r.body() for r in results], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _dump([r.body() for r in results], fh)
     return 0 if all(r.passed for r in results) else 1
 
 

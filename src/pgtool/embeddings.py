@@ -67,7 +67,10 @@ class PointMap:
     (`_entry_checked`), which accepts it or raises on its first bad
     entry, so every exception and message is that of the per-entry check.
 
-    The table is read-only, so the map keeps one fit record, `_fit`.
+    The table is read-only and stored in `source.points()` order by both
+    checks and by `from_images`, so `image`, `_fit` and
+    `point_map_to_dict` read it in place.  The map keeps one fit record,
+    `_fit`.
     """
 
     def __init__(self, source: ProjectiveSpace, target: ProjectiveSpace, table: dict):
@@ -110,7 +113,7 @@ class PointMap:
         return pm
 
     def image(self) -> list:
-        return [self.table[p] for p in self.source.points()]
+        return list(self.table.values())
 
     @functools.cached_property
     def _fit(self) -> tuple[SemilinearMap | None, frozenset | None]:
@@ -125,9 +128,8 @@ class PointMap:
         kappa = _fit_kappa(self)
         if kappa is None:
             return None, None
-        source, table = self.source, self.table
         return kappa, frozenset(
-            x for x, y in zip(source.points(), kappa_rho(source, kappa)) if y != table[x]
+            x for (x, y), z in zip(self.table.items(), kappa_rho(self.source, kappa)) if y != z
         )
 
     def __eq__(self, other):
@@ -150,7 +152,8 @@ def _bulk_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> di
     the key set is the set of source points, so the keys are canonical,
     in range and of the right length; and the canonical values, one
     `linalg.canonical` call each, are nonzero and pairwise distinct.
-    A table that passes them is the table `_entry_checked` builds.
+    The canonical values are read in point order into the one dict
+    returned, which is the table `_entry_checked` builds.
     """
     pts = source.points()
     keys, vals = table.keys(), table.values()
@@ -162,11 +165,11 @@ def _bulk_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> di
     field, distinct = target.field, set(codes)
     if min(distinct) < 0 or max(distinct) >= field.q or keys != set(pts):
         return None
-    canon = {key: linalg.canonical(field, val) for key, val in table.items()}
-    images = set(canon.values())
+    norm = {p: linalg.canonical(field, table[p]) for p in pts}
+    images = set(norm.values())
     if None in images or len(images) != len(pts):
         return None
-    return {p: canon[p] for p in pts}
+    return norm
 
 
 def _entry_checked(source: ProjectiveSpace, target: ProjectiveSpace, table) -> dict:
@@ -216,7 +219,7 @@ def point_map_to_dict(pm: PointMap) -> dict:
         "field": pm.source.field.descriptor(),
         "n": pm.source.n,
         "n_prime": pm.target.n,
-        "pairs": [[list(src), list(pm.table[src])] for src in pm.source.points()],
+        "pairs": [[list(src), list(img)] for src, img in pm.table.items()],
     }
 
 
@@ -550,9 +553,7 @@ def is_regular(nu: PointMap) -> bool:
 
 def default_complement(space: ProjectiveSpace, sub: Subspace) -> Subspace:
     """Deterministic complement: greedy extension by unit vectors."""
-    n1 = space.n + 1
-    units = (tuple(int(j == i) for j in range(n1)) for i in range(n1))
-    return _greedy_complement(space, sub, units)
+    return _greedy_complement(space, sub, iter(standard_frame(space)[:-1]))
 
 
 def random_complement(space: ProjectiveSpace, sub: Subspace, rng: SplitMix64) -> Subspace:

@@ -119,9 +119,7 @@ class ProjectiveSpace:
         return self.subspace(list(points))
 
     def full_subspace(self) -> "Subspace":
-        n1 = self.n + 1
-        rows = tuple(tuple(1 if j == i else 0 for j in range(n1)) for i in range(n1))
-        return Subspace(self, tuple(range(n1)), rows)
+        return Subspace(self, tuple(range(self.n + 1)), standard_frame(self)[:-1])
 
     def meet(self, a: "Subspace", b: "Subspace") -> "Subspace":
         """Intersection, in one elimination (Zassenhaus).

@@ -61,49 +61,31 @@ class SuiteResult:
         }
 
 
-def _pt(p) -> list:
-    return list(p)
-
-
 def _pts(ps) -> list:
-    return sorted(_pt(p) for p in ps)
+    return sorted(list(p) for p in ps)
 
 
 # -- suite bodies ---------------------------------------------------------
 
 
 def _suite_closure_transfer():
+    """The closure identity checked literally on every subset M of two
+    small spaces.  The common zeros of the forms vanishing on M are the
+    points left after cutting by every zero set that contains M, one form
+    per projective class (`_coefficient_reps`).  They must equal
+    `closure_points(space, M)`."""
     params = {"spaces": [[2, 2], [1, 3]]}
     witnesses = []
     for n, q in ((2, 2), (1, 3)):
         space = space_for(n, q)
         pts = space.points()
-        # literal oracle: intersect the zero sets of every form containing M
-        zero_masks = []
-        for coeffs in _coefficient_reps(space.field, delta(n)):
-            form = QuadraticForm(space, coeffs)
-            mask = 0
-            for i, x in enumerate(pts):
-                if not form.evaluate(x):
-                    mask |= 1 << i
-            zero_masks.append(mask)
-        full = (1 << len(pts)) - 1
+        everything = frozenset(pts)
+        forms = [QuadraticForm(space, coeffs) for coeffs in _coefficient_reps(space.field, delta(n))]
+        zero_sets = [frozenset(x for x in pts if not form.evaluate(x)) for form in forms]
         for size in range(len(pts) + 1):
-            for idx in combinations(range(len(pts)), size):
-                mmask = 0
-                for i in idx:
-                    mmask |= 1 << i
-                literal = full
-                for zmask in zero_masks:
-                    if mmask & ~zmask == 0:
-                        literal &= zmask
-                subset = [pts[i] for i in idx]
-                linearized = closure_points(space, subset)
-                lin_mask = 0
-                for i, x in enumerate(pts):
-                    if x in linearized:
-                        lin_mask |= 1 << i
-                if literal != lin_mask:
+            for subset in map(frozenset, combinations(pts, size)):
+                literal = everything.intersection(*(z for z in zero_sets if z >= subset))
+                if literal != closure_points(space, subset):
                     witnesses.append({"space": [n, q], "subset": _pts(subset)})
     return params, witnesses
 
@@ -169,7 +151,7 @@ def _suite_eq_immsing():
     shift = delta(space.n - 1)  # rank of a hyperplane image
     for hp in space.hyperplanes():
         pivots, rrows = linalg.rref(field, [ver.apply(x) for x in hp.points()])
-        affine = [p for p in space.points() if p not in set(hp.points())]
+        affine = [p for p in space.points() if p not in hp.points()]
         reduced = [linalg.residual(field, pivots, rrows, ver.apply(x)) for x in affine]
         image_ranks = linalg.subset_ranks(field, reduced, params["max_subset"])
         source_ranks = linalg.subset_ranks(field, affine, params["max_subset"])
@@ -196,7 +178,7 @@ def _suite_prop_h2():
     rng = SplitMix64(params["seed"])
     for hp in space.hyperplanes():
         base = ver.target.span([nu.table[x] for x in hp.points()])
-        affine = [p for p in space.points() if p not in set(hp.points())]
+        affine = [p for p in space.points() if p not in hp.points()]
         source_ranks = linalg.subset_ranks(space.field, affine, params["max_subset"])
         for _ in range(params["complements_per_hyperplane"]):
             complement = random_complement(ver.target, base, rng)

@@ -206,4 +206,70 @@ MUTANTS = [
             "tests/test_projective.py::test_meet_matches_complements_on_every_pair[2-2]",
         ],
     },
+    # -- reuse: the literal oracle, the stored point order, one frame, one writer --
+    {
+        "name": "closure-transfer oracle keeps a zero set that does not contain M",
+        "file": "src/pgtool/suites.py",
+        "old": "z for z in zero_sets if z >= subset",
+        "new": "z for z in zero_sets if z & subset",
+        "tests": [
+            "tests/test_suites.py::test_closure_transfer_reports_subsets_whose_closure_differs",
+            "tests/test_harness.py::test_cli_suite_single",
+        ],
+    },
+    {
+        "name": "bulk load keeps the input order",
+        "file": "src/pgtool/embeddings.py",
+        "old": "norm = {p: linalg.canonical(field, table[p]) for p in pts}",
+        "new": "norm = {p: linalg.canonical(field, table[p]) for p in table}",
+        "tests": [
+            "tests/test_embeddings.py::test_loaded_tables_are_stored_in_point_order[broken-2-3]",
+            "tests/test_embeddings.py::test_loaded_tables_are_stored_in_point_order[kappa_rho-2-4]",
+        ],
+    },
+    {
+        "name": "image read in another order than the stored one",
+        "file": "src/pgtool/embeddings.py",
+        "old": "return list(self.table.values())",
+        "new": "return sorted(self.table.values())",
+        "tests": [
+            "tests/test_embeddings.py::test_loaded_tables_are_stored_in_point_order[kappa_rho-2-3]",
+        ],
+    },
+    {
+        "name": "full_subspace takes the frame shifted by one",
+        "file": "src/pgtool/projective.py",
+        "old": "standard_frame(self)[:-1])",
+        "new": "standard_frame(self)[1:])",
+        "tests": [
+            "tests/test_projective.py::test_full_subspace_is_the_span_of_every_point[2-3]",
+        ],
+    },
+    {
+        "name": "default_complement takes the frame shifted by one",
+        "file": "src/pgtool/embeddings.py",
+        "old": "iter(standard_frame(space)[:-1])",
+        "new": "iter(standard_frame(space)[1:])",
+        "tests": [
+            "tests/test_embeddings.py::test_complements_draw_like_literal_loops[2-3]",
+        ],
+    },
+    {
+        "name": "indented-JSON writer without sorted keys",
+        "file": "src/pgtool/cli.py",
+        "old": "json.dump(data, fh, indent=2, sort_keys=True)",
+        "new": "json.dump(data, fh, indent=2)",
+        "tests": [
+            "tests/test_harness.py::test_cli_json_is_indented_with_sorted_keys",
+        ],
+    },
+    {
+        "name": "veronese pairs read off a shifted image",
+        "file": "src/pgtool/cli.py",
+        "old": "zip(ver.source.points(), ver.image())",
+        "new": "zip(ver.source.points(), ver.image()[1:])",
+        "tests": [
+            "tests/test_boundary.py::test_cli_veronese_without_a_point",
+        ],
+    },
 ]

@@ -1762,3 +1762,47 @@ def test_complements_draw_like_literal_loops(n, q):
                 target, base, theirs
             )
             assert ours.state == theirs.state
+
+
+# -- the stored point order --------------------------------------------------
+
+
+def _answers(nu, path):
+    """Everything a command reads off a loaded table, and its saved bytes."""
+    report = is_quadratic_embedding(nu, mode="reduced")
+    try:
+        rec = reconstruct_kappa(nu)
+        reconstruction = (rec.alpha, rec.kappa, rec.points_checked)
+    except PgtoolError as exc:
+        reconstruction = (type(exc), str(exc))
+    embeddings.save_point_map(nu, path)
+    return {
+        "image": nu.image(),
+        "fit": nu._fit,
+        "verify": (report.is_embedding, report.path, report.span_condition, report.violated_set),
+        "regular": is_regular(nu),
+        "reconstruct": reconstruction,
+        "bytes": path.read_bytes(),
+    }
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (3, 2), (2, 4)])
+@pytest.mark.parametrize("kind", ["broken", "kappa_rho"])
+def test_loaded_tables_are_stored_in_point_order(kind, n, q, tmp_path):
+    # the pairs sorted (point order), shuffled, and shuffled with every key
+    # scaled by a nonzero code, which sends the table through the per-entry
+    # check when q > 2: all three load to the table the generator built
+    pm = broken_map(n, q, 1) if kind == "broken" else veronese_kappa_map(n, q, 1)[0]
+    data = embeddings.point_map_to_dict(pm)
+    ordered = sorted(data["pairs"])
+    shuffled = list(ordered)
+    SplitMix64(7).shuffle(shuffled)
+    field = pm.source.field
+    scaled = [[[field.mul(q - 1, c) for c in src], img] for src, img in shuffled]
+    assert shuffled != ordered and (scaled != shuffled) == (q > 2)
+    want = _answers(pm, tmp_path / "generated.json")
+    assert want["image"] == [pm.table[p] for p in pm.source.points()]
+    for i, pairs in enumerate((ordered, shuffled, scaled)):
+        nu = embeddings.point_map_from_dict({**data, "pairs": pairs})
+        assert list(nu.table) == pm.source.points()
+        assert _answers(nu, tmp_path / f"{i}.json") == want

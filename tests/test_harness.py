@@ -652,6 +652,19 @@ def test_cli_suite_single(tmp_path, capsys):
     assert "seconds" not in body[0]
 
 
+def test_cli_json_is_indented_with_sorted_keys(tmp_path, capsys):
+    # stdout and the `suite --json` file come from one writer
+    body_path = tmp_path / "report.json"
+    assert main(["suite", "--id", "closure-transfer", "--json", str(body_path)]) == 0
+    capsys.readouterr()
+    body = [r.body() for r in run_suite("closure-transfer")]
+    assert body_path.read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+    assert main(["veronese", "--n", "1", "--q", "2"]) == 0
+    pairs = [[[0, 1], [0, 0, 1]], [[1, 0], [1, 0, 0]], [[1, 1], [1, 1, 1]]]
+    want = {"n": 1, "q": 2, "n_prime": 2, "pairs": pairs}
+    assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_suite_registry():
     assert len(SUITE_ORDER) == 13
     assert set(BUDGETS) == set(SUITE_ORDER)

@@ -141,6 +141,16 @@ def test_meet_complementary_plane_example():
     assert ver.target.meet(base, eprime).dim == -1
 
 
+@pytest.mark.parametrize("n, q", [(1, 2), (2, 3), (3, 4)])
+def test_full_subspace_is_the_span_of_every_point(n, q):
+    # the same value as the checked span: pivots 0..n and the unit rows
+    space = space_for(n, q)
+    full = space.full_subspace()
+    assert full == space.span(space.points())
+    assert full.rows == projective.standard_frame(space)[:-1]
+    assert full.points() == tuple(space.points())
+
+
 def _all_subspaces(space):
     subs = {space.subspace([]), space.full_subspace()}
     pts = space.points()

@@ -1,8 +1,9 @@
-"""The rank suites against their literal per-subset loops, and the
-eliminations they make."""
+"""The rank suites against their literal per-subset loops, the
+eliminations they make, and the failure report of every suite."""
 
 from __future__ import annotations
 
+import types
 from itertools import combinations
 
 import pytest
@@ -186,3 +187,167 @@ def test_prop_x33_checks_frame_and_exponent_against_kappa(monkeypatch):
         assert result.witnesses == [
             {"space": space, "seed": s, "error": error} for s in result.params["seeds"]
         ]
+
+
+# -- failure reports: every witness append and `continue` of a failing suite --
+#
+# Each test replaces the collaborator a suite imports with a wrong one
+# and pins the failure: `passed` is False and the witness keys.
+
+
+def _failing(suite_id):
+    (result,) = run_suite(suite_id)
+    assert result.passed is False
+    return result.witnesses
+
+
+def _raising(*args):
+    raise suites.PgtoolError("collaborator refused")
+
+
+def test_closure_transfer_reports_subsets_whose_closure_differs(monkeypatch):
+    # with the identity as closure, the witnesses are the subsets that are
+    # not closed, in size-then-lex order: the 6-point subsets of PG(2,2),
+    # whose closure is the plane, and the 3-point subsets of PG(1,3),
+    # whose closure is the line
+    monkeypatch.setattr(suites, "closure_points", lambda space, subset: frozenset(subset))
+    expected = [
+        {"space": [n, q], "subset": sorted(map(list, subset))}
+        for n, q, size in ((2, 2, 6), (1, 3, 3))
+        for subset in combinations(suites.space_for(n, q).points(), size)
+    ]
+    assert _failing("closure-transfer") == expected
+
+
+def test_thm_3_7_reports_every_case_whose_rank_differs(monkeypatch):
+    delta = suites.delta
+    monkeypatch.setattr(suites, "delta", lambda t: delta(t) + 1)
+    witnesses = _failing("thm-3-7")
+    assert len(witnesses) == len(suites._GRID_37) * 21
+    assert witnesses[0] == {"space": [1, 2], "case": "veronese", "rank": 3, "expected": 4}
+    assert {tuple(w) for w in witnesses} == {("space", "case", "rank", "expected")}
+
+
+def test_prop_3_9_reports_every_subset_whose_chain_differs(monkeypatch):
+    monkeypatch.setattr(suites, "longest_closed_chain", lambda space, subset: -2)
+    witnesses = _failing("prop-3-9")
+    assert len(witnesses) == 2**7 + 200  # every subset of PG(2,2), then the sampled ones
+    assert witnesses[0] == {"space": [2, 2], "subset": [], "chain": -2, "rank_dim": -1}
+    assert {tuple(w) for w in witnesses} == {("space", "subset", "chain", "rank_dim")}
+
+
+def test_props_h3_h4_reports_refusals(monkeypatch):
+    monkeypatch.setattr(suites, "extend_beta", _raising)
+    witnesses = _failing("props-h3-h4")
+    assert len(witnesses) == 7 + 13 + 15  # every hyperplane of each space, and nothing else
+    assert {tuple(w) for w in witnesses} == {("space", "hyperplane", "error")}
+    assert {w["error"] for w in witnesses} == {"collaborator refused"}
+
+
+def test_props_h3_h4_reports_images_that_are_no_hyperplane(monkeypatch):
+    # beta = nu: the image of H spans only span nu(H)
+    monkeypatch.setattr(suites, "extend_beta", lambda nu, hp: nu)
+    witnesses = _failing("props-h3-h4")
+    assert len(witnesses) == 7 + 13 + 15
+    assert witnesses[0] == {"space": [2, 2], "hyperplane": [[0, 1, 0], [1, 0, 0], [1, 1, 0]], "image_dim": 2}
+    assert {tuple(w) for w in witnesses} == {("space", "hyperplane", "image_dim")}
+
+
+def test_props_h3_h4_reports_wrong_preimages_and_colliding_images(monkeypatch):
+    # beta sends the first two hyperplanes H1, H2 onto each other's images,
+    # so both span the hyperplane span rho(H1 u H2), whose preimage is H1 u H2
+    extend_beta = suites.extend_beta
+
+    def exchanged(nu, hp):
+        first, second = nu.source.hyperplanes()[:2]
+        if hp not in (first, second):
+            return extend_beta(nu, hp)
+        other = second if hp == first else first
+        return types.SimpleNamespace(table=dict(zip(hp.points(), (nu.table[x] for x in other.points()))))
+
+    monkeypatch.setattr(suites, "extend_beta", exchanged)
+    witnesses = _failing("props-h3-h4")
+    assert [(w["space"], tuple(w)) for w in witnesses] == [
+        (space, keys)
+        for space in ([2, 2], [2, 3], [3, 2])
+        for keys in [("space", "hyperplane", "bad_preimage")] * 2 + [("space", "error")]
+    ]
+    h1, h2 = suites.space_for(2, 2).hyperplanes()[:2]
+    union = sorted(map(list, set(h1.points()) | set(h2.points())))
+    assert witnesses[0]["bad_preimage"] == witnesses[1]["bad_preimage"] == union
+    assert witnesses[2] == {"space": [2, 2], "error": "hyperplane images collide"}
+
+
+def test_lemma_h6_reports_every_draw_on_the_wrong_side(monkeypatch):
+    monkeypatch.setattr(suites, "is_arc", lambda arc: False)
+    witnesses = _failing("lemma-h6")
+    assert len(witnesses) == 2 * 50  # the twisted draws are no arcs, as the lemma says
+    assert {w["case"].split(":")[0] for w in witnesses} == {"projective"}
+    assert {tuple(w) for w in witnesses} == {("q", "case", "set")}
+
+
+def test_prop_h7_reports_lines_whose_image_is_no_regular_conic(monkeypatch):
+    monkeypatch.setattr(suites, "is_regular_conic", lambda arc: (False, None))
+    witnesses = _failing("prop-h7")
+    assert len(witnesses) == 20 * (13 + 21)
+    assert witnesses[0] == {"q": 3, "seed": 0, "line": sorted(map(list, suites.space_for(2, 3).lines()[0].points()))}
+    assert {tuple(w) for w in witnesses} == {("q", "seed", "line")}
+
+
+def test_prop_x33_reports_refusals(monkeypatch):
+    monkeypatch.setattr(suites, "build_Q_frame", _raising)
+    witnesses = _failing("prop-x33")
+    assert witnesses == [
+        {"space": [n, q], "seed": s, "error": "collaborator refused"}
+        for n, q in ((2, 2), (2, 3), (2, 4), (3, 2))
+        for s in range(20)
+    ]
+
+
+def test_main_theorem_reports_refusals_and_wrong_exponents(monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(suites, "reconstruct_kappa", _raising)
+        witnesses = _failing("main-theorem")
+    assert witnesses == [
+        {"q": q, "seed": s, "error": "collaborator refused"} for q in (2, 3, 4, 5, 9) for s in range(100)
+    ]
+    monkeypatch.setattr(suites, "reconstruct_kappa", lambda nu: types.SimpleNamespace(alpha=-1))
+    witnesses = _failing("main-theorem")
+    assert len(witnesses) == 500
+    assert {(w["alpha"], tuple(w)) for w in witnesses} == {(-1, ("q", "seed", "alpha", "expected"))}
+
+
+def test_example_4_reports_rejections_and_refusals(monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(suites, "is_quadratic_embedding", lambda nu, mode: types.SimpleNamespace(is_embedding=False))
+        patched.setattr(suites, "reconstruct_kappa", lambda nu: pytest.fail("a rejected table is reconstructed"))
+        witnesses = _failing("example-4")
+    assert witnesses == [{"seed": s, "error": "not accepted as an embedding"} for s in range(20)]
+    monkeypatch.setattr(suites, "reconstruct_kappa", _raising)
+    assert _failing("example-4") == [{"seed": s, "error": "collaborator refused"} for s in range(20)]
+
+
+def test_segre_scan_reports_each_census_that_finds_no_conic_for_an_oval(monkeypatch):
+    report_q3 = types.SimpleNamespace(non_conic_ovals=(), ovals=2, conics=1, to_dict=lambda: {"q": 3})
+    segre_scan = suites.segre_scan
+    monkeypatch.setattr(suites, "segre_scan", lambda q: report_q3 if q == 3 else segre_scan(q))
+    assert _failing("segre-scan") == [{"q": 3}]
+
+
+def test_negative_controls_report_accepted_tables_and_witnesses_that_hold(monkeypatch):
+    accepted = types.SimpleNamespace(is_embedding=True, violated_set=None)
+    with monkeypatch.context() as patched:
+        patched.setattr(suites, "is_quadratic_embedding", lambda nu, mode: accepted)
+        witnesses = _failing("negative-controls")
+    assert witnesses == [{"seed": s, "error": "verifier accepted a broken map"} for s in range(20)]
+    monkeypatch.setattr(suites, "span_preimage", lambda nu, subset: suites.closure_points(nu.source, subset))
+    witnesses = _failing("negative-controls")
+    assert witnesses == [{"seed": s, "error": "reported witness does not violate"} for s in range(20)]
+
+
+def test_randbelow_refuses_a_bound_below_one():
+    rng = suites.SplitMix64(1)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="randbelow needs a positive bound"):
+            rng.randbelow(bound)
+    assert rng.state == 1  # a refused draw consumes nothing
