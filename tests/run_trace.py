@@ -1,7 +1,7 @@
 """Executed-statement gate: run Tier-1 in-process under a line tracer and
 list every statement of `src/pgtool` that no test runs.
 
-    python tests/run_trace.py [PYTEST_ARGS ...]
+    python tests/run_trace.py
 
 `sys.settrace` and `threading.settrace` install a tracer before pytest
 imports the package; it returns a local line tracer only for code under
@@ -63,7 +63,7 @@ def statements(path: Path):
         yield line, lines[node.lineno - 1].strip()
 
 
-def main(args) -> int:
+def main() -> int:
     if "pgtool" in sys.modules:
         print("pgtool was imported before the tracer started")
         return 1
@@ -82,7 +82,7 @@ def main(args) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *args])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -110,4 +110,4 @@ def main(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
